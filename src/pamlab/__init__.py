@@ -42,7 +42,6 @@ from .moments import (
 )
 from .particles import (
     gillespie_run,
-    mean_population,
     population_ensemble,
     simulate_population,
 )
@@ -62,7 +61,6 @@ from .solver import (
     BoxDomain,
     MomentField,
     SolverError,
-    StiffnessError,
     empirical_average,
     required_radius,
     solve_truncated,

@@ -2,11 +2,9 @@
 
 Every subcommand takes flat KEY=VALUE arguments, writes CSV tables plus
 a summary.json into --out, and exits 0 only when all of its checks
-passed.  Float cells are printed with %.17g so a repeated run is byte
-identical; wall-clock timings are confined to summary.json.  The
-PAMLAB_THREADS variable sets the worker count for replica loops; work
-is chunked on a fixed grid and collected in index order, so output does
-not depend on the thread budget.
+passed.  A run uses no worker pool and draws its randomness from the
+seed key alone; float cells are printed with %.17g, so a repeated run
+is byte identical.  Wall-clock timings are confined to summary.json.
 """
 
 import argparse
@@ -15,7 +13,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +22,7 @@ from .analytics import critical_a, cumulant_H, cumulant_exponent_G, growth_J, tr
 from .environments import TailFamily, effective_potential, sample_environment
 from .feynman_kac import fk_estimate
 from .moments import estimate_F_theta, estimate_H1
-from .particles import gillespie_run
+from .particles import simulate_population
 from .regimes import (
     RegimeConfig,
     RegimeThresholds,
@@ -40,8 +37,6 @@ from .seeding import derive_seed
 from .solver import BoxDomain, solve_truncated
 from .spectral import verify_sandwich
 
-_CHUNK = 32
-
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message lists every problem found."""
@@ -55,40 +50,6 @@ class RunConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-
-def thread_budget():
-    raw = os.environ.get("PAMLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"PAMLAB_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"PAMLAB_THREADS must be >= 1, got {n}")
-    return n
-
-
-def map_indexed(fn, n_items):
-    """fn(i) for i in range(n_items), chunked on a fixed grid.
-
-    The chunk size never depends on the thread budget and results are
-    collected by index, so the output list is identical for any budget.
-    """
-    threads = thread_budget()
-    if threads == 1 or n_items <= 1:
-        return [fn(i) for i in range(n_items)]
-    spans = [range(s, min(s + _CHUNK, n_items)) for s in range(0, n_items, _CHUNK)]
-
-    def run_span(span):
-        return [fn(i) for i in span]
-
-    out = [None] * n_items
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(run_span, span) for span in spans]
-        for span, fut in zip(spans, futures):
-            for i, val in zip(span, fut.result()):
-                out[i] = val
-    return out
 
 
 _FAMILY_KEYS = {
@@ -113,8 +74,6 @@ SCHEMAS = {
         "seed": ("int", False, 0),
         "kappa": ("float", True, None),
         "t": ("float", True, None),
-        "method": ("str", False, "auto"),
-        "tol": ("float", False, 1e-10),
     },
     "fk": {
         **_FAMILY_KEYS,
@@ -391,7 +350,7 @@ def cmd_sample_env(cfg):
 def cmd_solve(cfg):
     env = sample_environment(cfg.family, cfg["dim"], cfg["radius"], cfg["seed"])
     box = BoxDomain(env, (0,) * env.dim, cfg["box_radius"])
-    field = solve_truncated(env, box, cfg["kappa"], cfg["t"], method=cfg["method"], tol=cfg["tol"])
+    field = solve_truncated(env, box, cfg["kappa"], cfg["t"])
     logs = field.log_values()
     active = box.active_mask()
     coords = box.box_coords()
@@ -426,34 +385,27 @@ def cmd_fk(cfg):
 
 def cmd_particles(cfg):
     env = sample_environment(cfg.family, cfg["dim"], cfg["radius"], derive_seed(cfg["seed"], "env"))
-    x = (0,) * env.dim
-
-    def one(r):
-        return gillespie_run(env, x, cfg["kappa"], cfg["t"], derive_seed(cfg["seed"], "run", r), cfg["cap"])
-
-    runs = map_indexed(one, cfg["n_runs"])
+    sample = simulate_population(
+        env, (0,) * env.dim, cfg["kappa"], cfg["t"], cfg["n_runs"], derive_seed(cfg["seed"], "run"), cfg["cap"]
+    )
+    consistent = sample.accounting_consistent()
     cols = ["replica", "final_population", "n_branch", "n_death", "n_boundary_kill", "truncated", "consistent"]
-    rows = []
-    ok = True
-    for r, run in enumerate(runs):
-        consistent = run.accounting_consistent()
-        ok = ok and (consistent or run.truncated)
-        rows.append(
-            {
-                "replica": r,
-                "final_population": run.final_population,
-                "n_branch": run.n_branch,
-                "n_death": run.n_death,
-                "n_boundary_kill": run.n_boundary_kill,
-                "truncated": run.truncated,
-                "consistent": consistent,
-            }
-        )
-    counts = np.array([run.final_population for run in runs], dtype=float)
+    rows = [
+        {
+            "replica": r,
+            "final_population": sample.counts[r],
+            "n_branch": sample.n_branch[r],
+            "n_death": sample.n_death[r],
+            "n_boundary_kill": sample.n_boundary_kill[r],
+            "truncated": bool(sample.truncated[r]),
+            "consistent": bool(consistent[r]),
+        }
+        for r in range(sample.n_runs)
+    ]
+    ok = bool(np.all(consistent | sample.truncated))
     extra = {
-        "mean_population": float(counts.mean()),
-        "stderr": float(counts.std(ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else 0.0,
-        "threads": thread_budget(),
+        "mean_population": sample.mean(),
+        "stderr": sample.stderr() if sample.n_runs > 1 else 0.0,
     }
     return [("particles.csv", cols, rows)], ok, extra
 

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .environments import sample_environment
 from .seeding import derive_seed, generator
@@ -71,12 +72,7 @@ def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
         for i in range(n_replica):
             env = sample_environment(family, 1, R, derive_seed(seed, "env", i))
             vs[i] = env.v_plus - env.v_minus
-        out = np.empty(n_replica)
-        chunk = max(1, 2**24 // (width * width))
-        for s in range(0, n_replica, chunk):
-            e = min(s + chunk, n_replica)
-            out[s:e] = log_center_moment_windows_1d(vs[s:e], kappa, t)
-        return out
+        return log_center_moment_windows_1d(vs, kappa, t)
     out = np.empty(n_replica)
     origin = (0,) * dim
     for i in range(n_replica):
@@ -87,10 +83,7 @@ def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
 
 
 def _log_mean(logs):
-    peak = float(np.max(logs))
-    if not math.isfinite(peak):
-        return -math.inf
-    return peak + math.log(float(np.mean(np.exp(logs - peak))))
+    return float(logsumexp(logs)) - math.log(len(logs))
 
 
 def _bootstrap_indices(n, seed):
@@ -276,7 +269,6 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
     if kappa == 0.0:
         R = 0
     logs = np.empty((n_replica, n_sites))
-    width = 2 * R + 1
     for i in range(n_replica):
         env = sample_environment(family, 1, L + R, derive_seed(seed, "env", i))
         if env.hardcore.any():
@@ -285,11 +277,8 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
         if kappa == 0.0:
             logs[i] = v[R : R + n_sites] * t if R else v * t
         else:
-            windows = np.lib.stride_tricks.sliding_window_view(v, width)
-            chunk = max(1, 2**24 // (width * width))
-            for s in range(0, n_sites, chunk):
-                e = min(s + chunk, n_sites)
-                logs[i, s:e] = log_center_moment_windows_1d(windows[s:e], kappa, t)
+            windows = np.lib.stride_tricks.sliding_window_view(v, 2 * R + 1)
+            logs[i] = log_center_moment_windows_1d(windows, kappa, t)
     peak = float(logs.max())
     m = np.exp(logs - peak)
     totals = m.sum(axis=1)

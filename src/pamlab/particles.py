@@ -139,16 +139,27 @@ def gillespie_run(env, x, kappa, t, seed, cap=10**7):
 
 @dataclass(frozen=True)
 class PopulationSample:
-    """Population counts at one time over independent runs."""
+    """Population counts at one time over independent runs.
+
+    Per run it also keeps the event accounting: branchings, deaths and
+    kills on stepping off the window or onto a hard core.
+    """
 
     counts: np.ndarray = field(repr=False)
     truncated: np.ndarray = field(repr=False)
+    n_branch: np.ndarray = field(repr=False)
+    n_death: np.ndarray = field(repr=False)
+    n_boundary_kill: np.ndarray = field(repr=False)
     t: float
     kappa: float
 
     @property
     def n_runs(self):
         return len(self.counts)
+
+    def accounting_consistent(self):
+        """Per run: final count = 1 + branchings - deaths - kills."""
+        return self.counts == 1 + self.n_branch - self.n_death - self.n_boundary_kill
 
     def mean(self):
         return float(self.counts.mean())
@@ -160,30 +171,28 @@ class PopulationSample:
 
 
 def simulate_population(env, x, kappa, t, n_runs, seed, cap=10**7):
-    """Population counts zeta(t) over n_runs independent trajectories."""
+    """Population counts zeta(t) over n_runs independent trajectories.
+
+    Run r draws from its own stream derive_seed(seed, "particles", r),
+    so the sample does not depend on the order the runs are made in.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     if t < 0 or kappa < 0:
         raise ValueError("t and kappa must be >= 0")
     start = env.flat_index(x)
-    counts = np.zeros(n_runs, dtype=np.int64)
+    counts, branch, death, kill = (np.zeros(n_runs, dtype=np.int64) for _ in range(4))
     trunc = np.zeros(n_runs, dtype=bool)
-    if env.hardcore[start]:
-        return PopulationSample(counts=counts, truncated=trunc, t=float(t), kappa=float(kappa))
-    table = kill_adjacency(env)
-    for r in range(n_runs):
-        rng = generator(derive_seed(seed, "particles", r))
-        run = _run_once(env, start, kappa, t, rng, cap, table, record=False)
-        counts[r] = run.final_population
-        trunc[r] = run.truncated
-        if not run.accounting_consistent():
-            raise RuntimeError("event accounting out of balance")
-    return PopulationSample(counts=counts, truncated=trunc, t=float(t), kappa=float(kappa))
-
-
-def mean_population(env, x, kappa, t, n_runs, seed, cap=10**7):
-    """(mean, stderr) of the population count at time t."""
-    sample = simulate_population(env, x, kappa, t, n_runs, seed, cap=cap)
-    return sample.mean(), sample.stderr()
+    if not env.hardcore[start]:
+        table = kill_adjacency(env)
+        for r in range(n_runs):
+            rng = generator(derive_seed(seed, "particles", r))
+            run = _run_once(env, start, kappa, t, rng, cap, table, record=False)
+            counts[r] = run.final_population
+            trunc[r] = run.truncated
+            branch[r], death[r], kill[r] = run.n_branch, run.n_death, run.n_boundary_kill
+            if not run.accounting_consistent():
+                raise RuntimeError("event accounting out of balance")
+    return PopulationSample(counts, trunc, branch, death, kill, float(t), float(kappa))
 
 
 def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
@@ -201,10 +210,10 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     start = env.flat_index(x)
-    counts_out = np.zeros(n_runs, dtype=np.int64)
+    counts_out, branch, death, kill = (np.zeros(n_runs, dtype=np.int64) for _ in range(4))
     trunc = np.zeros(n_runs, dtype=bool)
     if env.hardcore[start]:
-        return PopulationSample(counts=counts_out, truncated=trunc, t=float(t), kappa=float(kappa))
+        return PopulationSample(counts_out, trunc, branch, death, kill, float(t), float(kappa))
     table = kill_adjacency(env)
     d = env.dim
     width = 2 * d + 2
@@ -216,9 +225,6 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     counts = np.zeros((n_runs, env.n_sites), dtype=np.int64)
     counts[:, start] = 1
     clock = np.zeros(n_runs)
-    branch = np.zeros(n_runs, dtype=np.int64)
-    death = np.zeros(n_runs, dtype=np.int64)
-    kill = np.zeros(n_runs, dtype=np.int64)
     active = np.arange(n_runs)
     while active.size:
         sub = counts[active]
@@ -278,7 +284,7 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
             counts_out[halted] = pop[stop]
             trunc[halted] = pop[stop] > cap
             active = active[~stop]
-    balanced = counts_out == 1 + branch - death - kill
-    if not np.all(balanced | trunc):
+    sample = PopulationSample(counts_out, trunc, branch, death, kill, float(t), float(kappa))
+    if not np.all(sample.accounting_consistent() | trunc):
         raise RuntimeError("event accounting out of balance")
-    return PopulationSample(counts=counts_out, truncated=trunc, t=float(t), kappa=float(kappa))
+    return sample

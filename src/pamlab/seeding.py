@@ -3,8 +3,8 @@
 All randomness in the package flows from a single master seed through
 `derive_seed` (stream splitting) and `site_uniforms` (stateless per-site
 uniforms keyed by lattice coordinates).  Both are pure integer/hash
-functions, so results are identical across platforms, process counts and
-thread budgets.
+functions, so results are identical across platforms and do not depend
+on the order in which replicas are computed.
 """
 
 import hashlib

@@ -12,26 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.special import logsumexp
 
 from .analytics import rate_I
-from .environments import effective_potential
+from .environments import effective_potential, window_coords
 
 DENSE_LIMIT = 4000
 
 
 class SolverError(RuntimeError):
     pass
-
-
-class StiffnessError(SolverError):
-    """Explicit integrator ran out of step budget.
-
-    Carries the largest |v| on the active set, the usual culprit.
-    """
-
-    def __init__(self, message, max_abs_v=None):
-        super().__init__(message)
-        self.max_abs_v = max_abs_v
 
 
 @dataclass(frozen=True)
@@ -68,9 +58,7 @@ class BoxDomain:
         """All box sites, C-ordered; cached on first use."""
         cached = self.__dict__.get("_box_coords")
         if cached is None:
-            axes = [np.arange(c - self.radius, c + self.radius + 1) for c in self.center]
-            grid = np.meshgrid(*axes, indexing="ij")
-            cached = np.stack(grid, axis=-1).reshape(-1, self.dim).astype(np.int64)
+            cached = window_coords(self.dim, self.radius) + np.asarray(self.center, dtype=np.int64)
             self.__dict__["_box_coords"] = cached
         return cached
 
@@ -215,64 +203,12 @@ def _solve_krylov(domain, kappa, t):
     return m, c * t
 
 
-def _solve_rk4(domain, kappa, t, tol):
-    """Adaptive explicit RK4 with step doubling and per-step rescaling."""
-    if domain.n_active <= 512:
-        A = domain.operator_dense(kappa)
-    else:
-        A = domain.operator_sparse(kappa)
-    v = domain.potential()
-    vmax_abs = float(np.abs(v).max()) if len(v) else 0.0
-    hmax = 0.5 / (2 * domain.dim * kappa + max(float(np.maximum(v, 0.0).max(initial=0.0)), 0.0) + 1e-30)
-    hmax = min(hmax, t) if t > 0 else t
-
-    def rk4(y, h):
-        k1 = A @ y
-        k2 = A @ (y + 0.5 * h * k1)
-        k3 = A @ (y + 0.5 * h * k2)
-        k4 = A @ (y + h * k3)
-        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    y = np.ones(domain.n_active)
-    off = 0.0
-    done = 0.0
-    h = hmax
-    budget = 50000
-    while done < t:
-        if budget <= 0:
-            raise StiffnessError(
-                f"step budget exhausted at t={done:.3g} of {t:.3g}", max_abs_v=vmax_abs
-            )
-        budget -= 1
-        h = min(h, t - done)
-        coarse = rk4(y, h)
-        fine = rk4(rk4(y, 0.5 * h), 0.5 * h)
-        scale = float(np.abs(fine).max())
-        if scale == 0.0:
-            y = fine
-            done += h
-            continue
-        err = float(np.abs(fine - coarse).max()) / scale
-        if not math.isfinite(err) or err > max(tol, 1e-14):
-            h *= 0.5
-            if h < t * 1e-12:
-                raise StiffnessError(
-                    f"step size underflow at t={done:.3g}", max_abs_v=vmax_abs
-                )
-            continue
-        y = fine / scale
-        off += math.log(scale)
-        done += h
-        h = min(h * 1.5, hmax)
-    return y, off
-
-
-def solve_truncated(env, box, kappa, t, method="auto", tol=1e-10):
+def solve_truncated(env, box, kappa, t):
     """Truncated moment field on a box with Dirichlet zero outside.
 
-    method: "dense-eig" (symmetric eigendecomposition, the reference for
-    small active sets), "krylov-expm" (sparse matrix exponential action),
-    "rk4" (adaptive explicit integrator), or "auto".
+    The route follows the size of the active set: a dense symmetric
+    eigendecomposition up to DENSE_LIMIT sites, the sparse Krylov action
+    of the matrix exponential above it.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -287,18 +223,8 @@ def solve_truncated(env, box, kappa, t, method="auto", tol=1e-10):
         v = domain.potential()
         peak = float(v.max())
         return _normalized_field(domain, t, kappa, np.exp((v - peak) * t), peak * t)
-    if method == "auto":
-        method = "dense-eig" if n <= DENSE_LIMIT else "krylov-expm"
-    if method == "dense-eig":
-        if n > DENSE_LIMIT:
-            raise SolverError(f"dense-eig limited to {DENSE_LIMIT} sites, got {n}")
-        m, off = _solve_dense_eig(domain, kappa, t)
-    elif method == "krylov-expm":
-        m, off = _solve_krylov(domain, kappa, t)
-    elif method == "rk4":
-        m, off = _solve_rk4(domain, kappa, t, tol)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    solve = _solve_dense_eig if n <= DENSE_LIMIT else _solve_krylov
+    m, off = solve(domain, kappa, t)
     return _normalized_field(domain, t, kappa, m, off)
 
 
@@ -324,7 +250,7 @@ def required_radius(kappa, t, tol, d=1):
     return max(math.ceil(kt**1.5), R)
 
 
-def solve_untruncated(env, x, kappa, t, tol=1e-8, method="auto"):
+def solve_untruncated(env, x, kappa, t, tol=1e-8):
     """(mantissa, log_offset, radius_used) of m(x, t) on the full lattice.
 
     Picks the radius from required_radius and solves the truncated
@@ -344,7 +270,7 @@ def solve_untruncated(env, x, kappa, t, tol=1e-8, method="auto"):
             f"window radius {env.radius} too small: need radius {R} around {tuple(int(c) for c in x)}"
         )
     box = BoxDomain(env, tuple(int(c) for c in x), R)
-    fld = solve_truncated(env, box, kappa, t, method=method, tol=tol)
+    fld = solve_truncated(env, box, kappa, t)
     man, off = fld.value_at(x)
     return man, off, R
 
@@ -354,12 +280,18 @@ def log_center_moment_windows_1d(v_windows, kappa, t):
 
     v_windows has shape (B, m) of finite potentials; each row is solved
     with the tridiagonal operator kappa*Delta + v via a batched
-    symmetric eigendecomposition.  Returns shape (B,) of log values.
+    symmetric eigendecomposition, in chunks of at most 2**24 matrix
+    entries.  Returns shape (B,) of log values.
     """
     v_windows = np.asarray(v_windows, dtype=np.float64)
     B, m = v_windows.shape
     if not np.all(np.isfinite(v_windows)):
         raise SolverError("batched 1-d path needs finite potentials")
+    chunk = max(1, 2**24 // (m * m))
+    if B > chunk:
+        return np.concatenate(
+            [log_center_moment_windows_1d(v_windows[s : s + chunk], kappa, t) for s in range(0, B, chunk)]
+        )
     A = np.zeros((B, m, m))
     idx = np.arange(m)
     A[:, idx, idx] = v_windows - 2.0 * kappa
@@ -386,16 +318,12 @@ def empirical_average(env, L, kappa, t, tol=1e-8):
         raise ValueError("L must be >= 0")
     n_box = (2 * L + 1) ** env.dim
     if kappa == 0.0 or t == 0.0:
-        coords = _box_coords(env.dim, L)
-        idx = env.flat_index(coords)
+        idx = env.flat_index(window_coords(env.dim, L))
         v = effective_potential(env)[idx]
         finite = np.isfinite(v)
         if not finite.any():
             return 0.0, 0.0
-        logs = v[finite] * t
-        peak = float(logs.max())
-        total = peak + math.log(np.exp(logs - peak).sum())
-        return 1.0, total - math.log(n_box)
+        return 1.0, float(logsumexp(v[finite] * t)) - math.log(n_box)
     R = required_radius(kappa, t, tol, env.dim)
     if L + R > env.radius:
         raise SolverError(f"window radius {env.radius} too small: need {L + R}")
@@ -403,19 +331,11 @@ def empirical_average(env, L, kappa, t, tol=1e-8):
         v = effective_potential(env)
         lo = env.flat_index(np.array([-L - R]))
         hi = env.flat_index(np.array([L + R]))
-        segment = v[lo : hi + 1]
-        logs = np.empty(2 * L + 1)
-        width = 2 * R + 1
-        chunk = max(1, 2**24 // (width * width))
-        windows = np.lib.stride_tricks.sliding_window_view(segment, width)
-        for s in range(0, 2 * L + 1, chunk):
-            e = min(s + chunk, 2 * L + 1)
-            logs[s:e] = log_center_moment_windows_1d(windows[s:e], kappa, t)
-        peak = float(logs.max())
-        total = peak + math.log(np.exp(logs - peak).sum())
-        return 1.0, total - math.log(n_box)
+        windows = np.lib.stride_tricks.sliding_window_view(v[lo : hi + 1], 2 * R + 1)
+        logs = log_center_moment_windows_1d(windows, kappa, t)
+        return 1.0, float(logsumexp(logs)) - math.log(n_box)
     logs = []
-    for coord in _box_coords(env.dim, L):
+    for coord in window_coords(env.dim, L):
         if env.hardcore[env.flat_index(coord)]:
             continue
         man, off, _ = solve_untruncated(env, coord, kappa, t, tol=tol)
@@ -423,16 +343,7 @@ def empirical_average(env, L, kappa, t, tol=1e-8):
             logs.append(math.log(man) + off)
     if not logs:
         return 0.0, 0.0
-    logs = np.asarray(logs)
-    peak = float(logs.max())
-    total = peak + math.log(np.exp(logs - peak).sum())
-    return 1.0, total - math.log(n_box)
-
-
-def _box_coords(dim, radius):
-    axes = [np.arange(-radius, radius + 1)] * dim
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack(grid, axis=-1).reshape(-1, dim).astype(np.int64)
+    return 1.0, float(logsumexp(logs)) - math.log(n_box)
 
 
 def padded_with_hardcore(env, pad):

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg
 
 from .solver import BoxDomain, SolverError, solve_truncated, DENSE_LIMIT
 
@@ -39,63 +40,33 @@ class SpectrumSlice:
         return self.domain.n_active
 
 
-def _power_top(A, tol=1e-10, max_iter=500000):
-    """Dominant eigenpair of symmetric A by shifted power iteration.
-
-    The shift makes A + cI positive definite so the algebraically largest
-    eigenvalue of A is the dominant one of the shifted matrix.
-    """
-    n = A.shape[0]
-    diag = A.diagonal()
-    off = np.abs(A).sum(axis=1)
-    off = np.asarray(off).reshape(-1) - np.abs(diag)
-    lower = float((diag - off).min())
-    c = 1.0 - min(lower, 0.0)
-    psi = np.full(n, 1.0 / math.sqrt(n))
-    lam = 0.0
-    res = math.inf
-    for _ in range(max_iter):
-        z = A @ psi
-        lam = float(psi @ z)
-        res = float(np.linalg.norm(z - lam * psi))
-        if res <= tol:
-            break
-        y = z + c * psi
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            raise SolverError("power iteration collapsed to zero")
-        psi = y / norm
-    else:
-        raise SolverError(f"power iteration stalled at residual {res:.3e}")
-    return lam, psi, res
-
-
 def principal_eigen(env, box, kappa, n_top=2, tol=1e-10):
     """Top eigenvalues and principal vector on a box.
 
-    Dense symmetric eigendecomposition up to 4000 active sites; above
-    that a shifted power iteration run to the requested residual, which
-    then reports the top eigenvalue only.
+    Dense symmetric eigendecomposition up to DENSE_LIMIT active sites;
+    above that Lanczos (ARPACK eigsh) from the fixed start vector
+    n^-1/2 (1, ..., 1), so reruns agree bit for bit.  Raises SolverError
+    if the principal residual exceeds tol.
     """
     domain = box if isinstance(box, BoxDomain) else BoxDomain(env, box, 0)
     n = domain.n_active
     if n == 0:
         raise SolverError("empty active set has no spectrum")
+    k = max(1, n_top)
     if n <= DENSE_LIMIT:
         A = domain.operator_dense(kappa)
         w, Q = np.linalg.eigh(A)
-        order = np.argsort(w)[::-1]
-        top = w[order[: max(1, n_top)]]
-        psi = Q[:, order[0]]
-        lam = float(top[0])
-        res = float(np.linalg.norm(A @ psi - lam * psi))
         method = "dense-eig"
-        eigs = np.array(top, dtype=np.float64)
     else:
         A = domain.operator_sparse(kappa)
-        lam, psi, res = _power_top(A, tol=tol)
-        method = "power"
-        eigs = np.array([lam])
+        w, Q = scipy.sparse.linalg.eigsh(A, k=k, which="LA", v0=np.full(n, n**-0.5))
+        method = "eigsh"
+    order = np.argsort(w)[::-1][:k]
+    eigs = np.array(w[order], dtype=np.float64)
+    psi = Q[:, order[0]]
+    res = float(np.linalg.norm(A @ psi - eigs[0] * psi))
+    if method == "eigsh" and res > tol:
+        raise SolverError(f"eigsh residual {res:.3e} exceeds tol {tol:.1e}")
     if psi.sum() < 0:
         psi = -psi
     full = np.zeros(domain.n_box)
@@ -131,11 +102,11 @@ class SandwichReport:
         return self.lower_margin >= slack and self.upper_margin >= slack
 
 
-def verify_sandwich(env, box, kappa, t, method="auto"):
+def verify_sandwich(env, box, kappa, t):
     """Check e^{t lambda0} <= sum m and max m <= sqrt(|U|) e^{t lambda0}."""
     domain = box if isinstance(box, BoxDomain) else BoxDomain(env, box, 0)
     slice_ = principal_eigen(env, domain, kappa, n_top=1)
-    fld = solve_truncated(env, domain, kappa, t, method=method)
+    fld = solve_truncated(env, domain, kappa, t)
     lam0 = slice_.lambda0
     logs = fld.log_values()[domain.active_mask()]
     log_sum = fld.log_total()

@@ -199,6 +199,18 @@ def test_particles_thread_budget_invariance(tmp_path, monkeypatch):
     )
 
 
+def test_solve_rejects_route_selector(tmp_path, capsys):
+    rc = main(
+        [
+            "solve", "family=weibull", "rho=2", "radius=8", "box_radius=6", "kappa=1",
+            "t=2", "method=rk4", "--out", str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    assert "unknown key 'method'" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_regime_overflow_refused(tmp_path, capsys):
     rc = main(
         [

@@ -8,7 +8,6 @@ from pamlab.environments import TailFamily, sample_environment, with_branch_cap
 from pamlab.particles import (
     gillespie_run,
     kill_adjacency,
-    mean_population,
     population_ensemble,
     simulate_population,
 )
@@ -110,14 +109,16 @@ def test_accounting_identity_on_random_environments():
 def test_population_mean_tracks_solver_weibull():
     env = with_branch_cap(sample_environment(TailFamily.weibull(2.0), 1, 5, seed=21), 2.0)
     expected = solver_value(env, 1.0, 1.5)
-    mean, se = mean_population(env, (0,), 1.0, 1.5, n_runs=6000, seed=22)
+    sample = simulate_population(env, (0,), 1.0, 1.5, n_runs=6000, seed=22)
+    mean, se = sample.mean(), sample.stderr()
     assert abs(mean - expected) <= 3.5 * se
 
 
 def test_population_mean_tracks_solver_double_exp():
     env = with_branch_cap(sample_environment(TailFamily.double_exp(1.5), 1, 5, seed=31), 2.0)
     expected = solver_value(env, 0.8, 1.2)
-    mean, se = mean_population(env, (0,), 0.8, 1.2, n_runs=6000, seed=32)
+    sample = simulate_population(env, (0,), 0.8, 1.2, n_runs=6000, seed=32)
+    mean, se = sample.mean(), sample.stderr()
     assert abs(mean - expected) <= 3.5 * se
 
 
@@ -125,8 +126,21 @@ def test_population_mean_tracks_solver_two_dim():
     rng = np.random.default_rng(41)
     env = make_env(np.clip(rng.normal(0, 1, size=(7, 7)), -3, 2))
     expected = solver_value(env, 0.5, 1.0)
-    mean, se = mean_population(env, (0, 0), 0.5, 1.0, n_runs=6000, seed=42)
+    sample = simulate_population(env, (0, 0), 0.5, 1.0, n_runs=6000, seed=42)
+    mean, se = sample.mean(), sample.stderr()
     assert abs(mean - expected) <= 3.5 * se
+
+
+def test_both_engines_report_per_run_accounting():
+    env = sample_environment(TailFamily.double_exp(1.0), 1, 6, seed=11)
+    for sample in (
+        simulate_population(env, (0,), 1.0, 1.0, n_runs=300, seed=12),
+        population_ensemble(env, (0,), 1.0, 1.0, n_runs=300, seed=12),
+    ):
+        assert sample.n_branch.shape == sample.n_death.shape == sample.n_boundary_kill.shape == (300,)
+        assert np.all(sample.accounting_consistent())
+        assert sample.n_branch.sum() > 0
+        assert sample.n_death.sum() + sample.n_boundary_kill.sum() > 0
 
 
 def test_cap_sets_truncated_flag():

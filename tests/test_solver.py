@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import pamlab.solver
 from helpers import make_env, make_env_1d
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.solver import (
     BoxDomain,
     SolverError,
-    StiffnessError,
     empirical_average,
     log_center_moment_windows_1d,
     padded_with_hardcore,
@@ -37,6 +37,15 @@ def field_values(fld):
     return fld.mantissa * np.exp(fld.log_offset)
 
 
+def dense_and_krylov(monkeypatch, env, box, kappa, t):
+    """The same solve by both routes: dense eig, then Krylov forced by a zero size limit."""
+    dense = solve_truncated(env, box, kappa, t)
+    with monkeypatch.context() as m:
+        m.setattr(pamlab.solver, "DENSE_LIMIT", 0)
+        krylov = solve_truncated(env, box, kappa, t)
+    return {"dense-eig": dense, "krylov-expm": krylov}
+
+
 def test_singleton_site_decays_at_rate_two():
     env = make_env_1d([0.0, 0.0, 0.0])
     fld = solve_truncated(env, BoxDomain(env, (0,), 0), kappa=1.0, t=0.5)
@@ -44,17 +53,16 @@ def test_singleton_site_decays_at_rate_two():
     assert np.isclose(man * math.exp(off), math.exp(-1.0), rtol=1e-12)
 
 
-def test_three_site_matches_expm_oracle():
+def test_three_site_matches_expm_oracle(monkeypatch):
     v = [0.4, -0.3, 1.1]
     env = make_env_1d(v)
     expected = expm_oracle(v, kappa=0.7, t=1.3)
-    for method in ("dense-eig", "krylov-expm", "rk4"):
-        fld = solve_truncated(env, BoxDomain(env, (0,), 1), 0.7, 1.3, method=method)
+    for method, fld in dense_and_krylov(monkeypatch, env, BoxDomain(env, (0,), 1), 0.7, 1.3).items():
         got = field_values(fld)
         assert np.allclose(got, expected, rtol=1e-8), method
 
 
-def test_methods_agree_on_random_instances():
+def test_methods_agree_on_random_instances(monkeypatch):
     rng = np.random.default_rng(7)
     for trial in range(12):
         radius = int(rng.integers(3, 30))
@@ -63,24 +71,19 @@ def test_methods_agree_on_random_instances():
         t = float(rng.uniform(0.2, 3.0))
         kappa = float(rng.uniform(0.1, 2.0))
         box = BoxDomain(env, (0,), radius)
-        ref = solve_truncated(env, box, kappa, t, method="dense-eig")
-        for method in ("krylov-expm", "rk4"):
-            alt = solve_truncated(env, box, kappa, t, method=method)
-            ra = ref.log_values()
-            rb = alt.log_values()
-            keep = ra > ra.max() - 25
-            assert np.allclose(ra[keep], rb[keep], atol=1e-7), (trial, method)
+        routes = dense_and_krylov(monkeypatch, env, box, kappa, t)
+        ra = routes["dense-eig"].log_values()
+        rb = routes["krylov-expm"].log_values()
+        keep = ra > ra.max() - 25
+        assert np.allclose(ra[keep], rb[keep], atol=1e-7), trial
 
 
-def test_methods_agree_in_two_dimensions():
+def test_methods_agree_in_two_dimensions(monkeypatch):
     rng = np.random.default_rng(11)
     v = rng.normal(0.0, 1.0, size=(7, 7))
     env = make_env(v)
-    box = BoxDomain(env, (0, 0), 3)
-    ref = solve_truncated(env, box, 0.8, 1.0, method="dense-eig")
-    for method in ("krylov-expm", "rk4"):
-        alt = solve_truncated(env, box, 0.8, 1.0, method=method)
-        assert np.allclose(ref.log_values(), alt.log_values(), atol=1e-7)
+    routes = dense_and_krylov(monkeypatch, env, BoxDomain(env, (0, 0), 3), 0.8, 1.0)
+    assert np.allclose(routes["dense-eig"].log_values(), routes["krylov-expm"].log_values(), atol=1e-7)
 
 
 def test_two_dim_cross_checks_expm():
@@ -90,7 +93,7 @@ def test_two_dim_cross_checks_expm():
     box = BoxDomain(env, (0, 0), 2)
     A = box.operator_dense(0.6)
     expected = scipy.linalg.expm(1.1 * A) @ np.ones(box.n_active)
-    fld = solve_truncated(env, box, 0.6, 1.1, method="dense-eig")
+    fld = solve_truncated(env, box, 0.6, 1.1)
     got = field_values(fld)[box.active_mask()]
     assert np.allclose(got, expected, rtol=1e-9)
 
@@ -113,11 +116,10 @@ def test_time_zero_is_indicator_of_active_set():
     assert fld.log_offset == 0.0
 
 
-def test_mantissa_normalization_and_positivity():
+def test_mantissa_normalization_and_positivity(monkeypatch):
     rng = np.random.default_rng(5)
     env = make_env_1d(rng.normal(0, 2, size=41))
-    for method in ("dense-eig", "krylov-expm", "rk4"):
-        fld = solve_truncated(env, BoxDomain(env, (0,), 20), 1.0, 2.0, method=method)
+    for fld in dense_and_krylov(monkeypatch, env, BoxDomain(env, (0,), 20), 1.0, 2.0).values():
         assert fld.mantissa.min() >= 0.0
         assert fld.mantissa.max() == 1.0
 
@@ -205,15 +207,6 @@ def test_dirichlet_padding_leaves_solution_unchanged():
         va = math.log(a_man) + a_off if a_man > 0 else -math.inf
         vb = math.log(b_man) + b_off if b_man > 0 else -math.inf
         assert np.isclose(va, vb, atol=1e-12)
-
-
-def test_stiff_potential_raises_with_max_v():
-    v = np.zeros(7)
-    v[3] = -1e6
-    env = make_env_1d(v)
-    with pytest.raises(StiffnessError) as err:
-        solve_truncated(env, BoxDomain(env, (0,), 3), 1.0, 1.0, method="rk4")
-    assert err.value.max_abs_v == pytest.approx(1e6)
 
 
 def test_box_domain_validation():

@@ -59,12 +59,26 @@ def test_principal_vector_nonnegative_unit_and_small_residual():
 def test_power_iteration_path_on_large_box():
     env = sample_environment(TailFamily.weibull(1.5), 1, 2500, seed=12)
     slice_ = principal_eigen(env, BoxDomain(env, (0,), 2500), kappa=1.0)
-    assert slice_.method == "power"
+    assert slice_.method == "eigsh"
     assert slice_.residual <= 1e-10
     vmax = (env.v_plus - env.v_minus).max()
     # trial vector at the peak site gives lambda0 >= vmax - 2 d kappa
     assert vmax - 2.0 - 1e-9 <= slice_.lambda0 <= vmax + 1e-9
     assert slice_.psi0.min() >= -1e-8
+
+
+def test_large_box_with_near_degenerate_top_pair():
+    # lambda0 - lambda1 is about 3.7e-4 here, so a shifted power
+    # iteration would need some 6e5 steps to reach a 1e-10 residual
+    env = sample_environment(TailFamily.weibull(2.0), 2, 32, seed=57)
+    box = BoxDomain(env, (0, 0), 32)
+    assert box.n_active > 4000
+    slice_ = principal_eigen(env, box, kappa=1.0, n_top=2)
+    assert slice_.method == "eigsh"
+    assert len(slice_.eigenvalues) == 2
+    assert 0.0 < slice_.eigenvalues[0] - slice_.eigenvalues[1] < 1e-3
+    assert slice_.residual <= 1e-10
+    assert slice_.psi0.min() >= 0.0
 
 
 def test_lambda0_monotone_in_domain():
