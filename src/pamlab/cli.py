@@ -361,7 +361,7 @@ def cmd_solve(cfg):
         row["active"] = bool(active[i])
         row["log_m"] = float(logs[i])
         rows.append(row)
-    extra = {"log_total": float(field.log_total()), "n_active": int(box.n_active)}
+    extra = {"log_total": float(field.log_total()), "n_active": int(box.n_active), "method": field.method}
     return [("solution.csv", cols, rows)], True, extra
 
 

@@ -122,12 +122,13 @@ def gillespie_run(env, x, kappa, t, seed, cap=10**7):
         raise ValueError("t and kappa must be >= 0")
     start = env.flat_index(x)
     if env.hardcore[start]:
+        # the particle starts on a hard core and is killed at once
         return ParticleRun(
             times=np.array([0.0]),
             populations=np.array([0], dtype=np.int64),
             n_branch=0,
             n_death=0,
-            n_boundary_kill=0,
+            n_boundary_kill=1,
             final_population=0,
             truncated=False,
             t=float(t),
@@ -142,7 +143,8 @@ class PopulationSample:
     """Population counts at one time over independent runs.
 
     Per run it also keeps the event accounting: branchings, deaths and
-    kills on stepping off the window or onto a hard core.
+    kills on stepping off the window or onto a hard core (a run that
+    starts on a hard core counts one kill).
     """
 
     counts: np.ndarray = field(repr=False)
@@ -182,7 +184,9 @@ def simulate_population(env, x, kappa, t, n_runs, seed, cap=10**7):
     start = env.flat_index(x)
     counts, branch, death, kill = (np.zeros(n_runs, dtype=np.int64) for _ in range(4))
     trunc = np.zeros(n_runs, dtype=bool)
-    if not env.hardcore[start]:
+    if env.hardcore[start]:
+        kill[:] = 1  # every run starts on a hard core and is killed at once
+    else:
         table = kill_adjacency(env)
         for r in range(n_runs):
             rng = generator(derive_seed(seed, "particles", r))
@@ -213,6 +217,7 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     counts_out, branch, death, kill = (np.zeros(n_runs, dtype=np.int64) for _ in range(4))
     trunc = np.zeros(n_runs, dtype=bool)
     if env.hardcore[start]:
+        kill[:] = 1  # every run starts on a hard core and is killed at once
         return PopulationSample(counts_out, trunc, branch, death, kill, float(t), float(kappa))
     table = kill_adjacency(env)
     d = env.dim

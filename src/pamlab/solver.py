@@ -17,7 +17,8 @@ from scipy.special import logsumexp
 from .analytics import rate_I
 from .environments import effective_potential, window_coords
 
-DENSE_LIMIT = 4000
+# Measured exchange rate between the costs of the two routes; see _dense_is_cheaper.
+_DENSE_COST = 1.3e5
 
 
 class SolverError(RuntimeError):
@@ -135,7 +136,8 @@ class MomentField:
 
     After construction the largest mantissa is exactly 1 (or the field is
     identically zero), so mantissas never overflow no matter how large
-    v*t gets.
+    v*t gets.  method names the route that produced it: "dense-eig",
+    "krylov-expm", or "closed-form" (kappa = 0, t = 0, empty box).
     """
 
     domain: BoxDomain
@@ -143,6 +145,7 @@ class MomentField:
     kappa: float
     mantissa: np.ndarray = field(repr=False)
     log_offset: float = 0.0
+    method: str = "closed-form"
 
     def log_values(self):
         """Per-box-site log m; -inf where the solution vanishes."""
@@ -168,7 +171,7 @@ class MomentField:
         return -math.inf if s == 0.0 else math.log(s) + self.log_offset
 
 
-def _normalized_field(domain, t, kappa, active_values, extra_offset):
+def _normalized_field(domain, t, kappa, active_values, extra_offset, method):
     """Embed active-set values into the box and renormalize the scale."""
     m = np.asarray(active_values, dtype=np.float64)
     lo = m.min() if len(m) else 0.0
@@ -183,7 +186,9 @@ def _normalized_field(domain, t, kappa, active_values, extra_offset):
         off = off + math.log(peak)
     full = np.zeros(domain.n_box)
     full[domain.active_mask()] = m
-    return MomentField(domain=domain, t=float(t), kappa=float(kappa), mantissa=full, log_offset=float(off))
+    return MomentField(
+        domain=domain, t=float(t), kappa=float(kappa), mantissa=full, log_offset=float(off), method=method
+    )
 
 
 def _solve_dense_eig(domain, kappa, t):
@@ -203,12 +208,25 @@ def _solve_krylov(domain, kappa, t):
     return m, c * t
 
 
+def _dense_is_cheaper(domain, kappa, t):
+    """True when a dense eigh beats expm_multiply on this box.
+
+    Dense cost grows like n^3 in the number n of active sites; the
+    Krylov action takes a number of steps proportional to 1 + t ||A||,
+    and ||A|| is bounded by the spread of v plus 4 d kappa.  _DENSE_COST
+    is the measured exchange rate between the two.
+    """
+    v = domain.potential()
+    spread = float(v.max() - v.min()) + 4.0 * domain.dim * kappa
+    return domain.n_active**3 <= _DENSE_COST * (1.0 + t * spread)
+
+
 def solve_truncated(env, box, kappa, t):
     """Truncated moment field on a box with Dirichlet zero outside.
 
-    The route follows the size of the active set: a dense symmetric
-    eigendecomposition up to DENSE_LIMIT sites, the sparse Krylov action
-    of the matrix exponential above it.
+    The route follows the estimated cost and cannot be chosen: a dense
+    symmetric eigendecomposition where _dense_is_cheaper holds, the
+    sparse Krylov action of the matrix exponential otherwise.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -217,15 +235,16 @@ def solve_truncated(env, box, kappa, t):
     domain = box if isinstance(box, BoxDomain) else BoxDomain(env, box, 0)
     n = domain.n_active
     if n == 0 or t == 0.0:
-        vals = np.ones(n)
-        return _normalized_field(domain, t, kappa, vals, 0.0)
+        return _normalized_field(domain, t, kappa, np.ones(n), 0.0, "closed-form")
     if kappa == 0.0:
         v = domain.potential()
         peak = float(v.max())
-        return _normalized_field(domain, t, kappa, np.exp((v - peak) * t), peak * t)
-    solve = _solve_dense_eig if n <= DENSE_LIMIT else _solve_krylov
-    m, off = solve(domain, kappa, t)
-    return _normalized_field(domain, t, kappa, m, off)
+        return _normalized_field(domain, t, kappa, np.exp((v - peak) * t), peak * t, "closed-form")
+    if _dense_is_cheaper(domain, kappa, t):
+        m, off = _solve_dense_eig(domain, kappa, t)
+        return _normalized_field(domain, t, kappa, m, off, "dense-eig")
+    m, off = _solve_krylov(domain, kappa, t)
+    return _normalized_field(domain, t, kappa, m, off, "krylov-expm")
 
 
 def required_radius(kappa, t, tol, d=1):

@@ -12,7 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .solver import BoxDomain, SolverError, solve_truncated, DENSE_LIMIT
+from .solver import BoxDomain, SolverError, solve_truncated
+
+# Here the spectrum is the output, so the route follows size alone.
+DENSE_LIMIT = 4000
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,9 @@ def test_solve_and_fk_smoke(tmp_path):
     lines = read_bytes(tmp_path / "a" / "solution.csv").decode().splitlines()
     assert lines[0] == "x0,active,log_m"
     assert len(lines) == 1 + 11
+    with open(tmp_path / "a" / "summary.json") as fh:
+        results = json.load(fh)["results"]
+    assert results["n_active"] == 11 and results["method"] == "dense-eig"
     center = [ln for ln in lines[1:] if ln.startswith("0,")][0]
     assert np.isfinite(float(center.split(",")[2]))
 
@@ -197,6 +200,14 @@ def test_particles_thread_budget_invariance(tmp_path, monkeypatch):
     assert read_bytes(tmp_path / "t1" / "particles.csv") == read_bytes(
         tmp_path / "t3" / "particles.csv"
     )
+
+
+def test_particles_start_on_hard_core_is_consistent(tmp_path):
+    argv = ["particles", "family=hard_core", "p=0.5", "radius=3", "seed=1", "kappa=1", "t=1", "n_runs=3"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    lines = read_bytes(tmp_path / "particles.csv").decode().splitlines()
+    assert lines[0].split(",")[-3:] == ["n_boundary_kill", "truncated", "consistent"]
+    assert all(ln.split(",")[-3:] == ["1", "0", "1"] for ln in lines[1:])
 
 
 def test_solve_rejects_route_selector(tmp_path, capsys):

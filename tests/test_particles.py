@@ -53,8 +53,10 @@ def test_hardcore_start_is_empty():
     env = make_env_1d(np.zeros(3), hardcore=hard)
     run = gillespie_run(env, (0,), 1.0, 1.0, seed=3)
     assert run.final_population == 0
+    assert run.n_boundary_kill == 1 and run.accounting_consistent()
     sample = simulate_population(env, (0,), 1.0, 1.0, n_runs=20, seed=3)
     assert np.all(sample.counts == 0)
+    assert np.all(sample.n_boundary_kill == 1) and sample.accounting_consistent().all()
 
 
 def test_yule_process_mean_and_extinction_free_growth():
@@ -205,6 +207,7 @@ def test_ensemble_edge_cases():
     env = make_env_1d(np.zeros(3), hardcore=hard)
     sample = population_ensemble(env, (0,), 1.0, 2.0, 50, seed=1)
     assert np.all(sample.counts == 0)
+    assert np.all(sample.n_boundary_kill == 1) and sample.accounting_consistent().all()
 
     env = make_env_1d(np.array([3.0]))
     a = population_ensemble(env, (0,), 0.0, 2.0, 200, seed=9)

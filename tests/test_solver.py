@@ -1,15 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-import pamlab.solver
 from helpers import make_env, make_env_1d
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.solver import (
     BoxDomain,
     SolverError,
+    _normalized_field,
+    _solve_dense_eig,
+    _solve_krylov,
     empirical_average,
     log_center_moment_windows_1d,
     padded_with_hardcore,
@@ -37,13 +40,36 @@ def field_values(fld):
     return fld.mantissa * np.exp(fld.log_offset)
 
 
-def dense_and_krylov(monkeypatch, env, box, kappa, t):
-    """The same solve by both routes: dense eig, then Krylov forced by a zero size limit."""
-    dense = solve_truncated(env, box, kappa, t)
-    with monkeypatch.context() as m:
-        m.setattr(pamlab.solver, "DENSE_LIMIT", 0)
-        krylov = solve_truncated(env, box, kappa, t)
-    return {"dense-eig": dense, "krylov-expm": krylov}
+def dense_and_krylov(box, kappa, t):
+    """The same solve by both routes, each route function called directly."""
+    return {
+        name: _normalized_field(box, t, kappa, *solve(box, kappa, t), name)
+        for name, solve in (("dense-eig", _solve_dense_eig), ("krylov-expm", _solve_krylov))
+    }
+
+
+def mpmath_log_field(env, kappa, t, dps=40):
+    """Per active site log (e^{tA} 1) on the whole window, by mpmath's expm.
+
+    The operator is built from the environment arrays by brute-force
+    neighbor search, so it shares no code with BoxDomain.  Returns the
+    logs and the active mask, both in window order.
+    """
+    active = ~env.hardcore
+    c = env.coords()[active]
+    v = (env.v_plus - env.v_minus)[active]
+    adj = np.abs(c[:, None, :] - c[None, :, :]).sum(axis=-1) == 1
+    peak = float(v.max())
+    n = len(v)
+    with mpmath.workdps(dps):
+        A = mpmath.matrix(n)
+        for i in range(n):
+            A[i, i] = t * (mpmath.mpf(v[i]) - 2 * env.dim * kappa - peak)
+        for i, j in zip(*np.nonzero(adj)):
+            A[int(i), int(j)] = t * mpmath.mpf(kappa)
+        E = mpmath.expm(A)
+        logs = [float(mpmath.log(mpmath.fsum(E[i, j] for j in range(n)))) for i in range(n)]
+    return np.array(logs) + peak * t, active
 
 
 def test_singleton_site_decays_at_rate_two():
@@ -53,16 +79,16 @@ def test_singleton_site_decays_at_rate_two():
     assert np.isclose(man * math.exp(off), math.exp(-1.0), rtol=1e-12)
 
 
-def test_three_site_matches_expm_oracle(monkeypatch):
+def test_three_site_matches_expm_oracle():
     v = [0.4, -0.3, 1.1]
     env = make_env_1d(v)
     expected = expm_oracle(v, kappa=0.7, t=1.3)
-    for method, fld in dense_and_krylov(monkeypatch, env, BoxDomain(env, (0,), 1), 0.7, 1.3).items():
+    for method, fld in dense_and_krylov(BoxDomain(env, (0,), 1), 0.7, 1.3).items():
         got = field_values(fld)
         assert np.allclose(got, expected, rtol=1e-8), method
 
 
-def test_methods_agree_on_random_instances(monkeypatch):
+def test_methods_agree_on_random_instances():
     rng = np.random.default_rng(7)
     for trial in range(12):
         radius = int(rng.integers(3, 30))
@@ -71,19 +97,69 @@ def test_methods_agree_on_random_instances(monkeypatch):
         t = float(rng.uniform(0.2, 3.0))
         kappa = float(rng.uniform(0.1, 2.0))
         box = BoxDomain(env, (0,), radius)
-        routes = dense_and_krylov(monkeypatch, env, box, kappa, t)
+        routes = dense_and_krylov(box, kappa, t)
         ra = routes["dense-eig"].log_values()
         rb = routes["krylov-expm"].log_values()
         keep = ra > ra.max() - 25
         assert np.allclose(ra[keep], rb[keep], atol=1e-7), trial
 
 
-def test_methods_agree_in_two_dimensions(monkeypatch):
+def test_methods_agree_in_two_dimensions():
     rng = np.random.default_rng(11)
     v = rng.normal(0.0, 1.0, size=(7, 7))
     env = make_env(v)
-    routes = dense_and_krylov(monkeypatch, env, BoxDomain(env, (0, 0), 3), 0.8, 1.0)
+    routes = dense_and_krylov(BoxDomain(env, (0, 0), 3), 0.8, 1.0)
     assert np.allclose(routes["dense-eig"].log_values(), routes["krylov-expm"].log_values(), atol=1e-7)
+
+
+@pytest.mark.parametrize(
+    "family, dim, radius, kappa, t, routes",
+    [
+        (TailFamily.weibull(2.0), 1, 10, 1.0, 2.0, ("dense-eig", "krylov-expm")),
+        (TailFamily.hard_core(0.3), 1, 12, 1.0, 2.0, ("dense-eig", "krylov-expm")),
+        (TailFamily.double_exp(1.0), 2, 2, 0.7, 1.5, ("dense-eig", "krylov-expm")),
+        # log m spans more than 30 over this box; only Krylov is checked,
+        # the dense route's per-site error here is far above 1e-8
+        (TailFamily.weibull(2.0), 1, 20, 0.02, 40.0, ("krylov-expm",)),
+    ],
+)
+def test_routes_match_mpmath_oracle_per_site(family, dim, radius, kappa, t, routes):
+    env = sample_environment(family, dim, radius, seed=2)
+    box = BoxDomain(env, (0,) * dim, radius)
+    assert np.array_equal(box.box_coords(), env.coords())
+    ref, active = mpmath_log_field(env, kappa, t)
+    if routes == ("krylov-expm",):
+        assert ref.max() - ref.min() >= 30.0
+    if family.kind == "hard_core":
+        assert not active.all()
+    fields = dense_and_krylov(box, kappa, t)
+    for name in routes:
+        got = fields[name].log_values()
+        assert np.all(np.isneginf(got[~active])), name
+        err = float(np.abs(got[active] - ref).max())
+        assert err <= 1e-8, (name, err)
+
+
+@pytest.mark.parametrize(
+    "family, dim, radius, method",
+    [
+        (TailFamily.weibull(2.0), 1, 500, "krylov-expm"),
+        (TailFamily.weibull(2.0), 2, 20, "krylov-expm"),
+        (TailFamily.frechet(1.0), 1, 6, "dense-eig"),
+        (TailFamily.hard_core(0.2), 1, 25, "dense-eig"),
+    ],
+)
+def test_route_follows_cost(family, dim, radius, method):
+    env = sample_environment(family, dim, radius, seed=3)
+    box = BoxDomain(env, (0,) * dim, radius)
+    assert solve_truncated(env, box, 1.0, 2.0).method == method
+
+
+def test_closed_form_cases_report_their_route():
+    env = make_env_1d([0.5, -1.0, 2.0])
+    box = BoxDomain(env, (0,), 1)
+    assert solve_truncated(env, box, 0.0, 1.0).method == "closed-form"
+    assert solve_truncated(env, box, 1.0, 0.0).method == "closed-form"
 
 
 def test_two_dim_cross_checks_expm():
@@ -116,10 +192,10 @@ def test_time_zero_is_indicator_of_active_set():
     assert fld.log_offset == 0.0
 
 
-def test_mantissa_normalization_and_positivity(monkeypatch):
+def test_mantissa_normalization_and_positivity():
     rng = np.random.default_rng(5)
     env = make_env_1d(rng.normal(0, 2, size=41))
-    for fld in dense_and_krylov(monkeypatch, env, BoxDomain(env, (0,), 20), 1.0, 2.0).values():
+    for fld in dense_and_krylov(BoxDomain(env, (0,), 20), 1.0, 2.0).values():
         assert fld.mantissa.min() >= 0.0
         assert fld.mantissa.max() == 1.0
 
