@@ -40,11 +40,7 @@ from .moments import (
     strip_fraction,
     strip_fraction_bound,
 )
-from .particles import (
-    gillespie_run,
-    population_ensemble,
-    simulate_population,
-)
+from .particles import gillespie_run, population_ensemble
 from .regimes import (
     RegimeConfig,
     RegimeThresholds,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .environments import TailFamily
@@ -32,6 +33,7 @@ _LOG_WINDOW = 60.0  # integrand kept down to exp(-60) relative to its peak
 _PANEL_TOL = 1e-10
 _MAX_PANELS = 20000
 _MAX_DEPTH = 48
+_ROOT_RTOL = 1e-13  # relative tolerance of the bracketed root finders
 
 _GL_CACHE = {}
 
@@ -96,7 +98,7 @@ def _log_integrand_z(family, t):
 
 
 def _peak(family, t):
-    """Argmax of the log-integrand; closed forms except one bisection."""
+    """Argmax of the log-integrand; closed forms except one bracketed root."""
     k = family.kind
     if k == "weibull":
         return (t / family.rho) ** (family.rho / (family.rho - 1.0))
@@ -109,13 +111,7 @@ def _peak(family, t):
     lo, hi = 1.0, 2.0
     while 2.0 * hi * math.sqrt(math.log(hi)) < t:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 2.0 * mid * math.sqrt(math.log(mid)) < t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda s: 2.0 * s * math.sqrt(math.log(s)) - t, lo, hi, xtol=1e-300, rtol=_ROOT_RTOL)
 
 
 def _upper_cut(G, zpeak, Gpeak):
@@ -307,7 +303,7 @@ def transition_exponents(family, d=1):
 
 
 def frechet_alpha(family, d, t):
-    """Scale alpha_t solving k(t a^-d) a^2 = t a^-d by bisection.
+    """Scale alpha_t solving k(t a^-d) a^2 = t a^-d by Brent's method.
 
     k is the doubling gap of the numerically computed H.  The left side
     over the right is increasing in a for d = 1, so an expanding bracket
@@ -336,15 +332,7 @@ def frechet_alpha(family, d, t):
         hi *= 2.0
     else:
         raise RootBracketError("no upper bracket for alpha", bracket=(lo, hi))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return brentq(phi, lo, hi, xtol=1e-300, rtol=_ROOT_RTOL)
 
 
 def growth_J(family, d, t):

@@ -22,7 +22,7 @@ from .analytics import critical_a, cumulant_H, cumulant_exponent_G, growth_J, tr
 from .environments import TailFamily, effective_potential, sample_environment
 from .feynman_kac import fk_estimate
 from .moments import estimate_F_theta, estimate_H1
-from .particles import simulate_population
+from .particles import population_ensemble
 from .regimes import (
     RegimeConfig,
     RegimeThresholds,
@@ -385,7 +385,7 @@ def cmd_fk(cfg):
 
 def cmd_particles(cfg):
     env = sample_environment(cfg.family, cfg["dim"], cfg["radius"], derive_seed(cfg["seed"], "env"))
-    sample = simulate_population(
+    sample = population_ensemble(
         env, (0,) * env.dim, cfg["kappa"], cfg["t"], cfg["n_runs"], derive_seed(cfg["seed"], "run"), cfg["cap"]
     )
     consistent = sample.accounting_consistent()

@@ -19,6 +19,8 @@ from .environments import effective_potential, window_coords
 
 # Measured exchange rate between the costs of the two routes; see _dense_is_cheaper.
 _DENSE_COST = 1.3e5
+# Per-site |error in log m| that a dense solve must keep; see solve_truncated.
+_SITE_LOG_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -226,7 +228,10 @@ def solve_truncated(env, box, kappa, t):
 
     The route follows the estimated cost and cannot be chosen: a dense
     symmetric eigendecomposition where _dense_is_cheaper holds, the
-    sparse Krylov action of the matrix exponential otherwise.
+    sparse Krylov action of the matrix exponential otherwise.  A dense
+    answer errs by about n eps times its peak at every site, so when its
+    smallest value is too far below the peak for a relative error of
+    _SITE_LOG_TOL there, the box is solved again by Krylov.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -242,7 +247,8 @@ def solve_truncated(env, box, kappa, t):
         return _normalized_field(domain, t, kappa, np.exp((v - peak) * t), peak * t, "closed-form")
     if _dense_is_cheaper(domain, kappa, t):
         m, off = _solve_dense_eig(domain, kappa, t)
-        return _normalized_field(domain, t, kappa, m, off, "dense-eig")
+        if m.min() >= m.max() * n * np.finfo(float).eps / _SITE_LOG_TOL:
+            return _normalized_field(domain, t, kappa, m, off, "dense-eig")
     m, off = _solve_krylov(domain, kappa, t)
     return _normalized_field(domain, t, kappa, m, off, "krylov-expm")
 

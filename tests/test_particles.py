@@ -9,7 +9,6 @@ from pamlab.particles import (
     gillespie_run,
     kill_adjacency,
     population_ensemble,
-    simulate_population,
 )
 from pamlab.solver import BoxDomain, solve_truncated
 
@@ -44,7 +43,7 @@ def test_static_environment_has_no_events():
 
 def test_time_zero_keeps_single_particle():
     env = make_env_1d(np.ones(3))
-    sample = simulate_population(env, (0,), 1.0, 0.0, n_runs=50, seed=2)
+    sample = population_ensemble(env, (0,), 1.0, 0.0, n_runs=50, seed=2)
     assert np.all(sample.counts == 1)
 
 
@@ -54,7 +53,7 @@ def test_hardcore_start_is_empty():
     run = gillespie_run(env, (0,), 1.0, 1.0, seed=3)
     assert run.final_population == 0
     assert run.n_boundary_kill == 1 and run.accounting_consistent()
-    sample = simulate_population(env, (0,), 1.0, 1.0, n_runs=20, seed=3)
+    sample = population_ensemble(env, (0,), 1.0, 1.0, n_runs=20, seed=3)
     assert np.all(sample.counts == 0)
     assert np.all(sample.n_boundary_kill == 1) and sample.accounting_consistent().all()
 
@@ -63,7 +62,7 @@ def test_yule_process_mean_and_extinction_free_growth():
     # kappa = 0, pure branching at rate 1: zeta is geometric with mean e^t
     env = make_env_1d([0.0, 1.0, 0.0])
     t = 1.0
-    sample = simulate_population(env, (0,), 0.0, t, n_runs=20000, seed=4)
+    sample = population_ensemble(env, (0,), 0.0, t, n_runs=20000, seed=4)
     mean = sample.mean()
     se = sample.stderr()
     assert abs(mean - math.exp(t)) <= 3.5 * se
@@ -78,7 +77,7 @@ def test_yule_process_mean_and_extinction_free_growth():
 def test_pure_death_is_bernoulli():
     env = make_env_1d([0.0, -0.8, 0.0])
     t = 1.5
-    sample = simulate_population(env, (0,), 0.0, t, n_runs=20000, seed=5)
+    sample = population_ensemble(env, (0,), 0.0, t, n_runs=20000, seed=5)
     p = math.exp(-0.8 * t)
     se = math.sqrt(p * (1 - p) / sample.n_runs)
     assert set(np.unique(sample.counts)) <= {0, 1}
@@ -88,7 +87,7 @@ def test_pure_death_is_bernoulli():
 def test_single_site_window_dies_at_jump_rate():
     env = make_env_1d([0.0])
     t = 0.7
-    sample = simulate_population(env, (0,), 1.0, t, n_runs=20000, seed=6)
+    sample = population_ensemble(env, (0,), 1.0, t, n_runs=20000, seed=6)
     p = math.exp(-2.0 * t)
     se = math.sqrt(p * (1 - p) / sample.n_runs)
     assert abs(sample.mean() - p) <= 4.0 * se
@@ -111,7 +110,7 @@ def test_accounting_identity_on_random_environments():
 def test_population_mean_tracks_solver_weibull():
     env = with_branch_cap(sample_environment(TailFamily.weibull(2.0), 1, 5, seed=21), 2.0)
     expected = solver_value(env, 1.0, 1.5)
-    sample = simulate_population(env, (0,), 1.0, 1.5, n_runs=6000, seed=22)
+    sample = population_ensemble(env, (0,), 1.0, 1.5, n_runs=6000, seed=22)
     mean, se = sample.mean(), sample.stderr()
     assert abs(mean - expected) <= 3.5 * se
 
@@ -119,7 +118,7 @@ def test_population_mean_tracks_solver_weibull():
 def test_population_mean_tracks_solver_double_exp():
     env = with_branch_cap(sample_environment(TailFamily.double_exp(1.5), 1, 5, seed=31), 2.0)
     expected = solver_value(env, 0.8, 1.2)
-    sample = simulate_population(env, (0,), 0.8, 1.2, n_runs=6000, seed=32)
+    sample = population_ensemble(env, (0,), 0.8, 1.2, n_runs=6000, seed=32)
     mean, se = sample.mean(), sample.stderr()
     assert abs(mean - expected) <= 3.5 * se
 
@@ -128,35 +127,45 @@ def test_population_mean_tracks_solver_two_dim():
     rng = np.random.default_rng(41)
     env = make_env(np.clip(rng.normal(0, 1, size=(7, 7)), -3, 2))
     expected = solver_value(env, 0.5, 1.0)
-    sample = simulate_population(env, (0, 0), 0.5, 1.0, n_runs=6000, seed=42)
+    sample = population_ensemble(env, (0, 0), 0.5, 1.0, n_runs=6000, seed=42)
     mean, se = sample.mean(), sample.stderr()
     assert abs(mean - expected) <= 3.5 * se
 
 
-def test_both_engines_report_per_run_accounting():
+def test_ensemble_reports_per_run_accounting():
     env = sample_environment(TailFamily.double_exp(1.0), 1, 6, seed=11)
-    for sample in (
-        simulate_population(env, (0,), 1.0, 1.0, n_runs=300, seed=12),
-        population_ensemble(env, (0,), 1.0, 1.0, n_runs=300, seed=12),
-    ):
-        assert sample.n_branch.shape == sample.n_death.shape == sample.n_boundary_kill.shape == (300,)
-        assert np.all(sample.accounting_consistent())
-        assert sample.n_branch.sum() > 0
-        assert sample.n_death.sum() + sample.n_boundary_kill.sum() > 0
+    sample = population_ensemble(env, (0,), 1.0, 1.0, n_runs=300, seed=12)
+    assert sample.n_branch.shape == sample.n_death.shape == sample.n_boundary_kill.shape == (300,)
+    assert np.all(sample.accounting_consistent())
+    assert sample.n_branch.sum() > 0
+    assert sample.n_death.sum() + sample.n_boundary_kill.sum() > 0
+
+
+def test_gillespie_run_is_the_one_replica_ensemble():
+    # the eight runs between them branch, die and step off the window
+    env = make_env_1d(np.random.default_rng(3).uniform(-1.5, 1.5, size=5))
+    for s in range(8):
+        run = gillespie_run(env, (0,), 1.0, 2.0, seed=s)
+        sample = population_ensemble(env, (0,), 1.0, 2.0, 1, seed=s)
+        assert run.final_population == sample.counts[0]
+        assert run.n_branch == sample.n_branch[0]
+        assert run.n_death == sample.n_death[0]
+        assert run.n_boundary_kill == sample.n_boundary_kill[0]
+        assert run.truncated == sample.truncated[0]
 
 
 def test_cap_sets_truncated_flag():
     env = make_env_1d([0.0, 3.0, 0.0])
-    sample = simulate_population(env, (0,), 0.0, 4.0, n_runs=40, seed=51, cap=30)
+    sample = population_ensemble(env, (0,), 0.0, 4.0, n_runs=40, seed=51, cap=30)
     assert sample.truncated.any()
     assert np.all(sample.counts[sample.truncated] > 30)
 
 
 def test_runs_are_deterministic_in_seed():
     env = sample_environment(TailFamily.weibull(2.0), 1, 4, seed=61)
-    a = simulate_population(env, (0,), 1.0, 1.0, n_runs=200, seed=62)
-    b = simulate_population(env, (0,), 1.0, 1.0, n_runs=200, seed=62)
-    c = simulate_population(env, (0,), 1.0, 1.0, n_runs=200, seed=63)
+    a = population_ensemble(env, (0,), 1.0, 1.0, n_runs=200, seed=62)
+    b = population_ensemble(env, (0,), 1.0, 1.0, n_runs=200, seed=62)
+    c = population_ensemble(env, (0,), 1.0, 1.0, n_runs=200, seed=63)
     assert np.array_equal(a.counts, b.counts)
     assert not np.array_equal(a.counts, c.counts)
 
@@ -167,14 +176,11 @@ def test_negative_time_rejected():
         gillespie_run(env, (0,), 1.0, -1.0, seed=1)
 
 
-def test_ensemble_matches_per_run_engine():
+def test_ensemble_mean_tracks_solver():
     fam = TailFamily.weibull(2.0)
     env = with_branch_cap(sample_environment(fam, 1, 4, 314), 2.0)
     t, kappa = 1.5, 1.0
-    per_run = simulate_population(env, (0,), kappa, t, 3000, seed=61)
     batch = population_ensemble(env, (0,), kappa, t, 3000, seed=62)
-    joint = math.hypot(per_run.stderr(), batch.stderr())
-    assert abs(per_run.mean() - batch.mean()) < 3.5 * joint
     exact = solver_value(env, kappa, t)
     assert abs(batch.mean() - exact) < 3.5 * batch.stderr()
 

@@ -140,6 +140,18 @@ def test_routes_match_mpmath_oracle_per_site(family, dim, radius, kappa, t, rout
         assert err <= 1e-8, (name, err)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_wide_small_box_matches_mpmath_oracle(seed):
+    # 41 sites, cheap enough for dense, but log m spans 25 to 37 over the
+    # box: dense eigh loses the low sites (|d log m| up to 1.24 on seed 5)
+    env = sample_environment(TailFamily.weibull(2.0), 1, 20, seed=seed)
+    fld = solve_truncated(env, BoxDomain(env, (0,), 20), 0.02, 40.0)
+    ref, _ = mpmath_log_field(env, 0.02, 40.0)
+    assert fld.method == "krylov-expm"
+    err = float(np.abs(fld.log_values() - ref).max())
+    assert err <= 1e-8, err
+
+
 @pytest.mark.parametrize(
     "family, dim, radius, method",
     [
