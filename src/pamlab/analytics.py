@@ -12,7 +12,9 @@ substitution s = e^z removes the remaining endpoint trouble at s -> 0
 (the log-integrand becomes smooth and unimodal in z, decaying at least
 linearly on the left flank and double-exponentially on the right), so an
 adaptive Gauss-Legendre scheme with log-domain accumulation reaches
-absolute log-accuracy around 1e-10.
+absolute log-accuracy around 1e-10.  The almost-bounded family, whose
+log-integrand has a sqrt(z) cusp at its floor z = 0, is integrated in
+y = sqrt(z) instead.
 
 Everything downstream (cumulant exponents, transition exponents, growth
 scales, critical curves, the random-walk exit rate) lives here as pure
@@ -80,7 +82,7 @@ def _gl_nodes(n):
 
 
 def _log_integrand_z(family, t):
-    """G(z) = t*qtilde(e^z) - e^z + z after the substitution s = e^z."""
+    """G(z) = t*qtilde(e^z) - e^z + z after the substitution s = e^z (sq_double_exp: in y = sqrt(z))."""
     k = family.kind
     if k == "weibull":
         rho = family.rho
@@ -89,8 +91,9 @@ def _log_integrand_z(family, t):
         slope = t * family.rho + 1.0
         return lambda z: slope * z - np.exp(z)
     if k == "sq_double_exp":
-        # valid on z >= 0 only; the flat piece below is handled in closed form
-        return lambda z: t * np.sqrt(z) - np.exp(z) + z
+        # in y = sqrt(z) >= 0, which smooths the sqrt(z) cusp at z = 0;
+        # the flat piece below z = 0 is handled in closed form
+        return lambda y: t * y - np.exp(y * y) + y * y + np.log(2.0 * y)
     if k == "frechet":
         rho = family.rho
         return lambda z: -t * np.exp(-z / rho) - np.exp(z) + z
@@ -98,42 +101,67 @@ def _log_integrand_z(family, t):
 
 
 def _peak(family, t):
-    """Argmax of the log-integrand; closed forms except one bracketed root."""
+    """Argmax z of the log-integrand G, where G'(z) = t s qtilde'(s) - s + 1 vanishes.
+
+    The +1 is the Jacobian of s = e^z.  double_exp has the closed form
+    s = rho t + 1; for the others G' is positive as z -> 0+ (at z = 0
+    for weibull and frechet) and negative for large z, so halving and
+    doubling walks bracket the root for brentq.
+    """
     k = family.kind
-    if k == "weibull":
-        return (t / family.rho) ** (family.rho / (family.rho - 1.0))
     if k == "double_exp":
-        return family.rho * t
-    if k == "frechet":
-        return (t / family.rho) ** (family.rho / (family.rho + 1.0))
-    # sq_double_exp: stationarity reads 2 s sqrt(log s) = t on (1, inf);
-    # the left side increases from 0, so a doubling bracket always closes.
-    lo, hi = 1.0, 2.0
-    while 2.0 * hi * math.sqrt(math.log(hi)) < t:
+        return math.log1p(family.rho * t)
+    if k == "weibull":
+        rho = family.rho
+
+        def slope(z):
+            return t / rho * math.exp(z / rho) - math.expm1(z)
+
+    elif k == "frechet":
+        rho = family.rho
+
+        def slope(z):
+            return t / rho * math.exp(-z / rho) - math.expm1(z)
+
+    else:
+        # sq_double_exp, in y = sqrt(z) > 0 (see _log_integrand_z)
+        def slope(y):
+            return t + 1.0 / y - 2.0 * y * math.expm1(y * y)
+
+    lo = hi = 1.0
+    while slope(lo) <= 0.0:
+        lo *= 0.5
+    while slope(hi) >= 0.0:
         hi *= 2.0
-    return brentq(lambda s: 2.0 * s * math.sqrt(math.log(s)) - t, lo, hi, xtol=1e-300, rtol=_ROOT_RTOL)
+    return brentq(slope, lo, hi, xtol=1e-300, rtol=_ROOT_RTOL)
 
 
-def _upper_cut(G, zpeak, Gpeak):
-    # right flank falls off like -e^z, so a doubling walk closes fast
+def _window_cut(G, zpeak, Gpeak, direction):
+    """The z on one side of the peak where G = Gpeak - _LOG_WINDOW.
+
+    A doubling walk only brackets the cut (G falls at least linearly on
+    the left and like -e^z on the right); brentq then places it, so the
+    cut never overshoots into a region where G is far below the window.
+    """
+    def excess(z):
+        return G(z) - (Gpeak - _LOG_WINDOW)
+
     step = 1.0
-    hi = zpeak + step
-    while G(hi) > Gpeak - _LOG_WINDOW:
+    while excess(zpeak + direction * step) > 0.0:
         step *= 2.0
-        hi = zpeak + step
         if step > 1e6:
-            raise QuadratureError("no upper truncation point found")
-    return hi
+            raise QuadratureError("no truncation point found")
+    inner = zpeak + direction * 0.5 * step if step > 1.0 else zpeak
+    return brentq(excess, *sorted((inner, zpeak + direction * step)), xtol=1e-12, rtol=_ROOT_RTOL)
 
 
 def _lower_cut(G, zpeak, Gpeak, floor):
-    """Walk left from the peak until the integrand is window-negligible.
+    """Left end of the integration range.
 
-    With floor = -inf the left flank decays at least linearly in z, so a
-    doubling walk crosses the window.  The almost-bounded family has a
-    hard floor at z = 0 (its closed-form piece lives below); when the
-    whole flank above the floor stays inside the window, the floor
-    itself is the cut.
+    With floor = -inf the cut is _window_cut's.  The almost-bounded
+    family has a hard floor at z = 0 (its closed-form piece lives
+    below); when the whole flank above the floor stays inside the
+    window, the floor itself is the cut.
     """
     if math.isfinite(floor):
         if zpeak <= floor:
@@ -145,14 +173,7 @@ def _lower_cut(G, zpeak, Gpeak, floor):
                 return floor
             lo = floor + 0.5 * gap
         return lo
-    step = 1.0
-    lo = zpeak - step
-    while G(lo) > Gpeak - _LOG_WINDOW:
-        step *= 2.0
-        lo = zpeak - step
-        if step > 1e6:
-            raise QuadratureError("no lower truncation point found")
-    return lo
+    return _window_cut(G, zpeak, Gpeak, -1.0)
 
 
 def _panel_log(g, a, b, n):
@@ -206,10 +227,10 @@ def _adaptive_log_integral(g, a, b):
 def _cumulant_smooth(family, t):
     G = _log_integrand_z(family, t)
     floor = 0.0 if family.kind == "sq_double_exp" else -math.inf
-    zpeak = math.log(_peak(family, t))
+    zpeak = _peak(family, t)
     Gpeak = float(G(zpeak))
     lo = _lower_cut(G, zpeak, Gpeak, floor)
-    hi = _upper_cut(G, zpeak, Gpeak)
+    hi = _window_cut(G, zpeak, Gpeak, 1.0)
     total, _ = _adaptive_log_integral(G, lo, hi)
     if family.kind == "sq_double_exp":
         # atom at 0 plus the flat quantile below s = 1: int_0^1 e^{-s} ds

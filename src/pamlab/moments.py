@@ -52,9 +52,9 @@ class FThetaEstimate:
 def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     """log m(0, t) for independent environment replicas; -inf if killed.
 
-    One dimension without a hard core runs as a single batched
-    eigendecomposition over stacked tridiagonal windows; other cases
-    fall back to per-replica solves.
+    In one dimension every replica's window, hard cores masked, goes
+    into one batched uniformization call (log_center_moment_windows_1d);
+    higher dimensions solve each replica's box on its own.
     """
     if kappa == 0.0:
         out = np.empty(n_replica)
@@ -66,13 +66,15 @@ def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
                 out[i] = (env.v_plus[0] - env.v_minus[0]) * t
         return out
     R = required_radius(kappa, t, tol, dim)
-    if dim == 1 and not family.has_hardcore_atom:
+    if dim == 1:
         width = 2 * R + 1
         vs = np.empty((n_replica, width))
+        hard = np.empty((n_replica, width), dtype=bool)
         for i in range(n_replica):
             env = sample_environment(family, 1, R, derive_seed(seed, "env", i))
             vs[i] = env.v_plus - env.v_minus
-        return log_center_moment_windows_1d(vs, kappa, t)
+            hard[i] = env.hardcore
+        return log_center_moment_windows_1d(vs, kappa, t, hardcore=hard)
     out = np.empty(n_replica)
     origin = (0,) * dim
     for i in range(n_replica):
@@ -165,23 +167,23 @@ def correlation_profile(family, kappa, t, lags, n_replica, seed, tol=1e-4):
         raise ValueError("lags must be >= 0")
     R = required_radius(kappa, t, tol, 1)
     span = int(lags.max(initial=0)) + R
-    width = 2 * R + 1
-    vals = np.empty((n_replica, len(lags) + 1))
-    for i in range(n_replica):
-        env = sample_environment(family, 1, span, derive_seed(seed, "env", i))
-        v = np.where(env.hardcore, 0.0, env.v_plus - env.v_minus)
-        sites = np.concatenate([[0], lags])
-        if kappa == 0.0:
-            idx = sites + span
-            vals[i] = np.where(env.hardcore[idx], -math.inf, v[idx] * t)
-        else:
-            if env.hardcore.any():
-                for j, y in enumerate(sites):
-                    man, off, _ = solve_untruncated(env, (int(y),), kappa, t, tol=tol)
-                    vals[i, j] = math.log(man) + off if man > 0 else -math.inf
-            else:
-                rows = np.stack([v[y + span - R : y + span + R + 1] for y in sites])
-                vals[i] = log_center_moment_windows_1d(rows, kappa, t)
+    sites = np.concatenate([[0], lags]) + span
+    if kappa == 0.0:
+        vals = np.empty((n_replica, len(sites)))
+        for i in range(n_replica):
+            env = sample_environment(family, 1, span, derive_seed(seed, "env", i))
+            vals[i] = np.where(env.hardcore[sites], -math.inf, (env.v_plus - env.v_minus)[sites] * t)
+    else:
+        rows = sites[:, None] + np.arange(-R, R + 1)
+        vs = np.empty((n_replica, len(sites), 2 * R + 1))
+        hard = np.empty(vs.shape, dtype=bool)
+        for i in range(n_replica):
+            env = sample_environment(family, 1, span, derive_seed(seed, "env", i))
+            vs[i] = (env.v_plus - env.v_minus)[rows]
+            hard[i] = env.hardcore[rows]
+        width = vs.shape[-1]
+        logs = log_center_moment_windows_1d(vs.reshape(-1, width), kappa, t, hardcore=hard.reshape(-1, width))
+        vals = logs.reshape(n_replica, len(sites))
     peak = vals[np.isfinite(vals)].max()
     m = np.exp(vals - peak)
     base = m[:, 0]
@@ -268,17 +270,17 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
     n_sites = 2 * L + 1
     if kappa == 0.0:
         R = 0
-    logs = np.empty((n_replica, n_sites))
+    vs = np.empty((n_replica, n_sites + 2 * R))
     for i in range(n_replica):
         env = sample_environment(family, 1, L + R, derive_seed(seed, "env", i))
         if env.hardcore.any():
             raise ValueError("block variance path expects no hard cores")
-        v = env.v_plus - env.v_minus
-        if kappa == 0.0:
-            logs[i] = v[R : R + n_sites] * t if R else v * t
-        else:
-            windows = np.lib.stride_tricks.sliding_window_view(v, 2 * R + 1)
-            logs[i] = log_center_moment_windows_1d(windows, kappa, t)
+        vs[i] = env.v_plus - env.v_minus
+    if kappa == 0.0:
+        logs = vs * t
+    else:
+        windows = np.lib.stride_tricks.sliding_window_view(vs, 2 * R + 1, axis=1).reshape(-1, 2 * R + 1)
+        logs = log_center_moment_windows_1d(windows, kappa, t).reshape(n_replica, n_sites)
     peak = float(logs.max())
     m = np.exp(logs - peak)
     totals = m.sum(axis=1)

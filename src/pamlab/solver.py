@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp, pdtr, pdtrc
 
 from .analytics import rate_I
 from .environments import effective_potential, window_coords
@@ -21,6 +21,12 @@ from .environments import effective_potential, window_coords
 _DENSE_COST = 1.3e5
 # Per-site |error in log m| that a dense solve must keep; see solve_truncated.
 _SITE_LOG_TOL = 1e-8
+# Poisson tail over head at which a window's uniformization sum stops.
+_POISSON_TAIL = 1e-13
+# A window goes to dense eigh when its Poisson degree exceeds _DENSE_FIT m^2.
+_DENSE_FIT = 0.3
+# Matrix entries per batched eigh call, which bounds the dense route's memory.
+_DENSE_ENTRIES = 2**22
 
 
 class SolverError(RuntimeError):
@@ -178,7 +184,7 @@ def _normalized_field(domain, t, kappa, active_values, extra_offset, method):
     m = np.asarray(active_values, dtype=np.float64)
     lo = m.min() if len(m) else 0.0
     if lo < 0.0:
-        if lo < -1e-10 * max(m.max(), 1e-300):
+        if lo < -1e-10 * m.max():
             raise SolverError(f"solver produced negative mass {lo:.3e}")
         m = np.maximum(m, 0.0)
     peak = m.max() if len(m) else 0.0
@@ -300,43 +306,152 @@ def solve_untruncated(env, x, kappa, t, tol=1e-8):
     return man, off, R
 
 
-def log_center_moment_windows_1d(v_windows, kappa, t):
-    """log m(center, t) for a stack of 1-d Dirichlet windows.
+def _poisson_degree(lam):
+    """Per entry, the smallest K with Pr(N > K) <= _POISSON_TAIL Pr(N <= K), N ~ Poisson(lam).
 
-    v_windows has shape (B, m) of finite potentials; each row is solved
-    with the tridiagonal operator kappa*Delta + v via a batched
-    symmetric eigendecomposition, in chunks of at most 2**24 matrix
-    entries.  Returns shape (B,) of log values.
+    The predicate is monotone in K, so an integer bisection between
+    floor(lam) and lam + 8 sqrt(lam) + 40 finds it; an upper end that
+    fails the predicate raises.
     """
-    v_windows = np.asarray(v_windows, dtype=np.float64)
-    B, m = v_windows.shape
-    if not np.all(np.isfinite(v_windows)):
-        raise SolverError("batched 1-d path needs finite potentials")
-    chunk = max(1, 2**24 // (m * m))
-    if B > chunk:
-        return np.concatenate(
-            [log_center_moment_windows_1d(v_windows[s : s + chunk], kappa, t) for s in range(0, B, chunk)]
-        )
-    A = np.zeros((B, m, m))
+    lo = np.floor(lam)
+    hi = np.ceil(lam + 8.0 * np.sqrt(lam) + 40.0)
+
+    def small_tail(k):
+        return pdtrc(k, lam) <= _POISSON_TAIL * pdtr(k, lam)
+
+    if not np.all(small_tail(hi)):
+        raise SolverError(f"no Poisson degree found below {hi.max():.0f}")
+    while np.any(lo < hi):
+        mid = np.floor(0.5 * (lo + hi))
+        good = small_tail(mid)
+        hi = np.where(good, mid, hi)
+        lo = np.where(good, lo, mid + 1.0)
+    return hi.astype(np.int64)
+
+
+def _uniformized_centers(v, active, kappa, t, vmin, c, degree):
+    """sum_{k <= K_b} Pois(k; c_b t) (P_b^k 1)(center) for each window b.
+
+    P_b = I + (A_b - v_max,b)/c_b is nonnegative and substochastic, with
+    diagonal (v - v_min)/c_b and off-diagonal kappa/c_b on the 3-point
+    stencil; both vanish on hard cores, so those sites stay at 0.  Rows
+    run in order of decreasing degree, so the windows still in the loop
+    at step k are a prefix of the stack.  The weights come from their
+    logarithms, so e^{-ct} cannot underflow.
+    """
+    B, m = v.shape
+    order = np.argsort(-degree, kind="stable")
+    v, active, vmin, c, degree = v[order], active[order], vmin[order], c[order], degree[order]
+    scale = np.where(c > 0.0, c, 1.0)[:, None]
+    diag = np.where(active, (v - vmin[:, None]) / scale, 0.0)
+    link = np.where(active, kappa / scale, 0.0)
+    lam = c * t
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
+    u = np.zeros((B, m + 2))
+    u[:, 1:-1] = active
+    nxt = np.zeros_like(u)
+    tmp = np.empty((B, m))
+    center = 1 + m // 2
+    acc = np.exp(-lam) * u[:, center]
+    n_left = B - np.searchsorted(degree[::-1], np.arange(int(degree.max(initial=0)) + 1), side="left")
+    for k in range(1, len(n_left)):
+        n = n_left[k]
+        cur, new = u[:n], nxt[:n]
+        np.add(cur[:, :-2], cur[:, 2:], out=new[:, 1:-1])
+        new[:, 1:-1] *= link[:n]
+        np.multiply(diag[:n], cur[:, 1:-1], out=tmp[:n])
+        new[:, 1:-1] += tmp[:n]
+        u, nxt = nxt, u
+        acc[:n] += np.exp(k * log_lam[:n] - lam[:n] - gammaln(k + 1.0)) * u[:n, center]
+    out = np.empty(B)
+    out[order] = acc
+    return out
+
+
+def _dense_centers(v, active, kappa, t):
+    """(log m(center), accurate) for windows solved by batched eigh.
+
+    Hard cores are decoupled from their neighbors and given the lowest
+    active diagonal entry, so they never set the top eigenvalue and the
+    start vector, zero on them, keeps them out.  A dense answer errs by
+    about m eps times its row peak, so `accurate` is False where the
+    center lies too far below the peak for a relative error of
+    _SITE_LOG_TOL.
+    """
+    B, m = v.shape
     idx = np.arange(m)
-    A[:, idx, idx] = v_windows - 2.0 * kappa
-    A[:, idx[:-1], idx[1:]] = kappa
-    A[:, idx[1:], idx[:-1]] = kappa
+    diag = v - 2.0 * kappa
+    floor = np.min(diag, axis=1, where=active, initial=np.inf)
+    A = np.zeros((B, m, m))
+    A[:, idx, idx] = np.where(active, diag, floor[:, None])
+    link = kappa * (active[:, :-1] & active[:, 1:])
+    A[:, idx[:-1], idx[1:]] = link
+    A[:, idx[1:], idx[:-1]] = link
     w, Q = np.linalg.eigh(A)
     lam0 = w[:, -1]
-    weights = Q.sum(axis=1) * np.exp((w - lam0[:, None]) * t)
-    mc = np.einsum("bk,bk->b", Q[:, m // 2, :], weights)
-    mc = np.maximum(mc, 1e-300)
-    return np.log(mc) + lam0 * t
+    weights = np.einsum("bik,bi->bk", Q, active) * np.exp((w - lam0[:, None]) * t)
+    field = np.einsum("bik,bk->bi", Q, weights)
+    mc = field[:, m // 2]
+    accurate = mc >= field.max(axis=1) * m * np.finfo(float).eps / _SITE_LOG_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(mc) + lam0 * t, accurate
+
+
+def log_center_moment_windows_1d(v_windows, kappa, t, hardcore=None):
+    """log m(center, t) for a stack of 1-d Dirichlet windows, by uniformization.
+
+    v_windows has shape (B, m); hardcore, if given, is a boolean mask of
+    the same shape whose sites are killed (their potentials are
+    ignored).  A window whose center is a hard core gives -inf.  Each
+    window b is solved as e^{t v_max} sum_k Pois(k; c_b t) P_b^k 1 with
+    c_b = 2 kappa + max v - min v over its active sites, truncated at
+    its own degree K_b (_poisson_degree).  P_b^k 1 does not increase in
+    k, so the truncation errs by at most _POISSON_TAIL relative to the
+    center's own value, and the sum has no cancellation.
+
+    The loop costs K_b m per window and a batched eigh m^3, so windows
+    with K_b > _DENSE_FIT m^2 go dense (wide-spread frechet windows
+    reach c t ~ 1e5); a dense center too far below its row peak is
+    solved again by uniformization.  Returns shape (B,) of log values.
+    """
+    v = np.asarray(v_windows, dtype=np.float64)
+    B, m = v.shape
+    active = np.ones((B, m), dtype=bool) if hardcore is None else ~np.asarray(hardcore, dtype=bool)
+    if active.shape != v.shape:
+        raise ValueError("hardcore mask must have the shape of the potentials")
+    if not np.all(np.isfinite(v[active])):
+        raise SolverError("batched 1-d path needs finite potentials on active sites")
+    out = np.full(B, -np.inf)
+    rows = np.nonzero(active[:, m // 2])[0]
+    v, active = np.where(active, v, 0.0)[rows], active[rows]
+    vmax = np.max(v, axis=1, where=active, initial=-np.inf)
+    vmin = np.min(v, axis=1, where=active, initial=np.inf)
+    c = 2.0 * kappa + vmax - vmin
+    degree = _poisson_degree(c * t)
+    dense = np.nonzero(degree > _DENSE_FIT * m * m)[0]
+    redo = np.ones(len(rows), dtype=bool)
+    step = max(1, _DENSE_ENTRIES // (m * m))
+    for s in range(0, len(dense), step):
+        part = dense[s : s + step]
+        logs, accurate = _dense_centers(v[part], active[part], kappa, t)
+        out[rows[part[accurate]]] = logs[accurate]
+        redo[part[accurate]] = False
+    redo = np.nonzero(redo)[0]
+    sums = _uniformized_centers(v[redo], active[redo], kappa, t, vmin[redo], c[redo], degree[redo])
+    if np.any(sums < np.finfo(float).tiny):
+        raise SolverError(f"window center below e^-708 of e^(t v_max): sum {sums.min():.3e}")
+    out[rows[redo]] = np.log(sums) + t * vmax[redo]
+    return out
 
 
 def empirical_average(env, L, kappa, t, tol=1e-8):
     """Box average m^L = |Λ_L|^-1 Σ_{|x| <= L} m(x, t) as (mantissa, log_offset).
 
-    Hard-core sites contribute zero.  For kappa > 0 in one dimension
-    without hard cores the per-site solves collapse into one batched
-    sliding-window eigendecomposition; otherwise sites are solved one by
-    one.
+    Hard-core sites contribute zero.  For kappa > 0 in one dimension the
+    per-site windows of radius required_radius slide over the sample
+    and go into one log_center_moment_windows_1d call, hard cores
+    masked; in higher dimensions sites are solved one by one.
     """
     L = int(L)
     if L < 0:
@@ -352,52 +467,21 @@ def empirical_average(env, L, kappa, t, tol=1e-8):
     R = required_radius(kappa, t, tol, env.dim)
     if L + R > env.radius:
         raise SolverError(f"window radius {env.radius} too small: need {L + R}")
-    if env.dim == 1 and not env.hardcore.any():
-        v = effective_potential(env)
-        lo = env.flat_index(np.array([-L - R]))
-        hi = env.flat_index(np.array([L + R]))
-        windows = np.lib.stride_tricks.sliding_window_view(v[lo : hi + 1], 2 * R + 1)
-        logs = log_center_moment_windows_1d(windows, kappa, t)
-        return 1.0, float(logsumexp(logs)) - math.log(n_box)
-    logs = []
-    for coord in window_coords(env.dim, L):
-        if env.hardcore[env.flat_index(coord)]:
-            continue
-        man, off, _ = solve_untruncated(env, coord, kappa, t, tol=tol)
-        if man > 0:
-            logs.append(math.log(man) + off)
-    if not logs:
+    if env.dim == 1:
+        span = slice(env.radius - L - R, env.radius + L + R + 1)
+        windows = np.lib.stride_tricks.sliding_window_view
+        v = (env.v_plus - env.v_minus)[span]
+        hard = env.hardcore[span]
+        logs = log_center_moment_windows_1d(windows(v, 2 * R + 1), kappa, t, hardcore=windows(hard, 2 * R + 1))
+    else:
+        logs = []
+        for coord in window_coords(env.dim, L):
+            if env.hardcore[env.flat_index(coord)]:
+                continue
+            man, off, _ = solve_untruncated(env, coord, kappa, t, tol=tol)
+            if man > 0:
+                logs.append(math.log(man) + off)
+    total = float(logsumexp(logs)) if len(logs) else -math.inf
+    if total == -math.inf:
         return 0.0, 0.0
-    return 1.0, float(logsumexp(logs)) - math.log(n_box)
-
-
-def padded_with_hardcore(env, pad):
-    """Copy of the environment with a hard-core ring of width `pad` added.
-
-    Used to check that Dirichlet padding leaves solutions unchanged.
-    """
-    from .environments import Environment, sample_environment
-
-    big = sample_environment(env.family, env.dim, env.radius + pad, env.seed, env.baseline_death)
-    hard = big.hardcore.copy()
-    coords = big.coords()
-    ring = np.abs(coords).max(axis=1) > env.radius
-    hard[ring] = True
-    vp = big.v_plus.copy()
-    vm = big.v_minus.copy()
-    vp[ring] = 0.0
-    vm[ring] = 0.0
-    inner = big.flat_index(env.coords())
-    vp[inner] = env.v_plus
-    vm[inner] = env.v_minus
-    hard[inner] = env.hardcore
-    return Environment(
-        family=env.family,
-        dim=env.dim,
-        radius=env.radius + pad,
-        seed=env.seed,
-        baseline_death=env.baseline_death,
-        v_plus=vp,
-        v_minus=vm,
-        hardcore=hard,
-    )
+    return 1.0, total - math.log(n_box)

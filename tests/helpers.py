@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pamlab.environments import Environment, TailFamily, window_coords
+from pamlab.environments import Environment, TailFamily, sample_environment, window_coords
 
 
 def make_env_1d(v, hardcore=None, seed=0, baseline_death=0.0):
@@ -65,4 +65,33 @@ def make_env(v_grid, hardcore=None, seed=0):
         v_plus=vp,
         v_minus=vm,
         hardcore=hardcore,
+    )
+
+
+def padded_with_hardcore(env, pad):
+    """Copy of the environment with a hard-core ring of width `pad` added.
+
+    Used to check that Dirichlet padding leaves solutions unchanged.
+    """
+    big = sample_environment(env.family, env.dim, env.radius + pad, env.seed, env.baseline_death)
+    hard = big.hardcore.copy()
+    ring = np.abs(big.coords()).max(axis=1) > env.radius
+    hard[ring] = True
+    vp = big.v_plus.copy()
+    vm = big.v_minus.copy()
+    vp[ring] = 0.0
+    vm[ring] = 0.0
+    inner = big.flat_index(env.coords())
+    vp[inner] = env.v_plus
+    vm[inner] = env.v_minus
+    hard[inner] = env.hardcore
+    return Environment(
+        family=env.family,
+        dim=env.dim,
+        radius=env.radius + pad,
+        seed=env.seed,
+        baseline_death=env.baseline_death,
+        v_plus=vp,
+        v_minus=vm,
+        hardcore=hard,
     )

@@ -82,6 +82,53 @@ def test_H_weibull_against_quadpack():
         assert np.isclose(cumulant_H(WEIBULL2, t), ref, atol=1e-8, rtol=0)
 
 
+# Exponential-scale quantiles qtilde(s), written out here so the
+# reference shares nothing with the package's integrands.
+_QTILDE = {
+    "weibull": lambda fam: (lambda s: s ** (1.0 / fam.rho)),
+    "double_exp": lambda fam: (lambda s: fam.rho * math.log(s)),
+    "frechet": lambda fam: (lambda s: -(s ** (-1.0 / fam.rho))),
+    "sq_double_exp": lambda fam: (lambda s: math.sqrt(math.log(s)) if s > 1.0 else 0.0),
+}
+
+
+def quad_H_reference(fam, t):
+    """H(t) = log1p(int_0^inf (e^{t qtilde(s)} - 1) e^{-s} ds) by QUADPACK at 1e-13.
+
+    Integrating e^{tv} - 1 rather than e^{tv} keeps full relative
+    accuracy as t -> 0, where H(t) ~ t E v is far below 1.
+    """
+    q = _QTILDE[fam.kind](fam)
+
+    def f(s):
+        x = t * q(s) if s > 0.0 else -math.inf
+        return math.expm1(x) * math.exp(-s) if x < 1.0 else math.exp(x - s) - math.exp(-s)
+
+    total = 0.0
+    for lo, hi in ((0.0, 1.0), (1.0, 60.0 + 10.0 * t * t), (60.0 + 10.0 * t * t, math.inf)):
+        val, _ = integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)
+        total += val
+    return math.log1p(total)
+
+
+@pytest.mark.parametrize(
+    "fam", [WEIBULL2, TailFamily.weibull(1.5), DEXP1, FRECHET1, SQDE], ids=lambda f: f.label()
+)
+def test_H_small_t_matches_quadpack_and_expansion(fam):
+    # at t <= 3e-3 the parent's peak estimate dropped the Jacobian term,
+    # and the quadrature raised or took seconds
+    for t in np.logspace(-6.0, 1.0, 15):
+        t = float(t)
+        H = cumulant_H(fam, t)
+        ref = quad_H_reference(fam, t)
+        assert abs(H - ref) <= 1e-12 * abs(ref) + 1e-15, (t, H, ref)
+        if fam.kind == "weibull" and t <= 1e-2:
+            # H = t E v + t^2 Var v / 2 + O(t^3), E v^k = Gamma(1 + k / rho)
+            mean = math.gamma(1.0 + 1.0 / fam.rho)
+            var = math.gamma(1.0 + 2.0 / fam.rho) - mean * mean
+            assert abs(H - (t * mean + 0.5 * t * t * var)) <= t**3 + 1e-15, (t, H)
+
+
 def test_H_double_exp_loggamma_identity():
     """v = rho*log E with E ~ Exp(1) makes E[e^(tv)] = Gamma(1 + rho t)."""
     for rho in (0.5, 1.0, 1.5, 2.0):

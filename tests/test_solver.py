@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import make_env, make_env_1d
+from helpers import make_env, make_env_1d, padded_with_hardcore
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.solver import (
+    _DENSE_FIT,
     BoxDomain,
     SolverError,
+    _dense_centers,
     _normalized_field,
+    _poisson_degree,
     _solve_dense_eig,
     _solve_krylov,
     empirical_average,
     log_center_moment_windows_1d,
-    padded_with_hardcore,
     required_radius,
     solve_truncated,
     solve_untruncated,
@@ -323,6 +325,55 @@ def test_batched_windows_match_per_site_solves():
         fld = solve_truncated(env, BoxDomain(env, (0,), 5), 0.8, 1.4)
         man, off = fld.value_at((0,))
         assert np.isclose(got[i], math.log(man) + off, atol=1e-10)
+
+
+def _window_stack(family, seeds, radius=5):
+    envs = [sample_environment(family, 1, radius, seed=s) for s in seeds]
+    return np.stack([e.v_plus - e.v_minus for e in envs]), np.stack([e.hardcore for e in envs])
+
+
+def _dense_routed(v, hard, kappa, t):
+    act = ~hard
+    v = np.where(act, v, 0.0)
+    spread = np.max(v, axis=1, where=act, initial=-np.inf) - np.min(v, axis=1, where=act, initial=np.inf)
+    return _poisson_degree((2.0 * kappa + spread) * t) > _DENSE_FIT * v.shape[1] ** 2
+
+
+def test_window_kernel_matches_mpmath_oracle():
+    hc_v, hc_hard = _window_stack(TailFamily.hard_core(0.3), range(1, 9))
+    # a wide spread across hard cores sends this window to the dense route
+    wide = np.zeros(11)
+    wide[2] = 25.0
+    wide_hard = np.zeros(11, dtype=bool)
+    wide_hard[[4, 8]] = True
+    # the center sits e^45 below the peak at the edge: dense eigh loses
+    # it entirely (the batched eigh alone read log m = 0 here, against
+    # 35.04), so the kernel must solve it again by uniformization
+    deep = np.zeros((1, 11))
+    deep[0, -1] = 40.0
+    cases = {
+        "weibull": (*_window_stack(TailFamily.weibull(2.0), range(1, 7)), 1.0, 1.5),
+        "hard_core": (np.vstack([hc_v, wide]), np.vstack([hc_hard, wide_hard]), 1.0, 2.0),
+        "frechet": (*_window_stack(TailFamily.frechet(1.0), range(1, 13)), 1.0, 2.0),
+        "deep": (deep, np.zeros((1, 11), dtype=bool), 0.005, 2.0),
+    }
+    for name, (v, hard, kappa, t) in cases.items():
+        got = log_center_moment_windows_1d(v, kappa, t, hardcore=hard)
+        c = v.shape[1] // 2
+        for row in range(len(v)):
+            if hard[row, c]:
+                assert got[row] == -math.inf, name
+                continue
+            ref, active = mpmath_log_field(make_env_1d(v[row], hardcore=hard[row]), kappa, t)
+            ref_c = ref[int(active[:c].sum())]
+            assert abs(got[row] - ref_c) <= 1e-10, (name, row, got[row], ref_c)
+            if name == "deep":
+                assert ref.max() - ref_c > 40.0
+    routed = {name: _dense_routed(v, hard, kappa, t) for name, (v, hard, kappa, t) in cases.items()}
+    assert not routed["weibull"].any()
+    assert cases["hard_core"][1][:, 5].sum() >= 2 and routed["hard_core"][-1]
+    assert routed["frechet"].all()
+    assert routed["deep"].all() and not _dense_centers(deep, ~cases["deep"][1], 0.005, 2.0)[1][0]
 
 
 def test_empirical_average_kappa_zero():
