@@ -362,6 +362,7 @@ def cmd_solve(cfg):
         row["log_m"] = float(logs[i])
         rows.append(row)
     extra = {"log_total": float(field.log_total()), "n_active": int(box.n_active), "method": field.method}
+    extra["degree"] = field.degree
     return [("solution.csv", cols, rows)], True, extra
 
 

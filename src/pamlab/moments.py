@@ -14,7 +14,7 @@ from scipy.special import logsumexp
 
 from .environments import sample_environment
 from .seeding import derive_seed, generator
-from .solver import log_center_moment_windows_1d, required_radius, solve_untruncated
+from .solver import log_center_moment_windows, required_radius, windows_per_call
 
 _BOOTSTRAP = 1000
 _CI = 99.0
@@ -52,35 +52,23 @@ class FThetaEstimate:
 def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     """log m(0, t) for independent environment replicas; -inf if killed.
 
-    In one dimension every replica's window, hard cores masked, goes
-    into one batched uniformization call (log_center_moment_windows_1d);
-    higher dimensions solve each replica's box on its own.
+    The replicas' windows, hard cores masked, are sampled and solved
+    windows_per_call at a time by log_center_moment_windows; for kappa =
+    0 a window is the one site 0 and its value v(0) t is exact.
     """
-    if kappa == 0.0:
-        out = np.empty(n_replica)
-        for i in range(n_replica):
-            env = sample_environment(family, dim, 0, derive_seed(seed, "env", i))
-            if env.hardcore[0]:
-                out[i] = -math.inf
-            else:
-                out[i] = (env.v_plus[0] - env.v_minus[0]) * t
-        return out
     R = required_radius(kappa, t, tol, dim)
-    if dim == 1:
-        width = 2 * R + 1
-        vs = np.empty((n_replica, width))
-        hard = np.empty((n_replica, width), dtype=bool)
-        for i in range(n_replica):
-            env = sample_environment(family, 1, R, derive_seed(seed, "env", i))
-            vs[i] = env.v_plus - env.v_minus
-            hard[i] = env.hardcore
-        return log_center_moment_windows_1d(vs, kappa, t, hardcore=hard)
+    side = (2 * R + 1,) * dim
     out = np.empty(n_replica)
-    origin = (0,) * dim
-    for i in range(n_replica):
-        env = sample_environment(family, dim, R, derive_seed(seed, "env", i))
-        man, off, _ = solve_untruncated(env, origin, kappa, t, tol=tol)
-        out[i] = math.log(man) + off if man > 0 else -math.inf
+    step = windows_per_call(math.prod(side))
+    for start in range(0, n_replica, step):
+        ids = range(start, min(start + step, n_replica))
+        vs = np.empty((len(ids),) + side)
+        hard = np.empty(vs.shape, dtype=bool)
+        for j, i in enumerate(ids):
+            env = sample_environment(family, dim, R, derive_seed(seed, "env", i))
+            vs[j] = (env.v_plus - env.v_minus).reshape(side)
+            hard[j] = env.hardcore.reshape(side)
+        out[start : ids.stop] = log_center_moment_windows(vs, kappa, t, hardcore=hard)
     return out
 
 
@@ -182,7 +170,7 @@ def correlation_profile(family, kappa, t, lags, n_replica, seed, tol=1e-4):
             vs[i] = (env.v_plus - env.v_minus)[rows]
             hard[i] = env.hardcore[rows]
         width = vs.shape[-1]
-        logs = log_center_moment_windows_1d(vs.reshape(-1, width), kappa, t, hardcore=hard.reshape(-1, width))
+        logs = log_center_moment_windows(vs.reshape(-1, width), kappa, t, hardcore=hard.reshape(-1, width))
         vals = logs.reshape(n_replica, len(sites))
     peak = vals[np.isfinite(vals)].max()
     m = np.exp(vals - peak)
@@ -280,7 +268,7 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
         logs = vs * t
     else:
         windows = np.lib.stride_tricks.sliding_window_view(vs, 2 * R + 1, axis=1).reshape(-1, 2 * R + 1)
-        logs = log_center_moment_windows_1d(windows, kappa, t).reshape(n_replica, n_sites)
+        logs = log_center_moment_windows(windows, kappa, t).reshape(n_replica, n_sites)
     peak = float(logs.max())
     m = np.exp(logs - peak)
     totals = m.sum(axis=1)

@@ -4,6 +4,14 @@ The discrete Laplacian is Delta f(x) = sum over unit neighbors e of
 f(x+e) - 2d f(x); sites outside the active set (outside the box, or hard
 core) carry the value 0.  Solutions grow like e^{max(v) t}, so fields are
 stored as a mantissa array plus one shared additive log offset.
+
+Every kappa > 0 solve goes through one kernel, _solve_stack, on a stack
+of d-dimensional boxes given as a (B, S, ..., S) array of potentials
+plus its hard-core mask: a single box is a stack of one that reads every
+site, replica and box-average windows are stacks of at most
+_STACK_SITES sites that read their centers.  Each box is summed by
+uniformization, or by a batched dense eigendecomposition where one
+fitted cost rule (_dense_route) says that is cheaper.
 """
 
 import math
@@ -11,22 +19,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 from scipy.special import gammaln, logsumexp, pdtr, pdtrc
 
 from .analytics import rate_I
 from .environments import effective_potential, window_coords
 
-# Measured exchange rate between the costs of the two routes; see _dense_is_cheaper.
-_DENSE_COST = 1.3e5
-# Per-site |error in log m| that a dense solve must keep; see solve_truncated.
+# Per-site |error in log m| that a dense solve must keep; see _dense_fields.
 _SITE_LOG_TOL = 1e-8
-# Poisson tail over head at which a window's uniformization sum stops.
+# Poisson tail over head at which a uniformization sum stops.
 _POISSON_TAIL = 1e-13
-# A window goes to dense eigh when its Poisson degree exceeds _DENSE_FIT m^2.
-_DENSE_FIT = 0.3
+# Measured cost coefficients of the two routes; see _dense_route.
+_EIGH_SMALL = 200
+_STEP_PER_SITE = 20
+_STEP_FIXED = 3e4
 # Matrix entries per batched eigh call, which bounds the dense route's memory.
 _DENSE_ENTRIES = 2**22
+# Sites per stack of windows, which bounds the uniformization work arrays.
+_STACK_SITES = 2**17
 
 
 class SolverError(RuntimeError):
@@ -99,34 +108,17 @@ class BoxDomain:
         """Index pairs (i, j), i < j in active order, of lattice neighbors."""
         cached = self.__dict__.get("_pairs")
         if cached is None:
-            S = self.side
-            lo = np.asarray(self.center) - self.radius
-            rel = self.box_coords()[self.active_mask()] - lo
-            powers = S ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
-            flat = rel @ powers
-            lookup = np.full(S**self.dim, -1, dtype=np.int64)
-            lookup[flat] = np.arange(len(flat))
-            ii, jj = [], []
-            for k in range(self.dim):
-                ok = rel[:, k] + 1 < S
-                shifted = flat[ok] + powers[k]
-                j = lookup[shifted]
-                hit = j >= 0
-                ii.append(np.nonzero(ok)[0][hit])
-                jj.append(j[hit])
-            cached = (np.concatenate(ii), np.concatenate(jj))
+            i, j = _grid_pairs((self.side,) * self.dim)
+            keep = self.active_mask()
+            both = keep[i] & keep[j]
+            rank = np.cumsum(keep) - 1
+            cached = (rank[i[both]], rank[j[both]])
             self.__dict__["_pairs"] = cached
         return cached
 
     def operator_dense(self, kappa):
         """kappa*Delta + v as a dense symmetric matrix on the active set."""
-        n = self.n_active
-        A = np.zeros((n, n))
-        np.fill_diagonal(A, self.potential() - 2.0 * self.dim * kappa)
-        i, j = self._neighbor_pairs()
-        A[i, j] = kappa
-        A[j, i] = kappa
-        return A
+        return self.operator_sparse(kappa).toarray()
 
     def operator_sparse(self, kappa):
         n = self.n_active
@@ -145,7 +137,9 @@ class MomentField:
     After construction the largest mantissa is exactly 1 (or the field is
     identically zero), so mantissas never overflow no matter how large
     v*t gets.  method names the route that produced it: "dense-eig",
-    "krylov-expm", or "closed-form" (kappa = 0, t = 0, empty box).
+    "uniformization", or "closed-form" (kappa = 0, t = 0, empty box);
+    degree is the Poisson degree K of a uniformization sum, and 0 for
+    the other routes.
     """
 
     domain: BoxDomain
@@ -154,6 +148,7 @@ class MomentField:
     mantissa: np.ndarray = field(repr=False)
     log_offset: float = 0.0
     method: str = "closed-form"
+    degree: int = 0
 
     def log_values(self):
         """Per-box-site log m; -inf where the solution vanishes."""
@@ -166,11 +161,7 @@ class MomentField:
         delta = coord - np.asarray(self.domain.center)
         if np.any(np.abs(delta) > self.domain.radius):
             raise IndexError("coordinate outside the box")
-        rel = delta + self.domain.radius
-        S = self.domain.side
-        idx = 0
-        for k in range(self.domain.dim):
-            idx = idx * S + int(rel[k])
+        idx = np.ravel_multi_index(tuple(delta + self.domain.radius), (self.domain.side,) * self.domain.dim)
         return float(self.mantissa[idx]), self.log_offset
 
     def log_total(self):
@@ -179,14 +170,9 @@ class MomentField:
         return -math.inf if s == 0.0 else math.log(s) + self.log_offset
 
 
-def _normalized_field(domain, t, kappa, active_values, extra_offset, method):
+def _normalized_field(domain, t, kappa, active_values, extra_offset, method, degree=0):
     """Embed active-set values into the box and renormalize the scale."""
     m = np.asarray(active_values, dtype=np.float64)
-    lo = m.min() if len(m) else 0.0
-    if lo < 0.0:
-        if lo < -1e-10 * m.max():
-            raise SolverError(f"solver produced negative mass {lo:.3e}")
-        m = np.maximum(m, 0.0)
     peak = m.max() if len(m) else 0.0
     off = extra_offset
     if peak > 0.0:
@@ -194,50 +180,24 @@ def _normalized_field(domain, t, kappa, active_values, extra_offset, method):
         off = off + math.log(peak)
     full = np.zeros(domain.n_box)
     full[domain.active_mask()] = m
-    return MomentField(
-        domain=domain, t=float(t), kappa=float(kappa), mantissa=full, log_offset=float(off), method=method
-    )
+    return MomentField(domain, float(t), float(kappa), full, float(off), method, degree)
 
 
-def _solve_dense_eig(domain, kappa, t):
-    A = domain.operator_dense(kappa)
-    w, Q = np.linalg.eigh(A)
-    lam0 = w[-1]
-    weights = Q.sum(axis=0) * np.exp((w - lam0) * t)
-    m = Q @ weights
-    return m, lam0 * t
-
-
-def _solve_krylov(domain, kappa, t):
-    A = domain.operator_sparse(kappa)
-    c = float(domain.potential().max())
-    B = (A - c * scipy.sparse.identity(domain.n_active, format="csr")) * t
-    m = scipy.sparse.linalg.expm_multiply(B, np.ones(domain.n_active))
-    return m, c * t
-
-
-def _dense_is_cheaper(domain, kappa, t):
-    """True when a dense eigh beats expm_multiply on this box.
-
-    Dense cost grows like n^3 in the number n of active sites; the
-    Krylov action takes a number of steps proportional to 1 + t ||A||,
-    and ||A|| is bounded by the spread of v plus 4 d kappa.  _DENSE_COST
-    is the measured exchange rate between the two.
-    """
-    v = domain.potential()
-    spread = float(v.max() - v.min()) + 4.0 * domain.dim * kappa
-    return domain.n_active**3 <= _DENSE_COST * (1.0 + t * spread)
+def _box_stack(domain):
+    """(potentials, active mask) of a box as a (1, S, ..., S) stack, zero on hard cores."""
+    shape = (1,) + (domain.side,) * domain.dim
+    active = domain.active_mask()
+    v = np.zeros(domain.n_box)
+    v[active] = domain.potential()
+    return v.reshape(shape), active.reshape(shape)
 
 
 def solve_truncated(env, box, kappa, t):
     """Truncated moment field on a box with Dirichlet zero outside.
 
-    The route follows the estimated cost and cannot be chosen: a dense
-    symmetric eigendecomposition where _dense_is_cheaper holds, the
-    sparse Krylov action of the matrix exponential otherwise.  A dense
-    answer errs by about n eps times its peak at every site, so when its
-    smallest value is too far below the peak for a relative error of
-    _SITE_LOG_TOL there, the box is solved again by Krylov.
+    kappa > 0 runs the box through _solve_stack as a stack of one that
+    reads every site; the route follows the estimated cost and cannot
+    be chosen.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -251,12 +211,10 @@ def solve_truncated(env, box, kappa, t):
         v = domain.potential()
         peak = float(v.max())
         return _normalized_field(domain, t, kappa, np.exp((v - peak) * t), peak * t, "closed-form")
-    if _dense_is_cheaper(domain, kappa, t):
-        m, off = _solve_dense_eig(domain, kappa, t)
-        if m.min() >= m.max() * n * np.finfo(float).eps / _SITE_LOG_TOL:
-            return _normalized_field(domain, t, kappa, m, off, "dense-eig")
-    m, off = _solve_krylov(domain, kappa, t)
-    return _normalized_field(domain, t, kappa, m, off, "krylov-expm")
+    v, active = _box_stack(domain)
+    vals, off, degree, dense = _solve_stack(v, active, kappa, t, every_site=True)
+    method = "dense-eig" if dense[0] else "uniformization"
+    return _normalized_field(domain, t, kappa, vals[0][domain.active_mask()], off[0], method, int(degree[0]))
 
 
 def required_radius(kappa, t, tol, d=1):
@@ -284,26 +242,27 @@ def required_radius(kappa, t, tol, d=1):
 def solve_untruncated(env, x, kappa, t, tol=1e-8):
     """(mantissa, log_offset, radius_used) of m(x, t) on the full lattice.
 
-    Picks the radius from required_radius and solves the truncated
-    problem on the box around x; for kappa = 0 the answer e^{v(x) t} is
-    exact with radius 0.
+    Picks the radius from required_radius and solves the window around x
+    as a one-window stack that reads only x, so sites elsewhere in the
+    window may lie far below it.  For kappa = 0 the window is the one
+    site x and the answer e^{v(x) t} is exact.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    if kappa == 0.0 or t == 0.0:
-        idx = env.flat_index(x)
-        if env.hardcore[idx]:
-            return 0.0, 0.0, 0
-        v = float(env.v_plus[idx] - env.v_minus[idx])
-        return 1.0, v * t, 0
     R = required_radius(kappa, t, tol, env.dim)
     if int(np.abs(x).max()) + R > env.radius:
         raise SolverError(
             f"window radius {env.radius} too small: need radius {R} around {tuple(int(c) for c in x)}"
         )
-    box = BoxDomain(env, tuple(int(c) for c in x), R)
-    fld = solve_truncated(env, box, kappa, t)
-    man, off = fld.value_at(x)
-    return man, off, R
+    v, active = _box_stack(BoxDomain(env, tuple(int(c) for c in x), R))
+    log_m = float(log_center_moment_windows(v, kappa, t, hardcore=~active)[0])
+    if log_m == -math.inf:
+        return 0.0, 0.0, R
+    return 1.0, log_m, R
+
+
+def windows_per_call(n_sites):
+    """How many windows of n_sites sites one batched solve takes; see _STACK_SITES."""
+    return max(1, _STACK_SITES // n_sites)
 
 
 def _poisson_degree(lam):
@@ -329,129 +288,182 @@ def _poisson_degree(lam):
     return hi.astype(np.int64)
 
 
-def _uniformized_centers(v, active, kappa, t, vmin, c, degree):
-    """sum_{k <= K_b} Pois(k; c_b t) (P_b^k 1)(center) for each window b.
+def _uniformized_sums(v, active, kappa, t, vmin, c, degree, every_site):
+    """sum_{k <= K_b} Pois(k; c_b t) P_b^k 1 for each box b, at its center or every site.
 
     P_b = I + (A_b - v_max,b)/c_b is nonnegative and substochastic, with
-    diagonal (v - v_min)/c_b and off-diagonal kappa/c_b on the 3-point
-    stencil; both vanish on hard cores, so those sites stay at 0.  Rows
-    run in order of decreasing degree, so the windows still in the loop
-    at step k are a prefix of the stack.  The weights come from their
-    logarithms, so e^{-ct} cannot underflow.
+    diagonal (v - v_min)/c_b and kappa/c_b between lattice neighbors,
+    applied as a stencil over the d axes of a zero-padded array; both
+    vanish on hard cores, so those sites stay at 0.  Only the sites read
+    are accumulated.  Rows run in order of decreasing degree, so the
+    boxes still in the loop at step k are a prefix of the stack.  The
+    weights come from their logarithms, so e^{-ct} cannot underflow.
+    Returns shape (B, 1), or (B, S^d) if every_site.
     """
-    B, m = v.shape
+    B, shape = v.shape[0], v.shape[1:]
+    d = len(shape)
+    per_row = (B,) + (1,) * d
     order = np.argsort(-degree, kind="stable")
     v, active, vmin, c, degree = v[order], active[order], vmin[order], c[order], degree[order]
-    scale = np.where(c > 0.0, c, 1.0)[:, None]
-    diag = np.where(active, (v - vmin[:, None]) / scale, 0.0)
+    scale = np.where(c > 0.0, c, 1.0).reshape(per_row)
+    diag = np.where(active, (v - vmin.reshape(per_row)) / scale, 0.0)
     link = np.where(active, kappa / scale, 0.0)
     lam = c * t
     with np.errstate(divide="ignore"):
         log_lam = np.log(lam)
-    u = np.zeros((B, m + 2))
-    u[:, 1:-1] = active
+    inner = (slice(None),) + (slice(1, -1),) * d
+    shifts = [inner[: k + 1] + (s,) + inner[k + 2 :] for k in range(d) for s in (slice(None, -2), slice(2, None))]
+    read = inner if every_site else (slice(None),) + tuple(slice(1 + s // 2, 2 + s // 2) for s in shape)
+    u = np.zeros((B,) + tuple(s + 2 for s in shape))
+    u[inner] = active
     nxt = np.zeros_like(u)
-    tmp = np.empty((B, m))
-    center = 1 + m // 2
-    acc = np.exp(-lam) * u[:, center]
+    tmp = np.empty(v.shape)
+    acc = np.exp(-lam).reshape(per_row) * u[read]
     n_left = B - np.searchsorted(degree[::-1], np.arange(int(degree.max(initial=0)) + 1), side="left")
     for k in range(1, len(n_left)):
         n = n_left[k]
         cur, new = u[:n], nxt[:n]
-        np.add(cur[:, :-2], cur[:, 2:], out=new[:, 1:-1])
-        new[:, 1:-1] *= link[:n]
-        np.multiply(diag[:n], cur[:, 1:-1], out=tmp[:n])
-        new[:, 1:-1] += tmp[:n]
+        out = new[inner]
+        np.add(cur[shifts[0]], cur[shifts[1]], out=out)
+        for s in shifts[2:]:
+            out += cur[s]
+        out *= link[:n]
+        np.multiply(diag[:n], cur[inner], out=tmp[:n])
+        out += tmp[:n]
         u, nxt = nxt, u
-        acc[:n] += np.exp(k * log_lam[:n] - lam[:n] - gammaln(k + 1.0)) * u[:n, center]
-    out = np.empty(B)
+        weight = np.exp(k * log_lam[:n] - lam[:n] - gammaln(k + 1.0))
+        acc[:n] += weight.reshape((n,) + (1,) * d) * u[:n][read]
+    out = np.empty_like(acc)
     out[order] = acc
-    return out
+    return out.reshape(B, math.prod(acc.shape[1:]))
 
 
-def _dense_centers(v, active, kappa, t):
-    """(log m(center), accurate) for windows solved by batched eigh.
+def _grid_pairs(shape):
+    """Flat index pairs (i, j) of lattice neighbors in a C-ordered grid."""
+    grid = np.arange(math.prod(shape)).reshape(shape)
+    ends = [np.moveaxis(grid, k, 0) for k in range(len(shape))]
+    return np.concatenate([g[:-1].ravel() for g in ends]), np.concatenate([g[1:].ravel() for g in ends])
+
+
+def _dense_fields(v, active, kappa, t, every_site):
+    """(values, log offsets, accurate) for boxes solved by batched eigh.
 
     Hard cores are decoupled from their neighbors and given the lowest
     active diagonal entry, so they never set the top eigenvalue and the
     start vector, zero on them, keeps them out.  A dense answer errs by
-    about m eps times its row peak, so `accurate` is False where the
-    center lies too far below the peak for a relative error of
-    _SITE_LOG_TOL.
+    about n eps times its box's peak, so `accurate` is False where an
+    active site read lies too far below the peak for a relative error of
+    _SITE_LOG_TOL.  Values have shape (B, 1), or (B, S^d) if every_site.
     """
-    B, m = v.shape
-    idx = np.arange(m)
-    diag = v - 2.0 * kappa
+    B, shape, n = len(v), v.shape[1:], v[0].size
+    v, active = v.reshape(B, n), active.reshape(B, n)
+    diag = v - 2.0 * len(shape) * kappa
     floor = np.min(diag, axis=1, where=active, initial=np.inf)
-    A = np.zeros((B, m, m))
-    A[:, idx, idx] = np.where(active, diag, floor[:, None])
-    link = kappa * (active[:, :-1] & active[:, 1:])
-    A[:, idx[:-1], idx[1:]] = link
-    A[:, idx[1:], idx[:-1]] = link
+    A = np.zeros((B, n, n))
+    A.reshape(B, n * n)[:, :: n + 1] = np.where(active, diag, floor[:, None])
+    i, j = _grid_pairs(shape)
+    link = kappa * (active[:, i] & active[:, j])
+    A[:, i, j] = link
+    A[:, j, i] = link
     w, Q = np.linalg.eigh(A)
     lam0 = w[:, -1]
     weights = np.einsum("bik,bi->bk", Q, active) * np.exp((w - lam0[:, None]) * t)
     field = np.einsum("bik,bk->bi", Q, weights)
-    mc = field[:, m // 2]
-    accurate = mc >= field.max(axis=1) * m * np.finfo(float).eps / _SITE_LOG_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(mc) + lam0 * t, accurate
+    cut = field.max(axis=1, keepdims=True) * n * np.finfo(float).eps / _SITE_LOG_TOL
+    if not every_site:
+        field, active = field[:, [n // 2]], active[:, [n // 2]]
+    accurate = np.all((field >= cut) | ~active, axis=1)
+    return np.where(active, field, 0.0), lam0 * t, accurate
 
 
-def log_center_moment_windows_1d(v_windows, kappa, t, hardcore=None):
-    """log m(center, t) for a stack of 1-d Dirichlet windows, by uniformization.
+def _dense_route(n, degree, n_rows):
+    """True where batched eigh is cheaper than uniformization for a box of n sites.
 
-    v_windows has shape (B, m); hardcore, if given, is a boolean mask of
-    the same shape whose sites are killed (their potentials are
-    ignored).  A window whose center is a hard core gives -inf.  Each
-    window b is solved as e^{t v_max} sum_k Pois(k; c_b t) P_b^k 1 with
-    c_b = 2 kappa + max v - min v over its active sites, truncated at
+    In one unit, eigh costs about n^2 (n + _EIGH_SMALL) per box, the
+    n^2 term being its overhead on small matrices.  Uniformization costs
+    K_b (_STEP_PER_SITE n + _STEP_FIXED / n_rows) per box: each of its
+    K_b steps does work per site plus a fixed amount that the n_rows
+    boxes of the stack share.  The constants were fitted to timings of
+    both routes.
+    """
+    return n * n * (n + _EIGH_SMALL) <= degree * (_STEP_PER_SITE * n + _STEP_FIXED / n_rows)
+
+
+def _solve_stack(v, active, kappa, t, every_site):
+    """m(., t) on each box of a (B, S, ..., S) stack with Dirichlet zero outside.
+
+    v holds finite potentials on the active sites and is ignored on the
+    rest.  Box b is e^{t v_max} sum_k Pois(k; c_b t) P_b^k 1 with
+    c_b = 2 d kappa + max v - min v over its active sites, truncated at
     its own degree K_b (_poisson_degree).  P_b^k 1 does not increase in
-    k, so the truncation errs by at most _POISSON_TAIL relative to the
-    center's own value, and the sum has no cancellation.
+    k, so the truncation errs by at most _POISSON_TAIL relative to each
+    site's own value, and the sum has no cancellation.  Boxes where
+    _dense_route holds go to batched eigh instead; a dense answer that
+    fails its accuracy check is summed by uniformization.
 
-    The loop costs K_b m per window and a batched eigh m^3, so windows
-    with K_b > _DENSE_FIT m^2 go dense (wide-spread frechet windows
-    reach c t ~ 1e5); a dense center too far below its row peak is
-    solved again by uniformization.  Returns shape (B,) of log values.
+    Reads the center of each box, or every site if every_site.  Returns
+    (values, log offsets, degrees, dense): m = values * e^offset, of
+    shape (B, 1) or (B, S^d); the degree is 0 where dense answered.
+    """
+    B, n, axes = len(v), math.prod(v.shape[1:]), tuple(range(1, v.ndim))
+    v = np.where(active, v, 0.0)
+    vmax = np.max(v, axis=axes, where=active, initial=-np.inf)
+    vmin = np.min(v, axis=axes, where=active, initial=np.inf)
+    c = 2.0 * len(axes) * kappa + vmax - vmin
+    degree = _poisson_degree(c * t)
+    vals = np.empty((B, n if every_site else 1))
+    off = t * vmax
+    dense = np.zeros(B, dtype=bool)
+    rows = np.nonzero(_dense_route(n, degree, max(B, 1)))[0]
+    step = max(1, _DENSE_ENTRIES // (n * n))
+    for s in range(0, len(rows), step):
+        part = rows[s : s + step]
+        field, lam0t, accurate = _dense_fields(v[part], active[part], kappa, t, every_site)
+        part = part[accurate]
+        vals[part], off[part], dense[part] = field[accurate], lam0t[accurate], True
+    rest = np.nonzero(~dense)[0]
+    vals[rest] = _uniformized_sums(v[rest], active[rest], kappa, t, vmin[rest], c[rest], degree[rest], every_site)
+    low = np.min(vals, where=active.reshape(B, n)[:, slice(None) if every_site else [n // 2]], initial=np.inf)
+    if low < np.finfo(float).tiny:
+        raise SolverError(f"a site lies below e^-708 of e^(t v_max): value {low:.3e}")
+    return vals, off, np.where(dense, 0, degree), dense
+
+
+def log_center_moment_windows(v_windows, kappa, t, hardcore=None):
+    """log m(center, t) for a stack of Dirichlet windows in any dimension.
+
+    v_windows has shape (B, S, ..., S) with S odd, and d = v_windows.ndim
+    - 1; hardcore, if given, is a boolean mask of the same shape whose
+    sites are killed (their potentials are ignored).  A window whose
+    center is a hard core gives -inf.  The windows are solved by
+    _solve_stack in stacks of windows_per_call.  Returns shape (B,) of
+    log values.
     """
     v = np.asarray(v_windows, dtype=np.float64)
-    B, m = v.shape
-    active = np.ones((B, m), dtype=bool) if hardcore is None else ~np.asarray(hardcore, dtype=bool)
+    if v.ndim < 2 or any(s != v.shape[1] or s % 2 == 0 for s in v.shape[1:]):
+        raise ValueError("windows must be cubes of odd side, stacked along axis 0")
+    active = np.ones(v.shape, dtype=bool) if hardcore is None else ~np.asarray(hardcore, dtype=bool)
     if active.shape != v.shape:
         raise ValueError("hardcore mask must have the shape of the potentials")
     if not np.all(np.isfinite(v[active])):
-        raise SolverError("batched 1-d path needs finite potentials on active sites")
-    out = np.full(B, -np.inf)
-    rows = np.nonzero(active[:, m // 2])[0]
-    v, active = np.where(active, v, 0.0)[rows], active[rows]
-    vmax = np.max(v, axis=1, where=active, initial=-np.inf)
-    vmin = np.min(v, axis=1, where=active, initial=np.inf)
-    c = 2.0 * kappa + vmax - vmin
-    degree = _poisson_degree(c * t)
-    dense = np.nonzero(degree > _DENSE_FIT * m * m)[0]
-    redo = np.ones(len(rows), dtype=bool)
-    step = max(1, _DENSE_ENTRIES // (m * m))
-    for s in range(0, len(dense), step):
-        part = dense[s : s + step]
-        logs, accurate = _dense_centers(v[part], active[part], kappa, t)
-        out[rows[part[accurate]]] = logs[accurate]
-        redo[part[accurate]] = False
-    redo = np.nonzero(redo)[0]
-    sums = _uniformized_centers(v[redo], active[redo], kappa, t, vmin[redo], c[redo], degree[redo])
-    if np.any(sums < np.finfo(float).tiny):
-        raise SolverError(f"window center below e^-708 of e^(t v_max): sum {sums.min():.3e}")
-    out[rows[redo]] = np.log(sums) + t * vmax[redo]
+        raise SolverError("windows need finite potentials on active sites")
+    out = np.full(len(v), -np.inf)
+    rows = np.nonzero(active[(slice(None),) + tuple(s // 2 for s in v.shape[1:])])[0]
+    step = windows_per_call(v[0].size)
+    for s in range(0, len(rows), step):
+        part = rows[s : s + step]
+        vals, off, _, _ = _solve_stack(v[part], active[part], kappa, t, every_site=False)
+        out[part] = np.log(vals[:, 0]) + off
     return out
 
 
 def empirical_average(env, L, kappa, t, tol=1e-8):
     """Box average m^L = |Λ_L|^-1 Σ_{|x| <= L} m(x, t) as (mantissa, log_offset).
 
-    Hard-core sites contribute zero.  For kappa > 0 in one dimension the
-    per-site windows of radius required_radius slide over the sample
-    and go into one log_center_moment_windows_1d call, hard cores
-    masked; in higher dimensions sites are solved one by one.
+    Hard-core sites contribute zero.  For kappa > 0 the per-site windows
+    of radius required_radius slide over the sample along all d axes and
+    are gathered windows_per_call at a time into log_center_moment_windows
+    calls, hard cores masked.
     """
     L = int(L)
     if L < 0:
@@ -467,21 +479,18 @@ def empirical_average(env, L, kappa, t, tol=1e-8):
     R = required_radius(kappa, t, tol, env.dim)
     if L + R > env.radius:
         raise SolverError(f"window radius {env.radius} too small: need {L + R}")
-    if env.dim == 1:
-        span = slice(env.radius - L - R, env.radius + L + R + 1)
-        windows = np.lib.stride_tricks.sliding_window_view
-        v = (env.v_plus - env.v_minus)[span]
-        hard = env.hardcore[span]
-        logs = log_center_moment_windows_1d(windows(v, 2 * R + 1), kappa, t, hardcore=windows(hard, 2 * R + 1))
-    else:
-        logs = []
-        for coord in window_coords(env.dim, L):
-            if env.hardcore[env.flat_index(coord)]:
-                continue
-            man, off, _ = solve_untruncated(env, coord, kappa, t, tol=tol)
-            if man > 0:
-                logs.append(math.log(man) + off)
-    total = float(logsumexp(logs)) if len(logs) else -math.inf
+    grid = (2 * env.radius + 1,) * env.dim
+    span = (slice(env.radius - L - R, env.radius + L + R + 1),) * env.dim
+    side = (2 * R + 1,) * env.dim
+    windows = np.lib.stride_tricks.sliding_window_view
+    v = windows((env.v_plus - env.v_minus).reshape(grid)[span], side)
+    hard = windows(env.hardcore.reshape(grid)[span], side)
+    logs = np.empty(n_box)
+    step = windows_per_call(math.prod(side))
+    for s in range(0, n_box, step):
+        at = np.unravel_index(np.arange(s, min(s + step, n_box)), v.shape[: env.dim])
+        logs[s : s + step] = log_center_moment_windows(v[at], kappa, t, hardcore=hard[at])
+    total = float(logsumexp(logs))
     if total == -math.inf:
         return 0.0, 0.0
     return 1.0, total - math.log(n_box)

@@ -99,9 +99,20 @@ def test_solve_and_fk_smoke(tmp_path):
     assert len(lines) == 1 + 11
     with open(tmp_path / "a" / "summary.json") as fh:
         results = json.load(fh)["results"]
-    assert results["n_active"] == 11 and results["method"] == "dense-eig"
+    assert results["n_active"] == 11 and results["method"] == "dense-eig" and results["degree"] == 0
     center = [ln for ln in lines[1:] if ln.startswith("0,")][0]
     assert np.isfinite(float(center.split(",")[2]))
+
+    # a 101-site box goes to uniformization, which reports its Poisson degree
+    argv = ["solve", "family=weibull", "rho=2", "radius=50", "box_radius=50", "kappa=1", "t=1.5", "seed=4"]
+    solutions = []
+    for name in ("u1", "u2"):
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        solutions.append(read_bytes(tmp_path / name / "solution.csv"))
+        with open(tmp_path / name / "summary.json") as fh:
+            results = json.load(fh)["results"]
+        assert results["method"] == "uniformization" and results["degree"] > 0
+    assert solutions[0] == solutions[1]
 
     rc = main(
         [

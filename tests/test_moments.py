@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pamlab.analytics import cumulant_H, cumulant_exponent_G
-from pamlab.environments import TailFamily
+from pamlab.environments import TailFamily, sample_environment
 from pamlab.moments import (
     PartitionError,
+    _replica_log_moments,
     block_variance,
     build_partitions,
     correlation_profile,
@@ -15,6 +16,23 @@ from pamlab.moments import (
     strip_fraction,
     strip_fraction_bound,
 )
+from pamlab.seeding import derive_seed
+from pamlab.solver import BoxDomain, required_radius, solve_truncated
+
+
+@pytest.mark.parametrize("family", [TailFamily.weibull(2.0), TailFamily.hard_core(0.3)])
+def test_two_dim_replica_windows_match_per_site_solves(family):
+    # the stacked d = 2 windows against one whole-box solve per replica
+    kappa, t, tol, seed = 1.0, 1.0, 1e-6, 17
+    got = _replica_log_moments(family, kappa, t, 8, seed, dim=2, tol=tol)
+    R = required_radius(kappa, t, tol, 2)
+    for i in range(8):
+        env = sample_environment(family, 2, R, derive_seed(seed, "env", i))
+        man, off = solve_truncated(env, BoxDomain(env, (0, 0), R), kappa, t).value_at((0, 0))
+        if man == 0.0:
+            assert got[i] == -math.inf
+        else:
+            assert abs(got[i] - (math.log(man) + off)) <= 1e-10, i
 
 
 def test_kappa_zero_h1_recovers_cumulant():

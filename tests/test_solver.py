@@ -6,21 +6,23 @@ import pytest
 import scipy.linalg
 
 from helpers import make_env, make_env_1d, padded_with_hardcore
-from pamlab.environments import TailFamily, sample_environment
+from pamlab import solver
+from pamlab.environments import TailFamily, sample_environment, window_coords
 from pamlab.solver import (
-    _DENSE_FIT,
     BoxDomain,
     SolverError,
-    _dense_centers,
+    _box_stack,
+    _dense_fields,
+    _dense_route,
     _normalized_field,
     _poisson_degree,
-    _solve_dense_eig,
-    _solve_krylov,
+    _uniformized_sums,
     empirical_average,
-    log_center_moment_windows_1d,
+    log_center_moment_windows,
     required_radius,
     solve_truncated,
     solve_untruncated,
+    windows_per_call,
 )
 
 
@@ -42,11 +44,18 @@ def field_values(fld):
     return fld.mantissa * np.exp(fld.log_offset)
 
 
-def dense_and_krylov(box, kappa, t):
-    """The same solve by both routes, each route function called directly."""
+def dense_and_uniformized(box, kappa, t):
+    """The same solve by both routes of the kernel, each route function called directly."""
+    v, active = _box_stack(box)
+    vmax, vmin = v[active].max(), v[active].min()
+    c = np.array([2.0 * box.dim * kappa + vmax - vmin])
+    degree = _poisson_degree(c * t)
+    dense, lam0t, _ = _dense_fields(v, active, kappa, t, True)
+    summed = _uniformized_sums(v, active, kappa, t, np.array([vmin]), c, degree, True)
+    keep = box.active_mask()
     return {
-        name: _normalized_field(box, t, kappa, *solve(box, kappa, t), name)
-        for name, solve in (("dense-eig", _solve_dense_eig), ("krylov-expm", _solve_krylov))
+        "dense-eig": _normalized_field(box, t, kappa, dense[0][keep], lam0t[0], "dense-eig"),
+        "uniformization": _normalized_field(box, t, kappa, summed[0][keep], t * vmax, "uniformization"),
     }
 
 
@@ -85,7 +94,7 @@ def test_three_site_matches_expm_oracle():
     v = [0.4, -0.3, 1.1]
     env = make_env_1d(v)
     expected = expm_oracle(v, kappa=0.7, t=1.3)
-    for method, fld in dense_and_krylov(BoxDomain(env, (0,), 1), 0.7, 1.3).items():
+    for method, fld in dense_and_uniformized(BoxDomain(env, (0,), 1), 0.7, 1.3).items():
         got = field_values(fld)
         assert np.allclose(got, expected, rtol=1e-8), method
 
@@ -99,9 +108,9 @@ def test_methods_agree_on_random_instances():
         t = float(rng.uniform(0.2, 3.0))
         kappa = float(rng.uniform(0.1, 2.0))
         box = BoxDomain(env, (0,), radius)
-        routes = dense_and_krylov(box, kappa, t)
+        routes = dense_and_uniformized(box, kappa, t)
         ra = routes["dense-eig"].log_values()
-        rb = routes["krylov-expm"].log_values()
+        rb = routes["uniformization"].log_values()
         keep = ra > ra.max() - 25
         assert np.allclose(ra[keep], rb[keep], atol=1e-7), trial
 
@@ -110,19 +119,19 @@ def test_methods_agree_in_two_dimensions():
     rng = np.random.default_rng(11)
     v = rng.normal(0.0, 1.0, size=(7, 7))
     env = make_env(v)
-    routes = dense_and_krylov(BoxDomain(env, (0, 0), 3), 0.8, 1.0)
-    assert np.allclose(routes["dense-eig"].log_values(), routes["krylov-expm"].log_values(), atol=1e-7)
+    routes = dense_and_uniformized(BoxDomain(env, (0, 0), 3), 0.8, 1.0)
+    assert np.allclose(routes["dense-eig"].log_values(), routes["uniformization"].log_values(), atol=1e-7)
 
 
 @pytest.mark.parametrize(
     "family, dim, radius, kappa, t, routes",
     [
-        (TailFamily.weibull(2.0), 1, 10, 1.0, 2.0, ("dense-eig", "krylov-expm")),
-        (TailFamily.hard_core(0.3), 1, 12, 1.0, 2.0, ("dense-eig", "krylov-expm")),
-        (TailFamily.double_exp(1.0), 2, 2, 0.7, 1.5, ("dense-eig", "krylov-expm")),
-        # log m spans more than 30 over this box; only Krylov is checked,
+        (TailFamily.weibull(2.0), 1, 10, 1.0, 2.0, ("dense-eig", "uniformization")),
+        (TailFamily.hard_core(0.3), 1, 12, 1.0, 2.0, ("dense-eig", "uniformization")),
+        (TailFamily.double_exp(1.0), 2, 2, 0.7, 1.5, ("dense-eig", "uniformization")),
+        # log m spans more than 30 over this box; only uniformization is checked,
         # the dense route's per-site error here is far above 1e-8
-        (TailFamily.weibull(2.0), 1, 20, 0.02, 40.0, ("krylov-expm",)),
+        (TailFamily.weibull(2.0), 1, 20, 0.02, 40.0, ("uniformization",)),
     ],
 )
 def test_routes_match_mpmath_oracle_per_site(family, dim, radius, kappa, t, routes):
@@ -130,11 +139,11 @@ def test_routes_match_mpmath_oracle_per_site(family, dim, radius, kappa, t, rout
     box = BoxDomain(env, (0,) * dim, radius)
     assert np.array_equal(box.box_coords(), env.coords())
     ref, active = mpmath_log_field(env, kappa, t)
-    if routes == ("krylov-expm",):
+    if routes == ("uniformization",):
         assert ref.max() - ref.min() >= 30.0
     if family.kind == "hard_core":
         assert not active.all()
-    fields = dense_and_krylov(box, kappa, t)
+    fields = dense_and_uniformized(box, kappa, t)
     for name in routes:
         got = fields[name].log_values()
         assert np.all(np.isneginf(got[~active])), name
@@ -149,7 +158,7 @@ def test_wide_small_box_matches_mpmath_oracle(seed):
     env = sample_environment(TailFamily.weibull(2.0), 1, 20, seed=seed)
     fld = solve_truncated(env, BoxDomain(env, (0,), 20), 0.02, 40.0)
     ref, _ = mpmath_log_field(env, 0.02, 40.0)
-    assert fld.method == "krylov-expm"
+    assert fld.method == "uniformization"
     err = float(np.abs(fld.log_values() - ref).max())
     assert err <= 1e-8, err
 
@@ -157,8 +166,8 @@ def test_wide_small_box_matches_mpmath_oracle(seed):
 @pytest.mark.parametrize(
     "family, dim, radius, method",
     [
-        (TailFamily.weibull(2.0), 1, 500, "krylov-expm"),
-        (TailFamily.weibull(2.0), 2, 20, "krylov-expm"),
+        (TailFamily.weibull(2.0), 1, 500, "uniformization"),
+        (TailFamily.weibull(2.0), 2, 20, "uniformization"),
         (TailFamily.frechet(1.0), 1, 6, "dense-eig"),
         (TailFamily.hard_core(0.2), 1, 25, "dense-eig"),
     ],
@@ -209,7 +218,7 @@ def test_time_zero_is_indicator_of_active_set():
 def test_mantissa_normalization_and_positivity():
     rng = np.random.default_rng(5)
     env = make_env_1d(rng.normal(0, 2, size=41))
-    for fld in dense_and_krylov(BoxDomain(env, (0,), 20), 1.0, 2.0).values():
+    for fld in dense_and_uniformized(BoxDomain(env, (0,), 20), 1.0, 2.0).values():
         assert fld.mantissa.min() >= 0.0
         assert fld.mantissa.max() == 1.0
 
@@ -275,6 +284,25 @@ def test_untruncated_reports_radius_and_window_shortfall():
     assert man > 0
 
 
+def test_untruncated_reads_only_its_site():
+    # a peak of 2000 at site 47 puts the window's far end near e^-737 of
+    # e^(t v_max), below what a double can hold, while site 0 sits near
+    # e^-370; the whole-box solve fails, the one-site read does not
+    v = np.zeros(99)
+    v[49 + 47] = 2000.0
+    env = make_env_1d(v)
+    with pytest.raises(SolverError):
+        solve_truncated(env, BoxDomain(env, (0,), 49), 1.0, 8.0)
+    man, off, used = solve_untruncated(env, (0,), 1.0, 8.0)
+    assert used == 49 and man > 0
+    # a box [-21, 49] drops the far end; paths from 0 that reach -21 and
+    # come back to the peak weigh about e^-300 of m(0), so m(0) agrees
+    near = solve_truncated(env, BoxDomain(env, (14,), 35), 1.0, 8.0)
+    m2, o2 = near.value_at((0,))
+    assert abs(math.log(man) + off - (math.log(m2) + o2)) < 1e-10
+    assert math.log(man) + off < 16000.0 - 300.0
+
+
 def test_untruncated_kappa_zero_and_hardcore():
     hard = np.zeros(5, dtype=bool)
     hard[2] = True
@@ -317,30 +345,52 @@ def test_value_at_outside_box_raises():
 
 
 def test_batched_windows_match_per_site_solves():
+    # the reference is scipy's expm of BoxDomain.operator_dense, which is
+    # built from neighbor pairs and shares no code with the kernel's stencil
     rng = np.random.default_rng(41)
-    windows = rng.normal(0, 1, size=(6, 11))
-    got = log_center_moment_windows_1d(windows, 0.8, 1.4)
-    for i in range(6):
-        env = make_env_1d(windows[i])
-        fld = solve_truncated(env, BoxDomain(env, (0,), 5), 0.8, 1.4)
-        man, off = fld.value_at((0,))
-        assert np.isclose(got[i], math.log(man) + off, atol=1e-10)
+    for dim, side in ((1, 11), (2, 5)):
+        windows = rng.normal(0, 1, size=(60,) + (side,) * dim)
+        got = log_center_moment_windows(windows, 0.8, 1.4)
+        assert not _dense_routed(windows, np.zeros(windows.shape, dtype=bool), 0.8, 1.4).all()
+        for i in range(len(windows)):
+            box = BoxDomain(make_env(windows[i]), (0,) * dim, side // 2)
+            m = scipy.linalg.expm(1.4 * box.operator_dense(0.8)) @ np.ones(box.n_active)
+            assert np.isclose(got[i], math.log(m[box.n_active // 2]), atol=1e-10), (dim, i)
 
 
-def _window_stack(family, seeds, radius=5):
-    envs = [sample_environment(family, 1, radius, seed=s) for s in seeds]
-    return np.stack([e.v_plus - e.v_minus for e in envs]), np.stack([e.hardcore for e in envs])
+def test_split_stack_matches_one_stack(monkeypatch):
+    # a stack split into many calls gives the logs of one call, bit for bit
+    for dim, radius in ((1, 30), (2, 4)):
+        v, hard = _window_stack(TailFamily.hard_core(0.3), range(40), radius=radius, dim=dim)
+        whole = log_center_moment_windows(v, 1.0, 1.0, hardcore=hard)
+        monkeypatch.setattr(solver, "_STACK_SITES", 3 * v[0].size)
+        assert windows_per_call(v[0].size) == 3
+        np.testing.assert_array_equal(log_center_moment_windows(v, 1.0, 1.0, hardcore=hard), whole)
+        monkeypatch.undo()
+        assert np.isinf(whole).any() and np.isfinite(whole).sum() > 20
+
+
+def _window_stack(family, seeds, radius=5, dim=1):
+    side = (2 * radius + 1,) * dim
+    envs = [sample_environment(family, dim, radius, seed=s) for s in seeds]
+    return np.stack([(e.v_plus - e.v_minus).reshape(side) for e in envs]), np.stack(
+        [e.hardcore.reshape(side) for e in envs]
+    )
 
 
 def _dense_routed(v, hard, kappa, t):
+    """Per window, whether the kernel's cost rule sends it to dense eigh."""
     act = ~hard
+    axes = tuple(range(1, v.ndim))
     v = np.where(act, v, 0.0)
-    spread = np.max(v, axis=1, where=act, initial=-np.inf) - np.min(v, axis=1, where=act, initial=np.inf)
-    return _poisson_degree((2.0 * kappa + spread) * t) > _DENSE_FIT * v.shape[1] ** 2
+    spread = np.max(v, axis=axes, where=act, initial=-np.inf) - np.min(v, axis=axes, where=act, initial=np.inf)
+    degree = _poisson_degree((2.0 * len(axes) * kappa + spread) * t)
+    n_rows = int(act.reshape(len(v), -1)[:, v[0].size // 2].sum())
+    return _dense_route(v[0].size, degree, n_rows)
 
 
 def test_window_kernel_matches_mpmath_oracle():
-    hc_v, hc_hard = _window_stack(TailFamily.hard_core(0.3), range(1, 9))
+    hc_v, hc_hard = _window_stack(TailFamily.hard_core(0.3), range(1, 69))
     # a wide spread across hard cores sends this window to the dense route
     wide = np.zeros(11)
     wide[2] = 25.0
@@ -351,29 +401,42 @@ def test_window_kernel_matches_mpmath_oracle():
     # 35.04), so the kernel must solve it again by uniformization
     deep = np.zeros((1, 11))
     deep[0, -1] = 40.0
+    # stacks are large enough for the cost rule to pick uniformization;
+    # the oracle checks the rows listed in `checked` (all rows otherwise)
     cases = {
-        "weibull": (*_window_stack(TailFamily.weibull(2.0), range(1, 7)), 1.0, 1.5),
+        "weibull": (*_window_stack(TailFamily.weibull(2.0), range(1, 61)), 1.0, 1.5),
         "hard_core": (np.vstack([hc_v, wide]), np.vstack([hc_hard, wide_hard]), 1.0, 2.0),
         "frechet": (*_window_stack(TailFamily.frechet(1.0), range(1, 13)), 1.0, 2.0),
         "deep": (deep, np.zeros((1, 11), dtype=bool), 0.005, 2.0),
+        "weibull_2d": (*_window_stack(TailFamily.weibull(2.0), range(1, 21), 2, 2), 1.0, 1.5),
+        "hard_core_2d": (*_window_stack(TailFamily.hard_core(0.3), range(1, 31), 2, 2), 1.0, 2.0),
+        "frechet_2d": (*_window_stack(TailFamily.frechet(1.0), [10], 2, 2), 1.0, 2.0),
+        "weibull_3d": (*_window_stack(TailFamily.weibull(2.0), range(1, 21), 1, 3), 1.0, 1.5),
     }
+    checked = {"weibull": range(6), "hard_core": [*range(8), -1], "weibull_2d": range(3), "hard_core_2d": range(4)}
+    checked["weibull_3d"] = range(1)
     for name, (v, hard, kappa, t) in cases.items():
-        got = log_center_moment_windows_1d(v, kappa, t, hardcore=hard)
-        c = v.shape[1] // 2
-        for row in range(len(v)):
-            if hard[row, c]:
+        got = log_center_moment_windows(v, kappa, t, hardcore=hard)
+        flat = hard.reshape(len(v), -1)
+        c = flat.shape[1] // 2
+        for row in checked.get(name, range(len(v))):
+            if flat[row, c]:
                 assert got[row] == -math.inf, name
                 continue
-            ref, active = mpmath_log_field(make_env_1d(v[row], hardcore=hard[row]), kappa, t)
+            ref, active = mpmath_log_field(make_env(v[row], hardcore=hard[row]), kappa, t)
             ref_c = ref[int(active[:c].sum())]
             assert abs(got[row] - ref_c) <= 1e-10, (name, row, got[row], ref_c)
             if name == "deep":
                 assert ref.max() - ref_c > 40.0
     routed = {name: _dense_routed(v, hard, kappa, t) for name, (v, hard, kappa, t) in cases.items()}
-    assert not routed["weibull"].any()
-    assert cases["hard_core"][1][:, 5].sum() >= 2 and routed["hard_core"][-1]
-    assert routed["frechet"].all()
-    assert routed["deep"].all() and not _dense_centers(deep, ~cases["deep"][1], 0.005, 2.0)[1][0]
+    for name in ("weibull", "weibull_2d", "hard_core_2d", "weibull_3d"):
+        assert not routed[name].any(), name
+    assert hc_hard[:8, 5].sum() >= 2 and not routed["hard_core"][:8].any() and routed["hard_core"][-1]
+    assert cases["hard_core_2d"][1][:4, 2, 2].any()
+    assert routed["frechet"].all() and routed["frechet_2d"].all()
+    v2, hard2 = cases["frechet_2d"][:2]
+    assert _dense_fields(v2, ~hard2, 1.0, 2.0, False)[2][0]
+    assert routed["deep"].all() and not _dense_fields(deep, ~cases["deep"][1], 0.005, 2.0, False)[2][0]
 
 
 def test_empirical_average_kappa_zero():
@@ -385,15 +448,20 @@ def test_empirical_average_kappa_zero():
 
 
 def test_empirical_average_batched_matches_loop():
-    fam = TailFamily.weibull(2.0)
-    env = sample_environment(fam, 1, 40, seed=99)
-    man, off = empirical_average(env, 3, kappa=1.0, t=1.0, tol=1e-6)
-    logs = []
-    for x in range(-3, 4):
-        m, o, _ = solve_untruncated(env, (x,), 1.0, 1.0, tol=1e-6)
-        logs.append(math.log(m) + o)
-    expected = math.log(np.mean(np.exp(np.array(logs) - max(logs)))) + max(logs)
-    assert np.isclose(math.log(man) + off, expected, atol=1e-10)
+    # the d = 2 environment has hard cores inside the averaged box
+    for family, dim, radius, L in ((TailFamily.weibull(2.0), 1, 40, 3), (TailFamily.hard_core(0.3), 2, 19, 2)):
+        env = sample_environment(family, dim, radius, seed=99)
+        man, off = empirical_average(env, L, kappa=1.0, t=1.0, tol=1e-6)
+        coords = window_coords(dim, L)
+        hard = env.hardcore[env.flat_index(coords)]
+        assert hard.any() == (dim == 2)
+        R = required_radius(1.0, 1.0, 1e-6, dim)
+        logs = []
+        for x in coords[~hard]:
+            m, o = solve_truncated(env, BoxDomain(env, x, R), 1.0, 1.0).value_at(x)
+            logs.append(math.log(m) + o)
+        expected = math.log(np.exp(np.array(logs) - max(logs)).sum() / len(coords)) + max(logs)
+        assert np.isclose(math.log(man) + off, expected, atol=1e-10), dim
 
 
 def test_empirical_average_with_hardcore_sites():
@@ -404,3 +472,6 @@ def test_empirical_average_with_hardcore_sites():
     assert math.isfinite(off)
     # survival costs mass, so the averaged moment sits below 1
     assert math.log(man) + off < 0.0
+    # a box that is one hard-core site leaves no window to solve
+    lone = make_env_1d(np.zeros(41), hardcore=np.arange(41) == 20)
+    assert empirical_average(lone, 0, kappa=0.5, t=1.0, tol=1e-4) == (0.0, 0.0)
