@@ -381,7 +381,8 @@ def cmd_fk(cfg):
             "stderr_log": est.stderr_log,
         }
     ]
-    return [("fk.csv", cols, rows)], True, {"all_killed": est.all_killed}
+    extra = {"all_killed": est.all_killed, "n_killed": est.n_killed, "kill_fraction": est.n_killed / est.n_paths}
+    return [("fk.csv", cols, rows)], True, extra
 
 
 def cmd_particles(cfg):

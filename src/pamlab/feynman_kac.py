@@ -5,6 +5,21 @@ killed on leaving the box or touching a hard-core site; each surviving
 path carries weight exp(integral of v along the path).  Averaging those
 weights reproduces the lattice moment solved by the direct PDE route,
 which is exactly what the agreement tests check.
+
+Stream contract: paths run in chunks of _CHUNK = 8192, chunk ci with its
+own generator(derive_seed(seed, "fk", ci)).  Each step draws n holding
+times (standard exponentials scaled by 1 / rate) and then n directions
+integers(0, 2 d), one of each for every path of the chunk whether it is
+alive or not, until every clock has passed t or no live path has time
+left.  So the numbers a path reads do not depend on the box: runs with
+the same seed and different boxes follow the same trajectories, and a
+larger box can only save paths.
+
+Each path's state is one flat index into a killing grid built once per
+call: the killing box padded by one layer, holding v on live box sites
+and 0 elsewhere plus a mask of live sites.  Direction k adds the stride
+of axis k >> 1, negated for odd k; a path that lands off the mask (a
+hard core, or the padding just outside the box) is killed.
 """
 
 import math
@@ -42,75 +57,88 @@ def _kill_bounds(env, box):
     return np.asarray(box.center, dtype=np.int64), box.radius
 
 
-def _chunk_log_weights(env, x, kappa, t, n, rng, center, radius):
-    """Log path weights for one chunk; killed paths come back as -inf."""
-    d = env.dim
-    rate = 2.0 * d * kappa
-    v = env.v_plus - env.v_minus
-    hard = env.hardcore
-    pos = np.tile(x, (n, 1))
+def _killing_grid(env, center, radius):
+    """(pot, ok, steps) on the killing box padded by one layer, flat in C order.
+
+    pot is v on live box sites and 0 elsewhere; ok is True on box sites
+    that are not hard cores.  steps[k] is the flat offset of direction k:
+    the stride of axis k >> 1, negated for odd k.
+    """
+    shape = (env.side,) * env.dim
+    box = tuple(slice(c - radius + env.radius, c + radius + env.radius + 1) for c in center)
+    ok = np.pad(~env.hardcore.reshape(shape)[box], 1)
+    pot = np.where(ok, np.pad((env.v_plus - env.v_minus).reshape(shape)[box], 1), 0.0)
+    strides = (2 * radius + 3) ** np.arange(env.dim - 1, -1, -1, dtype=np.int64)
+    steps = np.stack([strides, -strides], axis=1).ravel()
+    return pot.ravel(), ok.ravel(), steps
+
+
+def _chunk_log_weights(pot, ok, steps, start, rate, t, n, rng):
+    """Log weights of n paths from grid index start; killed paths come back as -inf.
+
+    Every step is a full-width operation on all n paths.  A closed path
+    dwells 0 and a dead one sits on pot = 0 without moving, so both add
+    +0.0 to their log weight, which leaves it unchanged bit for bit.
+    """
+    scale = 1.0 / rate
+    pos = np.full(n, start, dtype=np.int64)
+    alive = np.full(n, ok[start])
     logw = np.zeros(n)
     t_now = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    if hard[env.flat_index(x)]:
-        return np.full(n, -math.inf)
+    live = np.empty(n, dtype=bool)
     while True:
-        open_ = t_now < t
-        if not open_.any():
+        np.less(t_now, t, out=live)
+        live &= alive
+        if not live.any():
             break
-        dt = rng.exponential(1.0 / rate, size=n)
-        dirs = rng.integers(0, 2 * d, size=n)
-        act = open_ & alive
-        if not act.any():
-            break
-        dwell = np.minimum(dt[act], t - t_now[act])
-        logw[act] += v[env.flat_index(pos[act])] * dwell
-        t_now[open_] += dt[open_]
-        jump = act & (t_now < t)
-        if jump.any():
-            axes = (dirs[jump] >> 1).astype(np.int64)
-            signs = 1 - 2 * (dirs[jump] & 1)
-            moved = pos[jump]
-            moved[np.arange(len(axes)), axes] += signs
-            pos[jump] = moved
-            out = np.abs(moved - center).max(axis=1) > radius
-            dead = out.copy()
-            inside = ~out
-            if inside.any():
-                dead[inside] = hard[env.flat_index(moved[inside])]
-            idx = np.nonzero(jump)[0][dead]
-            alive[idx] = False
-            logw[idx] = -math.inf
+        dt = rng.standard_exponential(n)
+        dt *= scale
+        dirs = rng.integers(0, len(steps), size=n)
+        dwell = np.subtract(t, t_now)
+        np.minimum(dwell, dt, out=dwell)
+        np.maximum(dwell, 0.0, out=dwell)
+        dwell *= pot[pos]
+        logw += dwell
+        t_now += dt
+        np.less(t_now, t, out=live)
+        live &= alive
+        move = steps[dirs]
+        move *= live
+        pos += move
+        alive &= ok[pos]
+    logw[~alive] = -math.inf
     return logw
 
 
 def fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
     """Per-path log weights, -inf for killed paths, in a fixed path order.
 
-    The random stream consumed per path does not depend on the box, so
-    runs with the same seed and different boxes follow identical walk
-    trajectories.
+    The random stream consumed per path does not depend on the box (see
+    the module docstring), so runs with the same seed and different
+    boxes follow identical walk trajectories.  Raises ValueError unless
+    x has env.dim coordinates, n_paths >= 1, and t and kappa are finite
+    and >= 0.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    if t < 0 or kappa < 0:
-        raise ValueError("t and kappa must be >= 0")
+    if x.shape != (env.dim,):
+        raise ValueError(f"x must have {env.dim} coordinates, got {x.size}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    for name, value in (("t", t), ("kappa", kappa)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     center, radius = _kill_bounds(env, box)
     if np.abs(x - center).max() > radius:
         raise ValueError("start point outside the killing box")
+    pot, ok, steps = _killing_grid(env, center, radius)
+    start = int((x - center + radius + 1) @ steps[::2])
     if kappa == 0.0 or t == 0.0:
-        if env.hardcore[env.flat_index(x)]:
-            return np.full(n_paths, -math.inf)
-        val = float((env.v_plus - env.v_minus)[env.flat_index(x)]) * t
-        return np.full(n_paths, val)
+        return np.full(n_paths, pot[start] * t if ok[start] else -math.inf)
     out = np.empty(n_paths)
-    done = 0
-    ci = 0
-    while done < n_paths:
+    for ci, done in enumerate(range(0, n_paths, _CHUNK)):
         n = min(_CHUNK, n_paths - done)
         rng = generator(derive_seed(seed, "fk", ci))
-        out[done : done + n] = _chunk_log_weights(env, x, kappa, t, n, rng, center, radius)
-        done += n
-        ci += 1
+        out[done : done + n] = _chunk_log_weights(pot, ok, steps, start, 2.0 * env.dim * kappa, t, n, rng)
     return out
 
 

@@ -252,7 +252,9 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
     c(y) over positions (symmetrized in the sign of y), keeps only lags
     within twice the truncation radius where dependence can live, and
     sums c(y) times the number of site pairs at lag y.  The ratio of the
-    two sits near 1 whenever L dominates the dependence radius.
+    two sits near 1 whenever L dominates the dependence radius.  The
+    per-site windows are gathered from a sliding view windows_per_call
+    at a time, so memory stays bounded at any L and n_replica.
     """
     R = required_radius(kappa, t, tol, 1)
     n_sites = 2 * L + 1
@@ -267,8 +269,13 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
     if kappa == 0.0:
         logs = vs * t
     else:
-        windows = np.lib.stride_tricks.sliding_window_view(vs, 2 * R + 1, axis=1).reshape(-1, 2 * R + 1)
-        logs = log_center_moment_windows(windows, kappa, t).reshape(n_replica, n_sites)
+        windows = np.lib.stride_tricks.sliding_window_view(vs, 2 * R + 1, axis=1)
+        logs = np.empty(n_replica * n_sites)
+        step = windows_per_call(2 * R + 1)
+        for s in range(0, len(logs), step):
+            at = np.unravel_index(np.arange(s, min(s + step, len(logs))), (n_replica, n_sites))
+            logs[s : s + step] = log_center_moment_windows(windows[at], kappa, t)
+        logs = logs.reshape(n_replica, n_sites)
     peak = float(logs.max())
     m = np.exp(logs - peak)
     totals = m.sum(axis=1)

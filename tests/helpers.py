@@ -1,8 +1,11 @@
-"""Hand-built environments shared across test modules."""
+"""Hand-built environments and reference loops shared across test modules."""
+
+import math
 
 import numpy as np
 
 from pamlab.environments import Environment, TailFamily, sample_environment, window_coords
+from pamlab.seeding import derive_seed, generator
 
 
 def make_env_1d(v, hardcore=None, seed=0, baseline_death=0.0):
@@ -95,3 +98,68 @@ def padded_with_hardcore(env, pad):
         v_minus=vm,
         hardcore=hard,
     )
+
+
+def reference_chunk_log_weights(env, x, kappa, t, n, rng, center, radius):
+    """Log path weights for one chunk; killed paths come back as -inf.
+
+    The masked-gather loop over (n, d) coordinates that the flat-index
+    path sampler replaced, kept verbatim as its bit-for-bit reference.
+    """
+    d = env.dim
+    rate = 2.0 * d * kappa
+    v = env.v_plus - env.v_minus
+    hard = env.hardcore
+    pos = np.tile(x, (n, 1))
+    logw = np.zeros(n)
+    t_now = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    if hard[env.flat_index(x)]:
+        return np.full(n, -math.inf)
+    while True:
+        open_ = t_now < t
+        if not open_.any():
+            break
+        dt = rng.exponential(1.0 / rate, size=n)
+        dirs = rng.integers(0, 2 * d, size=n)
+        act = open_ & alive
+        if not act.any():
+            break
+        dwell = np.minimum(dt[act], t - t_now[act])
+        logw[act] += v[env.flat_index(pos[act])] * dwell
+        t_now[open_] += dt[open_]
+        jump = act & (t_now < t)
+        if jump.any():
+            axes = (dirs[jump] >> 1).astype(np.int64)
+            signs = 1 - 2 * (dirs[jump] & 1)
+            moved = pos[jump]
+            moved[np.arange(len(axes)), axes] += signs
+            pos[jump] = moved
+            out = np.abs(moved - center).max(axis=1) > radius
+            dead = out.copy()
+            inside = ~out
+            if inside.any():
+                dead[inside] = hard[env.flat_index(moved[inside])]
+            idx = np.nonzero(jump)[0][dead]
+            alive[idx] = False
+            logw[idx] = -math.inf
+    return logw
+
+
+def reference_fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
+    """fk_path_log_weights driven by reference_chunk_log_weights: chunks of 8192, same seeds."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.int64))
+    if box is None:
+        center, radius = np.zeros(env.dim, dtype=np.int64), env.radius
+    else:
+        center, radius = np.asarray(box.center, dtype=np.int64), box.radius
+    if kappa == 0.0 or t == 0.0:
+        if env.hardcore[env.flat_index(x)]:
+            return np.full(n_paths, -math.inf)
+        return np.full(n_paths, float((env.v_plus - env.v_minus)[env.flat_index(x)]) * t)
+    out = np.empty(n_paths)
+    for ci, done in enumerate(range(0, n_paths, 8192)):
+        n = min(8192, n_paths - done)
+        rng = generator(derive_seed(seed, "fk", ci))
+        out[done : done + n] = reference_chunk_log_weights(env, x, kappa, t, n, rng, center, radius)
+    return out

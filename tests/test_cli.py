@@ -125,6 +125,13 @@ def test_solve_and_fk_smoke(tmp_path):
     assert lines[0] == "t,kappa,n_paths,n_killed,log_value,stderr_log"
     assert len(lines) == 2
     assert np.isfinite(float(lines[1].split(",")[4]))
+    with open(tmp_path / "b" / "summary.json") as fh:
+        summary = json.load(fh)
+    n_killed = int(lines[1].split(",")[3])
+    assert n_killed > 0
+    assert summary["results"]["n_killed"] == n_killed
+    assert summary["results"]["kill_fraction"] == n_killed / 2000
+    assert "n_killed" not in summary["timings"] and "kill_fraction" not in summary["timings"]
 
 
 def test_spectral_check_all_pass(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_env, make_env_1d
+from helpers import make_env, make_env_1d, reference_fk_path_log_weights
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.feynman_kac import exit_tail_mc, fk_estimate, fk_path_log_weights, wilson_interval
 from pamlab.solver import BoxDomain, solve_truncated
@@ -112,6 +112,62 @@ def test_start_outside_box_rejected():
     env = make_env_1d(np.zeros(9))
     with pytest.raises(ValueError):
         fk_path_log_weights(env, (4,), 1.0, 1.0, 10, seed=0, box=BoxDomain(env, (0,), 2))
+
+
+@pytest.mark.parametrize(
+    "kwargs, bad",
+    [({"n_paths": 0}, "n_paths"), ({"t": math.nan}, "t"), ({"kappa": math.inf}, "kappa"), ({"x": (0, 0)}, "x")],
+    ids=["no_paths", "t_nan", "kappa_inf", "x_wrong_dim"],
+)
+def test_bad_inputs_raise(kwargs, bad):
+    env = make_env_1d(np.zeros(9))
+    args = {"x": (0,), "kappa": 1.0, "t": 1.0, "n_paths": 100, **kwargs}
+    with pytest.raises(ValueError, match=f"^{bad} must"):
+        fk_path_log_weights(env, args["x"], args["kappa"], args["t"], args["n_paths"], seed=0)
+    with pytest.raises(ValueError, match=f"^{bad} must"):
+        fk_estimate(env, args["x"], args["kappa"], args["t"], args["n_paths"], seed=0)
+
+
+def _oracle_case(name):
+    """(env, x, kappa, t, n_paths, box) for one bit-identity case."""
+    if name == "d1_whole_window":
+        env = sample_environment(TailFamily.double_exp(1.0), 1, 10, seed=41)
+        return env, (0,), 1.0, 1.5, 20000, None
+    if name == "d2_offcentre_box_hardcores":
+        env = sample_environment(TailFamily.hard_core(0.15), 2, 6, seed=42)
+        box = BoxDomain(env, (1, -2), 4)
+        assert not env.hardcore[env.flat_index(np.array([2, -1]))] and env.hardcore[box.env_indices()].any()
+        return env, (2, -1), 0.8, 1.5, 12000, box
+    if name == "d3_weibull":
+        env = sample_environment(TailFamily.weibull(2.0), 3, 4, seed=43)
+        return env, (1, 0, -1), 1.0, 1.0, 10000, BoxDomain(env, (0, 0, 0), 3)
+    if name == "start_on_hardcore":
+        env = sample_environment(TailFamily.hard_core(0.3), 2, 4, seed=44)
+        x = tuple(int(c) for c in env.coords()[np.nonzero(env.hardcore)[0][0]])
+        return env, x, 1.0, 1.0, 3000, None
+    if name == "no_jump":
+        env = sample_environment(TailFamily.weibull(2.0), 1, 5, seed=45)
+        return env, (2,), 1.0, 1e-12, 5000, None
+    env = sample_environment(TailFamily.frechet(2.0), 1, 6, seed=46)
+    return env, (0,), 1.0, 2.0, 8192 + 17, BoxDomain(env, (0,), 4)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["d1_whole_window", "d2_offcentre_box_hardcores", "d3_weibull", "start_on_hardcore", "no_jump", "tail_chunk"],
+)
+def test_path_weights_match_reference_loop_bit_for_bit(name):
+    env, x, kappa, t, n_paths, box = _oracle_case(name)
+    got = fk_path_log_weights(env, x, kappa, t, n_paths, seed=90, box=box)
+    want = reference_fk_path_log_weights(env, x, kappa, t, n_paths, seed=90, box=box)
+    assert np.array_equal(got, want)
+    killed = np.isinf(want)
+    if name == "start_on_hardcore":
+        assert killed.all()
+    elif name == "no_jump":
+        assert np.all(got == got[0]) and not killed.any()
+    elif name != "d1_whole_window":
+        assert 0 < killed.sum() < n_paths
 
 
 def test_wilson_interval_basics():

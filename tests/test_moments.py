@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pamlab import moments, solver
 from pamlab.analytics import cumulant_H, cumulant_exponent_G
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.moments import (
@@ -191,6 +192,25 @@ def test_block_variance_kappa_zero_ratio_near_one():
     rep = block_variance(TailFamily.double_exp(0.5), 0.0, 0.5, L=40, n_replica=800, seed=611)
     assert rep.dependence_radius == 0
     assert 0.8 <= rep.ratio <= 1.25
+
+
+def test_block_variance_split_stacks_match_one_stack(monkeypatch):
+    # 60 replicas x 41 sites fit one stack; patched, a stack holds 40 windows
+    # and splits replicas.  Far fewer windows per stack would move these
+    # 27-site boxes to the dense route, which agrees only to its 1e-8 bound.
+    args = (TailFamily.weibull(2.0), 1.0, 1.0, 20, 60, 5)
+    whole = block_variance(*args)
+    width = 2 * whole.dependence_radius + 1
+    sizes = []
+
+    def spy(windows, kappa, t):
+        sizes.append(windows.shape)
+        return solver.log_center_moment_windows(windows, kappa, t)
+
+    monkeypatch.setattr(solver, "_STACK_SITES", 40 * width)
+    monkeypatch.setattr(moments, "log_center_moment_windows", spy)
+    assert block_variance(*args) == whole
+    assert sizes == [(40, width)] * 61 + [(20, width)]
 
 
 def test_block_variance_reconstruction_band():
