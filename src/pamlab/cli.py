@@ -175,45 +175,13 @@ def _parse_scalar(kind, raw):
 
 
 def _build_family(values, errors):
-    kind = values.get("family")
-    rho = values.get("rho")
-    p = values.get("p")
-    if kind is None:
+    if values.get("family") is None:
         return None
-    if p is not None and kind != "hard_core":
-        errors.append("p only applies to the hard_core family")
-    if kind == "weibull":
-        if rho is None:
-            errors.append("weibull family needs rho")
-        elif rho <= 1.0:
-            errors.append(f"weibull family needs rho > 1, got {rho:g}")
-        else:
-            return TailFamily.weibull(rho)
-    elif kind == "double_exp":
-        if rho is None or rho <= 0.0:
-            errors.append("double_exp family needs rho > 0")
-        else:
-            return TailFamily.double_exp(rho)
-    elif kind == "sq_double_exp":
-        if rho is not None:
-            errors.append("sq_double_exp takes no rho")
-        else:
-            return TailFamily.squared_double_exp()
-    elif kind == "frechet":
-        if rho is None or rho <= 0.0:
-            errors.append("frechet family needs rho > 0")
-        else:
-            return TailFamily.frechet(rho)
-    elif kind == "hard_core":
-        if p is None or not 0.0 < p < 1.0:
-            errors.append("hard_core family needs p in (0, 1)")
-        elif rho is not None:
-            errors.append("hard_core takes no rho")
-        else:
-            return TailFamily.hard_core(p)
-    else:
-        errors.append(f"unknown family {kind!r}")
-    return None
+    try:
+        return TailFamily(values["family"], rho=values.get("rho"), p=values.get("p"))
+    except ValueError as err:
+        errors.append(str(err))
+        return None
 
 
 def build_config(command, pairs):
@@ -258,11 +226,22 @@ def build_config(command, pairs):
     if command == "fk" and values.get("x") is not None:
         if len(values["x"]) != values.get("dim", 1):
             errors.append("x must have one coordinate per dimension")
+    if command == "exponents-mc":
+        _check_exponents_mc(values, errors)
     if command == "regime":
         _check_regime(values, errors)
     if errors:
         raise ConfigError("; ".join(errors))
     return RunConfig(command=command, values=values, family=family)
+
+
+def _check_exponents_mc(values, errors):
+    n = values.get("n_replica")
+    if n is not None and n < 50:
+        errors.append("exponents-mc needs n_replica >= 50")
+    theta = values.get("theta")
+    if theta is not None and not (theta > -1.0 and theta != 0.0):
+        errors.append("theta must be > -1 and nonzero")
 
 
 def _check_regime(values, errors):
@@ -283,6 +262,8 @@ def _check_regime(values, errors):
             errors.append("critical mode needs gamma")
         if values.get("delta") is None:
             errors.append("critical mode needs delta")
+    if mode == "clt" and values.get("kappa") not in (None, 0.0):
+        errors.append("clt mode needs kappa = 0")
     n = values.get("n_replica")
     if n is not None and n < 100:
         errors.append("regime runs need n_replica >= 100")

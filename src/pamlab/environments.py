@@ -38,16 +38,20 @@ class TailFamily:
 
     def __post_init__(self):
         if self.kind not in FAMILIES:
-            raise ValueError(f"unknown tail family {self.kind!r}")
+            raise ValueError(f"unknown family {self.kind!r}")
+        if self.p is not None and self.kind != "hard_core":
+            raise ValueError("p only applies to the hard_core family")
         if self.kind == "weibull":
             if self.rho is None or not self.rho > 1:
-                raise ValueError("weibull family needs rho > 1")
+                got = "" if self.rho is None else f", got {self.rho:g}"
+                raise ValueError(f"weibull family needs rho > 1{got}")
         elif self.kind in ("double_exp", "frechet"):
             if self.rho is None or not self.rho > 0:
                 raise ValueError(f"{self.kind} family needs rho > 0")
-        elif self.kind == "hard_core":
-            if self.p is None or not 0 < self.p < 1:
-                raise ValueError("hard_core family needs 0 < p < 1")
+        elif self.rho is not None:
+            raise ValueError(f"{self.kind} takes no rho")
+        elif self.kind == "hard_core" and (self.p is None or not 0 < self.p < 1):
+            raise ValueError("hard_core family needs p in (0, 1)")
 
     @classmethod
     def weibull(cls, rho):

@@ -3,7 +3,10 @@
 Everything here averages over independent environment replicas: the
 annealed growth estimate, the intermittency gap at tilt theta, spatial
 correlation profiles, and a block partition scheme used to bound how
-much of a box sits near block boundaries.
+much of a box sits near block boundaries.  Every site moment m(x, t) is
+read by one reader, solver.site_log_moments, from replicas sampled one
+at a time; at kappa = 0 its windows are single sites and it returns
+t v(x) exactly, so no statistic keeps a kappa = 0 branch of its own.
 """
 
 import math
@@ -14,7 +17,7 @@ from scipy.special import logsumexp
 
 from .environments import sample_environment
 from .seeding import derive_seed, generator
-from .solver import log_center_moment_windows, required_radius, windows_per_call
+from .solver import required_radius, site_log_moments
 
 _BOOTSTRAP = 1000
 _CI = 99.0
@@ -49,27 +52,15 @@ class FThetaEstimate:
     kappa: float
 
 
-def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
-    """log m(0, t) for independent environment replicas; -inf if killed.
+def _replicas(family, dim, radius, n_replica, seed):
+    """The environment replicas of one seed, sampled one at a time."""
+    return (sample_environment(family, dim, radius, derive_seed(seed, "env", i)) for i in range(n_replica))
 
-    The replicas' windows, hard cores masked, are sampled and solved
-    windows_per_call at a time by log_center_moment_windows; for kappa =
-    0 a window is the one site 0 and its value v(0) t is exact.
-    """
+
+def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
+    """log m(0, t) for independent environment replicas; -inf if killed."""
     R = required_radius(kappa, t, tol, dim)
-    side = (2 * R + 1,) * dim
-    out = np.empty(n_replica)
-    step = windows_per_call(math.prod(side))
-    for start in range(0, n_replica, step):
-        ids = range(start, min(start + step, n_replica))
-        vs = np.empty((len(ids),) + side)
-        hard = np.empty(vs.shape, dtype=bool)
-        for j, i in enumerate(ids):
-            env = sample_environment(family, dim, R, derive_seed(seed, "env", i))
-            vs[j] = (env.v_plus - env.v_minus).reshape(side)
-            hard[j] = env.hardcore.reshape(side)
-        out[start : ids.stop] = log_center_moment_windows(vs, kappa, t, hardcore=hard)
-    return out
+    return site_log_moments(_replicas(family, dim, R, n_replica, seed), np.zeros((1, dim), dtype=np.int64), kappa, t, R)[:, 0]
 
 
 def _log_mean(logs):
@@ -155,24 +146,11 @@ def correlation_profile(family, kappa, t, lags, n_replica, seed, tol=1e-4):
         raise ValueError("lags must be >= 0")
     R = required_radius(kappa, t, tol, 1)
     span = int(lags.max(initial=0)) + R
-    sites = np.concatenate([[0], lags]) + span
-    if kappa == 0.0:
-        vals = np.empty((n_replica, len(sites)))
-        for i in range(n_replica):
-            env = sample_environment(family, 1, span, derive_seed(seed, "env", i))
-            vals[i] = np.where(env.hardcore[sites], -math.inf, (env.v_plus - env.v_minus)[sites] * t)
-    else:
-        rows = sites[:, None] + np.arange(-R, R + 1)
-        vs = np.empty((n_replica, len(sites), 2 * R + 1))
-        hard = np.empty(vs.shape, dtype=bool)
-        for i in range(n_replica):
-            env = sample_environment(family, 1, span, derive_seed(seed, "env", i))
-            vs[i] = (env.v_plus - env.v_minus)[rows]
-            hard[i] = env.hardcore[rows]
-        width = vs.shape[-1]
-        logs = log_center_moment_windows(vs.reshape(-1, width), kappa, t, hardcore=hard.reshape(-1, width))
-        vals = logs.reshape(n_replica, len(sites))
-    peak = vals[np.isfinite(vals)].max()
+    vals = site_log_moments(_replicas(family, 1, span, n_replica, seed), np.concatenate([[0], lags]), kappa, t, R)
+    finite = vals[np.isfinite(vals)]
+    if not finite.size:
+        raise ValueError("all replicas were killed")
+    peak = finite.max()
     m = np.exp(vals - peak)
     base = m[:, 0]
     rs = np.empty(len(lags))
@@ -252,30 +230,14 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
     c(y) over positions (symmetrized in the sign of y), keeps only lags
     within twice the truncation radius where dependence can live, and
     sums c(y) times the number of site pairs at lag y.  The ratio of the
-    two sits near 1 whenever L dominates the dependence radius.  The
-    per-site windows are gathered from a sliding view windows_per_call
-    at a time, so memory stays bounded at any L and n_replica.
+    two sits near 1 whenever L dominates the dependence radius.  Hard
+    cores are refused before any replica is sampled.
     """
+    if family.has_hardcore_atom:
+        raise ValueError("block variance path expects no hard cores")
     R = required_radius(kappa, t, tol, 1)
     n_sites = 2 * L + 1
-    if kappa == 0.0:
-        R = 0
-    vs = np.empty((n_replica, n_sites + 2 * R))
-    for i in range(n_replica):
-        env = sample_environment(family, 1, L + R, derive_seed(seed, "env", i))
-        if env.hardcore.any():
-            raise ValueError("block variance path expects no hard cores")
-        vs[i] = env.v_plus - env.v_minus
-    if kappa == 0.0:
-        logs = vs * t
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(vs, 2 * R + 1, axis=1)
-        logs = np.empty(n_replica * n_sites)
-        step = windows_per_call(2 * R + 1)
-        for s in range(0, len(logs), step):
-            at = np.unravel_index(np.arange(s, min(s + step, len(logs))), (n_replica, n_sites))
-            logs[s : s + step] = log_center_moment_windows(windows[at], kappa, t)
-        logs = logs.reshape(n_replica, n_sites)
+    logs = site_log_moments(_replicas(family, 1, L + R, n_replica, seed), np.arange(-L, L + 1), kappa, t, R)
     peak = float(logs.max())
     m = np.exp(logs - peak)
     totals = m.sum(axis=1)

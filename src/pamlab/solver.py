@@ -8,7 +8,8 @@ stored as a mantissa array plus one shared additive log offset.
 Every kappa > 0 solve goes through one kernel, _solve_stack, on a stack
 of d-dimensional boxes given as a (B, S, ..., S) array of potentials
 plus its hard-core mask: a single box is a stack of one that reads every
-site, replica and box-average windows are stacks of at most
+site, and site_log_moments, the one reader of site moments at given
+sites, cuts windows from environments into stacks of at most
 _STACK_SITES sites that read their centers.  Each box is summed by
 uniformization, or by a batched dense eigendecomposition where one
 fitted cost rule (_dense_route) says that is cheaper.
@@ -22,7 +23,7 @@ import scipy.sparse
 from scipy.special import gammaln, logsumexp, pdtr, pdtrc
 
 from .analytics import rate_I
-from .environments import effective_potential, window_coords
+from .environments import window_coords
 
 # Per-site |error in log m| that a dense solve must keep; see _dense_fields.
 _SITE_LOG_TOL = 1e-8
@@ -242,19 +243,14 @@ def required_radius(kappa, t, tol, d=1):
 def solve_untruncated(env, x, kappa, t, tol=1e-8):
     """(mantissa, log_offset, radius_used) of m(x, t) on the full lattice.
 
-    Picks the radius from required_radius and solves the window around x
-    as a one-window stack that reads only x, so sites elsewhere in the
-    window may lie far below it.  For kappa = 0 the window is the one
-    site x and the answer e^{v(x) t} is exact.
+    Picks the radius from required_radius and reads x through
+    site_log_moments, whose window around x reads only x, so sites
+    elsewhere in the window may lie far below it.  For kappa = 0 the
+    window is the one site x and the answer e^{v(x) t} is exact.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     R = required_radius(kappa, t, tol, env.dim)
-    if int(np.abs(x).max()) + R > env.radius:
-        raise SolverError(
-            f"window radius {env.radius} too small: need radius {R} around {tuple(int(c) for c in x)}"
-        )
-    v, active = _box_stack(BoxDomain(env, tuple(int(c) for c in x), R))
-    log_m = float(log_center_moment_windows(v, kappa, t, hardcore=~active)[0])
+    log_m = float(site_log_moments([env], x[None, :], kappa, t, R)[0, 0])
     if log_m == -math.inf:
         return 0.0, 0.0, R
     return 1.0, log_m, R
@@ -457,40 +453,72 @@ def log_center_moment_windows(v_windows, kappa, t, hardcore=None):
     return out
 
 
+def site_log_moments(envs, sites, kappa, t, R):
+    """(n_env, n_sites) array of log m(x, t) at fixed lattice sites of each environment.
+
+    sites holds integer coordinates, one row per site (a 1-d array is
+    taken as 1-d sites); every environment must share one dim and radius.
+    Each value comes from the site's Dirichlet window of radius R, hard
+    cores masked, and is -inf where the site is a hard core.  envs is
+    consumed lazily: the (env, site) windows, in env-major order, are
+    gathered into one stack that log_center_moment_windows solves each
+    time windows_per_call of them are in, so at most one environment and
+    one stack are held.  At kappa = 0, R = 0 and a window is its site,
+    whose value is t v(x) exactly.
+    """
+    sites = np.asarray(sites, dtype=np.int64)
+    sites = sites.reshape(len(sites), -1)
+    side = (2 * R + 1,) * sites.shape[1]
+    step = windows_per_call(math.prod(side))
+    stack_v = np.empty((step,) + side)
+    stack_hard = np.empty((step,) + side, dtype=bool)
+    flat_v, flat_hard = stack_v.reshape(step, -1), stack_hard.reshape(step, -1)
+    logs, filled, frame = [], 0, None
+
+    def solve(n):
+        logs.append(log_center_moment_windows(stack_v[:n], kappa, t, hardcore=stack_hard[:n]))
+
+    for env in envs:
+        if frame is None:
+            frame = (env.dim, env.radius)
+            if sites.shape[1] != env.dim:
+                raise ValueError("sites must have one coordinate per environment dimension")
+            reach = int(np.abs(sites).max(initial=0)) + R
+            if reach > env.radius:
+                raise SolverError(f"window radius {env.radius} too small: need {reach} for windows of radius {R}")
+            centers = env.flat_index(sites)[:, None]
+            offsets = env.flat_index(window_coords(env.dim, R)) - env.flat_index((0,) * env.dim)
+            # gather indices are built once when one env's windows fit in a stack
+            rows = centers + offsets if len(centers) <= step else None
+        elif (env.dim, env.radius) != frame:
+            raise ValueError("environments must share one dim and radius")
+        v = env.v_plus - env.v_minus
+        done = 0
+        while done < len(centers):
+            n = min(len(centers) - done, step - filled)
+            at = rows[done : done + n] if rows is not None else centers[done : done + n] + offsets
+            v.take(at, out=flat_v[filled : filled + n], mode="clip")
+            env.hardcore.take(at, out=flat_hard[filled : filled + n], mode="clip")
+            done, filled = done + n, filled + n
+            if filled == step:
+                solve(step)
+                filled = 0
+    if filled:
+        solve(filled)
+    return np.concatenate(logs or [np.empty(0)]).reshape(-1, len(sites))
+
+
 def empirical_average(env, L, kappa, t, tol=1e-8):
     """Box average m^L = |Λ_L|^-1 Σ_{|x| <= L} m(x, t) as (mantissa, log_offset).
 
-    Hard-core sites contribute zero.  For kappa > 0 the per-site windows
-    of radius required_radius slide over the sample along all d axes and
-    are gathered windows_per_call at a time into log_center_moment_windows
-    calls, hard cores masked.
+    Hard-core sites contribute zero.  Every site of the box is read by
+    site_log_moments, with windows of radius required_radius.
     """
     L = int(L)
     if L < 0:
         raise ValueError("L must be >= 0")
-    n_box = (2 * L + 1) ** env.dim
-    if kappa == 0.0 or t == 0.0:
-        idx = env.flat_index(window_coords(env.dim, L))
-        v = effective_potential(env)[idx]
-        finite = np.isfinite(v)
-        if not finite.any():
-            return 0.0, 0.0
-        return 1.0, float(logsumexp(v[finite] * t)) - math.log(n_box)
     R = required_radius(kappa, t, tol, env.dim)
-    if L + R > env.radius:
-        raise SolverError(f"window radius {env.radius} too small: need {L + R}")
-    grid = (2 * env.radius + 1,) * env.dim
-    span = (slice(env.radius - L - R, env.radius + L + R + 1),) * env.dim
-    side = (2 * R + 1,) * env.dim
-    windows = np.lib.stride_tricks.sliding_window_view
-    v = windows((env.v_plus - env.v_minus).reshape(grid)[span], side)
-    hard = windows(env.hardcore.reshape(grid)[span], side)
-    logs = np.empty(n_box)
-    step = windows_per_call(math.prod(side))
-    for s in range(0, n_box, step):
-        at = np.unravel_index(np.arange(s, min(s + step, n_box)), v.shape[: env.dim])
-        logs[s : s + step] = log_center_moment_windows(v[at], kappa, t, hardcore=hard[at])
-    total = float(logsumexp(logs))
+    total = float(logsumexp(site_log_moments([env], window_coords(env.dim, L), kappa, t, R)))
     if total == -math.inf:
         return 0.0, 0.0
-    return 1.0, total - math.log(n_box)
+    return 1.0, total - math.log((2 * L + 1) ** env.dim)

@@ -277,3 +277,24 @@ def test_regime_config_errors(tmp_path, capsys):
     assert rc == 2
     rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "rule=explicit"])
     assert rc == 2
+
+
+def test_replica_and_clt_refusals_are_config_errors(tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        build_config(
+            "exponents-mc", ["family=weibull", "rho=2", "kappa=0", "t=1", "n_replica=10", "theta=0"]
+        )
+    assert "n_replica >= 50" in str(err.value) and "theta must be > -1 and nonzero" in str(err.value)
+    with pytest.raises(ConfigError, match="theta must be > -1"):
+        build_config("exponents-mc", ["family=weibull", "rho=2", "kappa=0", "t=1", "theta=-1.5"])
+    with pytest.raises(ConfigError, match="clt mode needs kappa = 0"):
+        build_config("regime", ["family=weibull", "rho=2", "t_grid=1", "mode=clt", "gamma=2.5", "kappa=1"])
+    base = ["exponents-mc", "family=weibull", "rho=2", "kappa=0", "t=1"]
+    for argv in (
+        base + ["n_replica=10"],
+        base + ["n_replica=100", "theta=0"],
+        ["regime", "family=weibull", "rho=2", "t_grid=1", "mode=clt", "gamma=2.5", "kappa=1"],
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)

@@ -194,23 +194,55 @@ def test_block_variance_kappa_zero_ratio_near_one():
     assert 0.8 <= rep.ratio <= 1.25
 
 
-def test_block_variance_split_stacks_match_one_stack(monkeypatch):
-    # 60 replicas x 41 sites fit one stack; patched, a stack holds 40 windows
-    # and splits replicas.  Far fewer windows per stack would move these
-    # 27-site boxes to the dense route, which agrees only to its 1e-8 bound.
-    args = (TailFamily.weibull(2.0), 1.0, 1.0, 20, 60, 5)
-    whole = block_variance(*args)
+def _profile_fields(prof):
+    return prof.lags.tolist(), prof.r.tolist(), prof.n_replica, prof.dependence_radius
+
+
+@pytest.mark.parametrize(
+    "statistic, args, n_full, n_last, fields",
+    [
+        pytest.param(
+            block_variance, (TailFamily.weibull(2.0), 1.0, 1.0, 20, 60, 5), 61, 20, lambda rep: rep,
+            id="block_variance",
+        ),
+        pytest.param(
+            correlation_profile, (TailFamily.weibull(2.0), 1.0, 1.0, [1, 5, 40], 55, 5), 5, 20, _profile_fields,
+            id="correlation_profile",
+        ),
+    ],
+)
+def test_replica_statistics_split_stacks_match_one_stack(monkeypatch, statistic, args, n_full, n_last, fields):
+    # 60 replicas x 41 sites (55 replicas x 4 sites) fit one stack; patched,
+    # a stack holds 40 windows and splits replicas.  Far fewer windows per
+    # stack would move these 27-site boxes to the dense route, which agrees
+    # only to its 1e-8 bound.
+    whole = statistic(*args)
     width = 2 * whole.dependence_radius + 1
     sizes = []
+    solve = solver.log_center_moment_windows
 
-    def spy(windows, kappa, t):
+    def spy(windows, kappa, t, hardcore=None):
         sizes.append(windows.shape)
-        return solver.log_center_moment_windows(windows, kappa, t)
+        return solve(windows, kappa, t, hardcore=hardcore)
 
     monkeypatch.setattr(solver, "_STACK_SITES", 40 * width)
-    monkeypatch.setattr(moments, "log_center_moment_windows", spy)
-    assert block_variance(*args) == whole
-    assert sizes == [(40, width)] * 61 + [(20, width)]
+    monkeypatch.setattr(solver, "log_center_moment_windows", spy)
+    assert fields(statistic(*args)) == fields(whole)
+    assert sizes == [(40, width)] * n_full + [(n_last, width)]
+
+
+def test_block_variance_refuses_hard_cores_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an environment")
+
+    monkeypatch.setattr(moments, "sample_environment", no_sampling)
+    with pytest.raises(ValueError, match="expects no hard cores"):
+        block_variance(TailFamily.hard_core(0.2), 1.0, 1.0, L=10, n_replica=60, seed=1)
+
+
+def test_correlation_profile_all_killed_raises():
+    with pytest.raises(ValueError, match="all replicas were killed"):
+        correlation_profile(TailFamily.hard_core(0.999), 1.0, 1.0, [1], 2, 3)
 
 
 def test_block_variance_reconstruction_band():

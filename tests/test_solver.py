@@ -20,6 +20,7 @@ from pamlab.solver import (
     empirical_average,
     log_center_moment_windows,
     required_radius,
+    site_log_moments,
     solve_truncated,
     solve_untruncated,
     windows_per_call,
@@ -475,3 +476,23 @@ def test_empirical_average_with_hardcore_sites():
     # a box that is one hard-core site leaves no window to solve
     lone = make_env_1d(np.zeros(41), hardcore=np.arange(41) == 20)
     assert empirical_average(lone, 0, kappa=0.5, t=1.0, tol=1e-4) == (0.0, 0.0)
+
+
+def test_site_log_moments_reads_given_sites_of_each_env():
+    # at kappa = 0 a window is its site: t v(x) exactly, -inf on a hard core,
+    # for off-center d = 2 sites in the order given
+    rng = np.random.default_rng(5)
+    grid = rng.normal(0, 1, size=(7, 7))
+    hard = np.zeros((7, 7), dtype=bool)
+    hard[3 + 2, 3 - 3] = True
+    envs = [make_env(grid, hardcore=hard), make_env(-grid)]
+    sites = np.array([[0, 0], [2, -3], [-1, 1], [3, 3]])
+    got = site_log_moments(iter(envs), sites, 0.0, 1.5, 0)
+    idx = envs[0].flat_index(sites)
+    want = [np.where(e.hardcore[idx], -np.inf, 1.5 * (e.v_plus - e.v_minus)[idx]) for e in envs]
+    np.testing.assert_array_equal(got, want)
+    assert got[0, 1] == -np.inf and np.isfinite(got[1]).all()
+    with pytest.raises(SolverError, match="need 4"):
+        site_log_moments(envs, sites, 1.0, 1.0, 1)
+    with pytest.raises(ValueError, match="share one dim and radius"):
+        site_log_moments([envs[0], make_env(grid[1:-1, 1:-1])], [[0, 0]], 1.0, 1.0, 1)
