@@ -8,6 +8,10 @@ sampler, a Gillespie particle simulator, replica moment statistics, and
 box-average regime experiments.
 """
 
+import time
+
+_import_start = time.perf_counter()  # read by cli for summary.json's import_s
+
 __version__ = "0.1.0"
 
 from .analytics import (

@@ -18,7 +18,11 @@ y = sqrt(z) instead.
 
 Everything downstream (cumulant exponents, transition exponents, growth
 scales, critical curves, the random-walk exit rate) lives here as pure
-functions of a TailFamily.
+functions of a TailFamily.  The bracketed roots (the integrand's peak,
+its window cuts, the frechet alpha scale) come from _brentq, Brent's
+method (Brent 1973, ch. 4) written out step for step as scipy's brentq
+runs it, so the roots are the same to the last bit without loading
+scipy.optimize.
 """
 
 import math
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .environments import TailFamily
@@ -60,6 +63,62 @@ class RootBracketError(RuntimeError):
     def __init__(self, message, bracket=None):
         super().__init__(message)
         self.bracket = bracket
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of f in [a, b] by Brent's method, step for step as scipy's brentq.
+
+    Each step is inverse quadratic interpolation or a secant step when
+    it is short enough, else bisection; xblk keeps the opposite end of
+    the bracket.  Converges when half the bracket is below
+    (xtol + rtol |x|) / 2.  A same-sign bracket raises ValueError, a NaN
+    value of f ValueError, and no convergence in maxiter steps
+    RuntimeError.
+    """
+
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def rate_I(y):
@@ -106,7 +165,7 @@ def _peak(family, t):
     The +1 is the Jacobian of s = e^z.  double_exp has the closed form
     s = rho t + 1; for the others G' is positive as z -> 0+ (at z = 0
     for weibull and frechet) and negative for large z, so halving and
-    doubling walks bracket the root for brentq.
+    doubling walks bracket the root for _brentq.
     """
     k = family.kind
     if k == "double_exp":
@@ -133,14 +192,14 @@ def _peak(family, t):
         lo *= 0.5
     while slope(hi) >= 0.0:
         hi *= 2.0
-    return brentq(slope, lo, hi, xtol=1e-300, rtol=_ROOT_RTOL)
+    return _brentq(slope, lo, hi, xtol=1e-300, rtol=_ROOT_RTOL)
 
 
 def _window_cut(G, zpeak, Gpeak, direction):
     """The z on one side of the peak where G = Gpeak - _LOG_WINDOW.
 
     A doubling walk only brackets the cut (G falls at least linearly on
-    the left and like -e^z on the right); brentq then places it, so the
+    the left and like -e^z on the right); _brentq then places it, so the
     cut never overshoots into a region where G is far below the window.
     """
     def excess(z):
@@ -152,7 +211,7 @@ def _window_cut(G, zpeak, Gpeak, direction):
         if step > 1e6:
             raise QuadratureError("no truncation point found")
     inner = zpeak + direction * 0.5 * step if step > 1.0 else zpeak
-    return brentq(excess, *sorted((inner, zpeak + direction * step)), xtol=1e-12, rtol=_ROOT_RTOL)
+    return _brentq(excess, *sorted((inner, zpeak + direction * step)), xtol=1e-12, rtol=_ROOT_RTOL)
 
 
 def _lower_cut(G, zpeak, Gpeak, floor):
@@ -353,7 +412,7 @@ def frechet_alpha(family, d, t):
         hi *= 2.0
     else:
         raise RootBracketError("no upper bracket for alpha", bracket=(lo, hi))
-    return brentq(phi, lo, hi, xtol=1e-300, rtol=_ROOT_RTOL)
+    return _brentq(phi, lo, hi, xtol=1e-300, rtol=_ROOT_RTOL)
 
 
 def growth_J(family, d, t):

@@ -4,20 +4,23 @@ Every subcommand takes flat KEY=VALUE arguments, writes CSV tables plus
 a summary.json into --out, and exits 0 only when all of its checks
 passed.  A run uses no worker pool and draws its randomness from the
 seed key alone; float cells are printed with %.17g, so a repeated run
-is byte identical.  Wall-clock timings are confined to summary.json.
+is byte identical.  Wall-clock timings are confined to summary.json,
+whose timings also record the package start-up (import_s) and the
+process's peak resident memory (peak_rss_mb).
 """
 
 import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _import_start
 from .analytics import critical_a, cumulant_H, cumulant_exponent_G, growth_J, transition_exponents
 from .environments import TailFamily, effective_potential, sample_environment
 from .feynman_kac import fk_estimate
@@ -36,6 +39,9 @@ from .regimes import (
 from .seeding import derive_seed
 from .solver import BoxDomain, solve_truncated
 from .spectral import verify_sandwich
+
+# package start-up: from the first line of pamlab/__init__.py to here
+_IMPORT_S = time.perf_counter() - _import_start
 
 
 class ConfigError(ValueError):
@@ -446,10 +452,17 @@ def cmd_exponents(cfg):
 def cmd_exponents_mc(cfg):
     rows = []
     ok = True
-    est = estimate_H1(
-        cfg.family, cfg["kappa"], cfg["t"], cfg["n_replica"],
-        derive_seed(cfg["seed"], "h1"), dim=cfg["dim"], tol=cfg["tol"],
-    )
+    try:
+        est = estimate_H1(
+            cfg.family, cfg["kappa"], cfg["t"], cfg["n_replica"],
+            derive_seed(cfg["seed"], "h1"), dim=cfg["dim"], tol=cfg["tol"],
+        )
+        fest = None if cfg["theta"] is None else estimate_F_theta(
+            cfg.family, cfg["theta"], cfg["kappa"], cfg["t"], cfg["n_replica"],
+            derive_seed(cfg["seed"], "ftheta"), dim=cfg["dim"], tol=cfg["tol"],
+        )
+    except ValueError as err:  # every replica killed: nothing to estimate from
+        raise ConfigError(str(err)) from err
     exact = cumulant_H(cfg.family, cfg["t"]) if cfg["kappa"] == 0.0 else math.nan
     in_ci = bool(est.ci_lo - 1e-9 <= exact <= est.ci_hi + 1e-9) if math.isfinite(exact) else True
     ok = ok and in_ci
@@ -460,11 +473,7 @@ def cmd_exponents_mc(cfg):
             "ci_lo": est.ci_lo, "ci_hi": est.ci_hi, "exact": exact, "in_ci": in_ci,
         }
     )
-    if cfg["theta"] is not None:
-        fest = estimate_F_theta(
-            cfg.family, cfg["theta"], cfg["kappa"], cfg["t"], cfg["n_replica"],
-            derive_seed(cfg["seed"], "ftheta"), dim=cfg["dim"], tol=cfg["tol"],
-        )
+    if fest is not None:
         fexact = (
             cumulant_exponent_G(cfg.family, cfg["theta"], cfg["t"])
             if cfg["kappa"] == 0.0
@@ -595,7 +604,11 @@ def main(argv=None):
         "outputs": outputs,
         "checks_passed": bool(passed),
         "results": extra,
-        "timings": {"total_s": elapsed},
+        "timings": {
+            "total_s": elapsed,
+            "import_s": _IMPORT_S,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # Linux reports KiB
+        },
     }
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -77,14 +77,16 @@ def estimate_H1(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
 
     The confidence interval is a 99 percent percentile bootstrap taken in
     log space, so it stays meaningful when a few replicas dominate the
-    mean.
+    mean.  A replica set in which every replica was killed is refused.
     """
     if n_replica < 50:
         raise ValueError("need at least 50 replicas")
     logs = _replica_log_moments(family, kappa, t, n_replica, seed, dim=dim, tol=tol)
-    value = _log_mean(logs)
     peak = float(np.max(logs))
-    w = np.exp(logs - peak) if math.isfinite(peak) else np.zeros_like(logs)
+    if not math.isfinite(peak):
+        raise ValueError("all replicas were killed")
+    value = _log_mean(logs)
+    w = np.exp(logs - peak)
     idx = _bootstrap_indices(n_replica, seed)
     means = w[idx].mean(axis=1)
     with np.errstate(divide="ignore"):
@@ -101,7 +103,7 @@ def estimate_F_theta(family, theta, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     resample recomputes the pair jointly, so the strong positive
     coupling between them tightens the interval instead of widening it.
     """
-    if theta <= -1 or theta == 0:
+    if not math.isfinite(theta) or theta <= -1 or theta == 0:
         raise ValueError("theta must be > -1 and nonzero")
     if n_replica < 50:
         raise ValueError("need at least 50 replicas")
@@ -230,9 +232,12 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
     c(y) over positions (symmetrized in the sign of y), keeps only lags
     within twice the truncation radius where dependence can live, and
     sums c(y) times the number of site pairs at lag y.  The ratio of the
-    two sits near 1 whenever L dominates the dependence radius.  Hard
-    cores are refused before any replica is sampled.
+    two sits near 1 whenever L dominates the dependence radius.  Fewer
+    than two replicas and hard cores are refused before any replica is
+    sampled.
     """
+    if n_replica < 2:
+        raise ValueError(f"block variance needs n_replica >= 2, got {n_replica}")
     if family.has_hardcore_atom:
         raise ValueError("block variance path expects no hard cores")
     R = required_radius(kappa, t, tol, 1)

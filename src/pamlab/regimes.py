@@ -6,13 +6,19 @@ gamma = d log L / J(t) leaves the average dominated by rare peaks;
 large gamma washes them out and restores law-of-large-numbers and then
 Gaussian behavior.  All verdicts carry the exponents gamma_1, gamma_2
 so each run can be placed on the phase diagram.
+
+The CLT gates compute their statistics here rather than through
+scipy.stats: biased sample skewness and excess kurtosis, and a KS
+p-value from the exact Kolmogorov distribution (Durbin's matrix, as
+evaluated by Marsaglia, Tsang & Wang 2003) below n D^2 = 2.2, with
+2 smirnov(n, D) above it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
+from scipy.special import ndtr, smirnov
 
 from .analytics import (
     critical_a,
@@ -28,6 +34,75 @@ from .seeding import derive_seed, generator
 from .solver import empirical_average, required_radius
 
 _DRAW_CHUNK = 1 << 20
+
+
+def _moment_shape(x):
+    """Biased sample skewness m3/m2^1.5 and excess kurtosis m4/m2^2 - 3.
+
+    Both are nan when m2 is at rounding level of the mean, where the
+    data are constant up to rounding.
+    """
+    mean = x.mean()
+    dev = x - mean
+    dev2 = dev * dev
+    m2 = dev2.mean()
+    if m2 <= (np.finfo(np.float64).eps * mean) ** 2:
+        return math.nan, math.nan
+    return float((dev2 * dev).mean() / m2**1.5), float((dev2 * dev2).mean() / m2**2 - 3.0)
+
+
+def _kolmogorov_sf(n, d):
+    """P(D_n >= d) for the two-sided one-sample KS statistic D_n.
+
+    Below n d^2 = 2.2 (and d < 0.5) this is the exact distribution from
+    Durbin's matrix as evaluated by Marsaglia, Tsang & Wang (2003): with
+    k = floor(n d) + 1, h = k - n d and m = 2k - 1, P(D_n < d) is
+    n!/n^n (H^n)_kk for an m x m matrix H, raised to the n-th power by
+    squaring with its scale kept as a power of two.  Above, twice the
+    exact one-sided tail 2 smirnov(n, d): exact for d >= 0.5, where the
+    two one-sided events are disjoint, and otherwise short only by the
+    chance of crossing both bounds, about e^(-6 n d^2) < 2e-6 of the
+    value.
+    """
+    nd = n * d
+    if d >= 0.5 or nd * d >= 2.2:
+        return min(1.0, 2.0 * float(smirnov(n, d)))
+    if nd <= 0.5:
+        return 1.0
+    k = int(nd) + 1
+    h = k - nd
+    m = 2 * k - 1
+    inv_fact = np.concatenate([[1.0], np.cumprod(1.0 / np.arange(1.0, m + 1))])
+    lag = np.arange(m)[:, None] - np.arange(m)[None, :] + 1
+    H = np.where(lag >= 0, inv_fact[np.maximum(lag, 0)], 0.0)
+    h_pow = h ** np.arange(1.0, m + 1)
+    H[:, 0] -= h_pow * inv_fact[1:]
+    H[-1, :] -= h_pow[::-1] * inv_fact[1:][::-1]
+    H[-1, 0] += max(0.0, 2.0 * h - 1.0) ** m * inv_fact[m]
+    # H^n = power * 2^power_exp by squaring; H itself stands for H * 2^sq_exp
+    power, power_exp, sq_exp = np.eye(m), 0, 0
+    e = n
+    while e:
+        if e & 1:
+            power = power @ H
+            shift = math.frexp(power.max())[1]
+            power, power_exp = np.ldexp(power, -shift), power_exp + sq_exp + shift
+        e >>= 1
+        if e:
+            H = H @ H
+            shift = math.frexp(H.max())[1]
+            H, sq_exp = np.ldexp(H, -shift), 2 * sq_exp + shift
+    log_cdf = math.log(power[k - 1, k - 1]) + power_exp * math.log(2.0) + math.lgamma(n + 1) - n * math.log(n)
+    return 1.0 - math.exp(log_cdf)
+
+
+def _ks_normal_pvalue(z):
+    """Two-sided KS p-value of the sample z against the standard normal."""
+    n = len(z)
+    cdf = ndtr(np.sort(z))
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    return _kolmogorov_sf(n, float(max(d_plus, d_minus)))
 
 
 class ScheduleOverflowError(RuntimeError):
@@ -348,9 +423,8 @@ def clt_experiment(config, draw_fn=None, reference=None):
         mx = float(np.max(np.abs(single)))
         sd = float(stat.std(ddof=1))
         if sd > 0.0 and np.all(np.isfinite(stat)):
-            skew = float(scipy.stats.skew(stat))
-            exkurt = float(scipy.stats.kurtosis(stat))
-            ks_p = float(scipy.stats.kstest((stat - stat.mean()) / sd, "norm").pvalue)
+            skew, exkurt = _moment_shape(stat)
+            ks_p = _ks_normal_pvalue((stat - stat.mean()) / sd)
         else:
             skew = math.nan
             exkurt = math.nan

@@ -13,6 +13,7 @@ import pytest
 from scipy import integrate, optimize
 from scipy.special import gammaln
 
+from pamlab import analytics
 from pamlab.analytics import (
     ExponentTable,
     critical_a,
@@ -347,6 +348,44 @@ def test_frechet_alpha_solves_implicit_equation():
         assert growth_J(FRECHET1, 1, t) == pytest.approx(t / a**2, rel=1e-9)
     with pytest.raises(ValueError):
         frechet_alpha(WEIBULL2, 1, 2.0)
+
+
+def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
+    """Every root the analytics take (peak slopes, window cuts, frechet phi) equals scipy's brentq."""
+    own = analytics._brentq
+    roots = []
+
+    def both(f, a, b, xtol, rtol):
+        mine = own(f, a, b, xtol=xtol, rtol=rtol)
+        roots.append((mine, optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)))
+        return mine
+
+    monkeypatch.setattr(analytics, "_brentq", both)
+    analytics._cumulant_smooth.cache_clear()
+    for fam in CONTINUOUS + [TailFamily.weibull(1.5), TailFamily.frechet(3.0)]:
+        for t in np.logspace(-4, 1.5, 12):
+            cumulant_H(fam, t)
+    n_quadrature = len(roots)
+    for t in (0.5, 2.0, 10.0, 50.0):
+        frechet_alpha(FRECHET1, 1, t)
+    analytics._cumulant_smooth.cache_clear()
+    assert n_quadrature >= 8 * 12 * 2 and len(roots) > n_quadrature
+    assert all(mine == ref for mine, ref in roots)
+
+
+def test_brentq_refusals_match_scipy():
+    cases = [
+        (lambda x: x * x + 1.0, {}, ValueError),  # same-sign bracket
+        (lambda x: math.nan if x > 0.5 else x - 0.7, {}, ValueError),  # NaN value
+        (lambda x: x**3 - 0.2, {"maxiter": 2}, RuntimeError),
+    ]
+    for f, extra, err in cases:
+        with pytest.raises(err):
+            optimize.brentq(f, 0.0, 1.0, xtol=1e-300, rtol=1e-13, **extra)
+        with pytest.raises(err):
+            analytics._brentq(f, 0.0, 1.0, xtol=1e-300, rtol=1e-13, **extra)
+    # a root on an end of the bracket is returned as is
+    assert analytics._brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12, 1e-13) == 1.0
 
 
 def test_intermittency_shape_f1_limits():

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pamlab
 from pamlab.cli import ConfigError, build_config, main
 from pamlab.seeding import derive_seed
 
@@ -132,6 +135,16 @@ def test_solve_and_fk_smoke(tmp_path):
     assert summary["results"]["n_killed"] == n_killed
     assert summary["results"]["kill_fraction"] == n_killed / 2000
     assert "n_killed" not in summary["timings"] and "kill_fraction" not in summary["timings"]
+    timings = summary["timings"]
+    assert timings["import_s"] > 0.0 and timings["peak_rss_mb"] > 1.0
+
+
+def test_import_loads_neither_scipy_optimize_nor_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pamlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, pamlab, pamlab.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_spectral_check_all_pass(tmp_path):
@@ -297,4 +310,8 @@ def test_replica_and_clt_refusals_are_config_errors(tmp_path, capsys):
     ):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+    killed = ["exponents-mc", "family=hard_core", "p=0.999", "kappa=1", "t=1", "n_replica=50"]
+    assert main(killed + ["--out", str(tmp_path)]) == 2
+    assert "config error: all replicas were killed" in capsys.readouterr().err
     assert not os.listdir(tmp_path)

@@ -114,6 +114,17 @@ def test_f_theta_validates_inputs():
         estimate_F_theta(fam, -1.5, 0.0, 1.0, n_replica=100, seed=1)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_f_theta_refuses_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be > -1 and nonzero"):
+        estimate_F_theta(TailFamily.weibull(2.0), theta, 0.0, 1.0, n_replica=50, seed=1)
+
+
+def test_h1_all_killed_raises():
+    with pytest.raises(ValueError, match="all replicas were killed"):
+        estimate_H1(TailFamily.hard_core(0.999), 1.0, 1.0, n_replica=50, seed=1)
+
+
 def test_disjoint_windows_are_uncorrelated():
     fam = TailFamily.weibull(2.0)
     prof = correlation_profile(fam, 1.0, 1.0, lags=[1, 27, 40], n_replica=900, seed=501)
@@ -238,6 +249,15 @@ def test_block_variance_refuses_hard_cores_before_sampling(monkeypatch):
     monkeypatch.setattr(moments, "sample_environment", no_sampling)
     with pytest.raises(ValueError, match="expects no hard cores"):
         block_variance(TailFamily.hard_core(0.2), 1.0, 1.0, L=10, n_replica=60, seed=1)
+
+
+def test_block_variance_refuses_one_replica_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled an environment")
+
+    monkeypatch.setattr(moments, "sample_environment", no_sampling)
+    with pytest.raises(ValueError, match="n_replica >= 2, got 1"):
+        block_variance(TailFamily.weibull(2.0), 0.0, 1.0, L=3, n_replica=1, seed=1)
 
 
 def test_correlation_profile_all_killed_raises():

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 
+from pamlab import regimes
 from pamlab.analytics import critical_a, cumulant_H, growth_J
 from pamlab.environments import TailFamily
 from pamlab.regimes import (
@@ -237,6 +239,44 @@ def test_gaussian_regime_detected():
     assert v.classification == "gaussian"
     assert abs(v.skew) <= 0.2 and abs(v.exkurt) <= 0.5 and v.ks_p >= 0.01
     assert verdict_consistent(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 50, 100, 140, 141, 200, 1000, 5000])
+def test_clt_gate_statistics_match_scipy_stats(n):
+    """KS p-value within 1e-5 (n <= 140, where scipy is exact too) or 1e-4; moments within 1e-12."""
+    rng = np.random.default_rng(n)
+    tol = 1e-5 if n <= 140 else 1e-4
+    samples = [rng.standard_normal(n), rng.standard_t(4, n), 1.2 * rng.standard_normal(n) + 0.1, rng.exponential(size=n)]
+    for z in samples:
+        p = regimes._ks_normal_pvalue(z)
+        assert p == pytest.approx(scipy.stats.kstest(z, "norm").pvalue, rel=tol, abs=1e-300)
+        if n > 2:
+            skew, exkurt = regimes._moment_shape(z)
+            assert skew == pytest.approx(scipy.stats.skew(z), rel=1e-12, abs=1e-12)
+            assert exkurt == pytest.approx(scipy.stats.kurtosis(z), rel=1e-12, abs=1e-12)
+
+
+def test_kolmogorov_sf_exact_branch_and_tail_meet():
+    # the exact Durbin-matrix branch against scipy's exact kstwo, across n d^2 < 2.2
+    for n in (3, 30, 140):
+        for d in np.linspace(0.51 / n, min(0.49, math.sqrt(2.19 / n)), 9):
+            assert regimes._kolmogorov_sf(n, d) == pytest.approx(scipy.stats.kstwo.sf(d, n), rel=1e-9)
+    # continuity across the switch to 2 smirnov and at a lattice point n d = 3
+    n = 100
+    d = math.sqrt(2.2 / n)
+    below = regimes._kolmogorov_sf(n, np.nextafter(d, 0.0))
+    assert below == pytest.approx(regimes._kolmogorov_sf(n, d), rel=1e-5)
+    assert regimes._kolmogorov_sf(10, 0.3) == pytest.approx(regimes._kolmogorov_sf(10, np.nextafter(0.3, 1.0)), rel=1e-12)
+    assert regimes._kolmogorov_sf(10, 0.04) == 1.0
+
+
+@pytest.mark.filterwarnings("ignore:Precision loss occurred")
+def test_moment_shape_of_near_constant_data_matches_scipy():
+    skew, exkurt = regimes._moment_shape(np.full(50, 3.0))  # m2 = 0 exactly
+    assert math.isnan(skew) and math.isnan(exkurt)
+    assert math.isnan(scipy.stats.skew(np.full(50, 3.0)))
+    z = np.full(50, 0.1)  # the mean is off 0.1 by rounding, so m2 is tiny but not zero
+    assert regimes._moment_shape(z) == (scipy.stats.skew(z), scipy.stats.kurtosis(z))
 
 
 def test_critical_validation():
