@@ -162,6 +162,11 @@ class Environment:
     def coords(self):
         return window_coords(self.dim, self.radius)
 
+    def stack(self):
+        """(v_plus - v_minus, hardcore) as a stack of one (1, side, ..., side) window."""
+        shape = (1,) + (self.side,) * self.dim
+        return (self.v_plus - self.v_minus).reshape(shape), self.hardcore.reshape(shape)
+
     def flat_index(self, coords):
         """Flat array index of integer coordinates inside the window."""
         coords = np.asarray(coords, dtype=np.int64)
@@ -176,36 +181,53 @@ class Environment:
         return int(idx[0]) if single else idx
 
 
+def _lattice_int(name, value, low):
+    """value as an int, refusing anything that is not an integer >= low."""
+    try:
+        ok = value == int(value) >= low
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def sample_potentials(family, dim, radius, seeds):
+    """Effective potentials of one window per seed, hashed in one pass.
+
+    seeds is a sequence of integers.  Returns (v, hardcore), both of
+    shape (len(seeds), (2 radius + 1)^dim) in `window_coords(dim, radius)`
+    order: v is finite, and 0 on the hard-core sites that `hardcore`
+    flags.  Row i depends only on seeds[i]: it is the environment that
+    sample_environment draws from that seed.
+    """
+    dim = _lattice_int("dim", dim, 1)
+    radius = _lattice_int("radius", radius, 0)
+    v = quantile_array(family, site_uniforms(list(seeds), window_coords(dim, radius)))
+    hardcore = np.isneginf(v)
+    return np.where(hardcore, 0.0, v), hardcore
+
+
 def sample_environment(family, dim, radius, seed, baseline_death=0.0):
-    """Draw an i.i.d. environment window.
+    """Draw an i.i.d. environment window; sample_potentials for one seed.
 
     Site values depend only on (seed, site coordinates), so enlarging the
     radius with the same seed extends the environment without resampling
     the old sites.  `baseline_death` adds a constant to both rates, which
     leaves the effective potential unchanged.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     if baseline_death < 0:
         raise ValueError("baseline_death must be >= 0")
-    coords = window_coords(dim, radius)
-    u = site_uniforms(seed, coords)
-    v = quantile_array(family, u)
-    hardcore = np.isneginf(v)
-    vfin = np.where(hardcore, 0.0, v)
-    v_plus = np.maximum(vfin, 0.0) + baseline_death
-    v_minus = np.maximum(-vfin, 0.0) + baseline_death
+    v, hardcore = sample_potentials(family, dim, radius, [seed])
     return Environment(
         family=family,
-        dim=dim,
+        dim=int(dim),
         radius=int(radius),
         seed=int(seed),
         baseline_death=float(baseline_death),
-        v_plus=v_plus,
-        v_minus=v_minus,
-        hardcore=hardcore,
+        v_plus=np.maximum(v[0], 0.0) + baseline_death,
+        v_minus=np.maximum(-v[0], 0.0) + baseline_death,
+        hardcore=hardcore[0],
     )
 
 

@@ -4,9 +4,11 @@ Everything here averages over independent environment replicas: the
 annealed growth estimate, the intermittency gap at tilt theta, spatial
 correlation profiles, and a block partition scheme used to bound how
 much of a box sits near block boundaries.  Every site moment m(x, t) is
-read by one reader, solver.site_log_moments, from replicas sampled one
-at a time; at kappa = 0 its windows are single sites and it returns
-t v(x) exactly, so no statistic keeps a kappa = 0 branch of its own.
+read by one reader, solver.site_log_moments, from replicas sampled a
+stack at a time: one environments.sample_potentials call hashes the
+windows of as many replicas as one batched solve takes.  At kappa = 0
+the windows are single sites and the reader returns t v(x) exactly, so
+no statistic keeps a kappa = 0 branch of its own.
 """
 
 import math
@@ -15,9 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .environments import sample_environment
+# sample_environment is not called here; it stays in this namespace, where
+# tests patch it to show that refusals come before any sampling
+from .environments import sample_environment, sample_potentials  # noqa: F401
 from .seeding import derive_seed, generator
-from .solver import required_radius, site_log_moments
+from .solver import required_radius, site_log_moments, windows_per_call
 
 _BOOTSTRAP = 1000
 _CI = 99.0
@@ -52,15 +56,36 @@ class FThetaEstimate:
     kappa: float
 
 
-def _replicas(family, dim, radius, n_replica, seed):
-    """The environment replicas of one seed, sampled one at a time."""
-    return (sample_environment(family, dim, radius, derive_seed(seed, "env", i)) for i in range(n_replica))
+def _env_seeds(seed, n_replica):
+    return [derive_seed(seed, "env", i) for i in range(n_replica)]
+
+
+def _replica_site_logs(family, seeds, radius, sites, kappa, t, R):
+    """site_log_moments at `sites` of the replicas of `seeds`, sampled on [-radius, radius]^d.
+
+    Replicas are sampled a stack at a time: as many as one batched solve
+    of their windows of radius R takes, and no more sites than such a
+    stack, so at most one stack of replicas and one of windows are held.
+    """
+    sites = np.asarray(sites, dtype=np.int64)
+    sites = sites.reshape(len(sites), -1)
+    dim = sites.shape[1]
+    shape = (2 * radius + 1,) * dim
+    per_stack = min(windows_per_call((2 * R + 1) ** dim) // len(sites), windows_per_call(math.prod(shape)))
+    per_stack = max(1, per_stack)
+
+    def stacks():
+        for s in range(0, len(seeds), per_stack):
+            v, hardcore = sample_potentials(family, dim, radius, seeds[s : s + per_stack])
+            yield v.reshape((-1,) + shape), hardcore.reshape((-1,) + shape)
+
+    return site_log_moments(stacks(), sites, kappa, t, R)
 
 
 def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     """log m(0, t) for independent environment replicas; -inf if killed."""
     R = required_radius(kappa, t, tol, dim)
-    return site_log_moments(_replicas(family, dim, R, n_replica, seed), np.zeros((1, dim), dtype=np.int64), kappa, t, R)[:, 0]
+    return _replica_site_logs(family, _env_seeds(seed, n_replica), R, np.zeros((1, dim)), kappa, t, R)[:, 0]
 
 
 def _log_mean(logs):
@@ -148,7 +173,7 @@ def correlation_profile(family, kappa, t, lags, n_replica, seed, tol=1e-4):
         raise ValueError("lags must be >= 0")
     R = required_radius(kappa, t, tol, 1)
     span = int(lags.max(initial=0)) + R
-    vals = site_log_moments(_replicas(family, 1, span, n_replica, seed), np.concatenate([[0], lags]), kappa, t, R)
+    vals = _replica_site_logs(family, _env_seeds(seed, n_replica), span, np.concatenate([[0], lags]), kappa, t, R)
     finite = vals[np.isfinite(vals)]
     if not finite.size:
         raise ValueError("all replicas were killed")
@@ -242,7 +267,7 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
         raise ValueError("block variance path expects no hard cores")
     R = required_radius(kappa, t, tol, 1)
     n_sites = 2 * L + 1
-    logs = site_log_moments(_replicas(family, 1, L + R, n_replica, seed), np.arange(-L, L + 1), kappa, t, R)
+    logs = _replica_site_logs(family, _env_seeds(seed, n_replica), L + R, np.arange(-L, L + 1), kappa, t, R)
     peak = float(logs.max())
     m = np.exp(logs - peak)
     totals = m.sum(axis=1)

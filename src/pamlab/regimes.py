@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, smirnov
+from scipy.special import logsumexp, ndtr, smirnov
 
 from .analytics import (
     critical_a,
@@ -28,10 +28,10 @@ from .analytics import (
     intermittency_shape_f1,
     transition_exponents,
 )
-from .environments import exp_quantile_array, sample_environment
-from .moments import estimate_F_theta
+from .environments import exp_quantile_array
+from .moments import _replica_site_logs, estimate_F_theta
 from .seeding import derive_seed, generator
-from .solver import empirical_average, required_radius
+from .solver import required_radius
 
 _DRAW_CHUNK = 1 << 20
 
@@ -253,7 +253,7 @@ def _block_log_means_exact(config, t, L, label, draw_fn):
 
 
 def _block_log_means_solver(config, t, L, label):
-    """log m^L per replica for kappa > 0 via window-local solves."""
+    """log m^L per replica for kappa > 0: every replica's box sites in one site_log_moments call."""
     if config.d != 1:
         raise ValueError("kappa > 0 regime runs support d = 1 only")
     if t > 3.0:
@@ -261,12 +261,9 @@ def _block_log_means_solver(config, t, L, label):
     if L > 2000:
         raise ValueError("kappa > 0 regime runs are limited to L <= 2000")
     R = required_radius(config.kappa, t, config.tol, 1)
-    out = np.empty(config.n_replica)
-    for i in range(config.n_replica):
-        env = sample_environment(config.family, 1, L + R, derive_seed(config.seed, label, i))
-        man, off = empirical_average(env, L, config.kappa, t, tol=config.tol)
-        out[i] = math.log(man) + off if man > 0 else -math.inf
-    return out
+    seeds = [derive_seed(config.seed, label, i) for i in range(config.n_replica)]
+    logs = _replica_site_logs(config.family, seeds, L + R, np.arange(-L, L + 1), config.kappa, t, R)
+    return logsumexp(logs, axis=1) - math.log(2 * L + 1)
 
 
 def _block_log_means(config, t, L, label, draw_fn=None):

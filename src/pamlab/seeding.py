@@ -51,14 +51,22 @@ def site_uniforms(seed, coords):
     depend on the enclosing window, so windows of different radii drawn
     from the same seed agree on their overlap.  Based on the splitmix64
     finalizer applied as a stateless counter hash.
+
+    seed is one integer, giving shape (n,), or a 1-d sequence of m
+    integers, giving shape (m, n) whose row i is what seed[i] alone
+    gives: the hash is elementwise, so all rows are mixed in one pass.
     """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.ndim == 1:
         coords = coords[None, :]
     n, d = coords.shape
     cu = coords.view(_U64) if coords.flags.c_contiguous else coords.copy().view(_U64)
+    if np.ndim(seed) == 0:
+        seeds = np.array(int(seed) & _MASK64, dtype=_U64)
+    else:
+        seeds = np.array([int(s) & _MASK64 for s in seed], dtype=_U64)
     with np.errstate(over="ignore"):
-        h = np.full(n, _mix(_U64(int(seed) & _MASK64)), dtype=_U64)
+        h = np.broadcast_to(_mix(seeds)[..., None], seeds.shape + (n,))
         for k in range(d):
             h = _mix((h + _GOLDEN) ^ cu[:, k])
         h = _mix(h + _GOLDEN)

@@ -9,10 +9,11 @@ Every kappa > 0 solve goes through one kernel, _solve_stack, on a stack
 of d-dimensional boxes given as a (B, S, ..., S) array of potentials
 plus its hard-core mask: a single box is a stack of one that reads every
 site, and site_log_moments, the one reader of site moments at given
-sites, cuts windows from environments into stacks of at most
-_STACK_SITES sites that read their centers.  Each box is summed by
-uniformization, or by a batched dense eigendecomposition where one
-fitted cost rule (_dense_route) says that is cheaper.
+sites, cuts windows from stacks of environments' potentials into
+stacks of at most _STACK_SITES sites that read their centers.  Each
+box is summed by uniformization, or by a batched dense
+eigendecomposition where one fitted cost rule (_dense_route) says that
+is cheaper.
 """
 
 import math
@@ -250,7 +251,7 @@ def solve_untruncated(env, x, kappa, t, tol=1e-8):
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     R = required_radius(kappa, t, tol, env.dim)
-    log_m = float(site_log_moments([env], x[None, :], kappa, t, R)[0, 0])
+    log_m = float(site_log_moments([env.stack()], x[None, :], kappa, t, R)[0, 0])
     if log_m == -math.inf:
         return 0.0, 0.0, R
     return 1.0, log_m, R
@@ -453,22 +454,26 @@ def log_center_moment_windows(v_windows, kappa, t, hardcore=None):
     return out
 
 
-def site_log_moments(envs, sites, kappa, t, R):
+def site_log_moments(stacks, sites, kappa, t, R):
     """(n_env, n_sites) array of log m(x, t) at fixed lattice sites of each environment.
 
-    sites holds integer coordinates, one row per site (a 1-d array is
-    taken as 1-d sites); every environment must share one dim and radius.
+    stacks yields (v, hardcore) pairs of shape (n, S, ..., S): the
+    potentials and hard-core masks of n environments on one window
+    [-radius, radius]^d, S = 2 radius + 1, shared by every pair; rows
+    follow one another as environments.  sites holds integer
+    coordinates, one row per site (a 1-d array is taken as 1-d sites).
     Each value comes from the site's Dirichlet window of radius R, hard
-    cores masked, and is -inf where the site is a hard core.  envs is
-    consumed lazily: the (env, site) windows, in env-major order, are
-    gathered into one stack that log_center_moment_windows solves each
-    time windows_per_call of them are in, so at most one environment and
-    one stack are held.  At kappa = 0, R = 0 and a window is its site,
-    whose value is t v(x) exactly.
+    cores masked, and is -inf where the site is a hard core.  The
+    (env, site) windows, in env-major order, are gathered into one stack
+    that log_center_moment_windows solves each time windows_per_call of
+    them are in; stacks is consumed lazily, so at most one pair and one
+    stack of windows are held.  At kappa = 0, R = 0 and a window is its
+    site, whose value is t v(x) exactly.
     """
     sites = np.asarray(sites, dtype=np.int64)
     sites = sites.reshape(len(sites), -1)
-    side = (2 * R + 1,) * sites.shape[1]
+    d = sites.shape[1]
+    side = (2 * R + 1,) * d
     step = windows_per_call(math.prod(side))
     stack_v = np.empty((step,) + side)
     stack_hard = np.empty((step,) + side, dtype=bool)
@@ -478,27 +483,32 @@ def site_log_moments(envs, sites, kappa, t, R):
     def solve(n):
         logs.append(log_center_moment_windows(stack_v[:n], kappa, t, hardcore=stack_hard[:n]))
 
-    for env in envs:
+    for v, hard in stacks:
         if frame is None:
-            frame = (env.dim, env.radius)
-            if sites.shape[1] != env.dim:
+            frame = v.shape[1:]
+            if len(frame) != d:
                 raise ValueError("sites must have one coordinate per environment dimension")
+            if any(s != frame[0] or s % 2 == 0 for s in frame):
+                raise ValueError("environments must be cubes of odd side")
+            radius, n_frame = frame[0] // 2, math.prod(frame)
             reach = int(np.abs(sites).max(initial=0)) + R
-            if reach > env.radius:
-                raise SolverError(f"window radius {env.radius} too small: need {reach} for windows of radius {R}")
-            centers = env.flat_index(sites)[:, None]
-            offsets = env.flat_index(window_coords(env.dim, R)) - env.flat_index((0,) * env.dim)
-            # gather indices are built once when one env's windows fit in a stack
-            rows = centers + offsets if len(centers) <= step else None
-        elif (env.dim, env.radius) != frame:
+            if reach > radius:
+                raise SolverError(f"window radius {radius} too small: need {reach} for windows of radius {R}")
+            centers = np.ravel_multi_index(tuple((sites + radius).T), frame)
+            # flat offsets of a window's sites from its center, which is the frame's middle site
+            offsets = np.ravel_multi_index(tuple((window_coords(d, R) + radius).T), frame) - n_frame // 2
+        elif v.shape[1:] != frame:
             raise ValueError("environments must share one dim and radius")
-        v = env.v_plus - env.v_minus
-        done = 0
-        while done < len(centers):
-            n = min(len(centers) - done, step - filled)
-            at = rows[done : done + n] if rows is not None else centers[done : done + n] + offsets
-            v.take(at, out=flat_v[filled : filled + n], mode="clip")
-            env.hardcore.take(at, out=flat_hard[filled : filled + n], mode="clip")
+        if hard.shape != v.shape:
+            raise ValueError("hardcore mask must have the shape of the potentials")
+        flat_env_v, flat_env_hard = v.reshape(-1), hard.reshape(-1)
+        total, done = len(v) * len(centers), 0
+        while done < total:
+            n = min(total - done, step - filled)
+            row, j = np.divmod(np.arange(done, done + n), len(centers))
+            at = (row * n_frame + centers[j])[:, None] + offsets
+            flat_env_v.take(at, out=flat_v[filled : filled + n], mode="clip")
+            flat_env_hard.take(at, out=flat_hard[filled : filled + n], mode="clip")
             done, filled = done + n, filled + n
             if filled == step:
                 solve(step)
@@ -518,7 +528,7 @@ def empirical_average(env, L, kappa, t, tol=1e-8):
     if L < 0:
         raise ValueError("L must be >= 0")
     R = required_radius(kappa, t, tol, env.dim)
-    total = float(logsumexp(site_log_moments([env], window_coords(env.dim, L), kappa, t, R)))
+    total = float(logsumexp(site_log_moments([env.stack()], window_coords(env.dim, L), kappa, t, R)))
     if total == -math.inf:
         return 0.0, 0.0
     return 1.0, total - math.log((2 * L + 1) ** env.dim)

@@ -1,5 +1,7 @@
 """Tests for tail families, quantiles, and environment sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,22 @@ from pamlab.environments import (
     load_environment,
     quantile_array,
     sample_environment,
+    sample_potentials,
     save_environment,
     survival_from_potential,
     tail_quantile,
     window_coords,
     with_branch_cap,
 )
-from pamlab.seeding import generator
+from pamlab.seeding import derive_seed, generator, site_uniforms
+
+ALL_FAMILIES = [
+    TailFamily.weibull(2.0),
+    TailFamily.double_exp(1.0),
+    TailFamily.squared_double_exp(),
+    TailFamily.frechet(1.0),
+    TailFamily.hard_core(0.3),
+]
 
 
 def test_family_parameter_validation():
@@ -118,6 +129,41 @@ def test_sample_environment_deterministic():
     assert a.hardcore.tobytes() == b.hardcore.tobytes()
     c = sample_environment(fam, 2, 6, 100)
     assert a.v_plus.tobytes() != c.v_plus.tobytes()
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES, ids=TailFamily.label)
+@pytest.mark.parametrize("dim, radius", [(1, 30), (2, 5)])
+def test_batched_sampler_matches_one_seed_at_a_time(family, dim, radius):
+    # seeds on both sides of 2^63 in one list, and both ends of the range
+    seeds = [0, 1, 99, 2**63, derive_seed(3, "env", 4), 2**64 - 1]
+    v, hard = sample_potentials(family, dim, radius, seeds)
+    assert v.shape == hard.shape == (len(seeds), (2 * radius + 1) ** dim)
+    for row, seed in enumerate(seeds):
+        env = sample_environment(family, dim, radius, seed)
+        assert np.array_equal(v[row], env.v_plus - env.v_minus)
+        assert np.array_equal(hard[row], env.hardcore)
+        # and the definition: the family's quantile of each site's uniform
+        q = quantile_array(family, site_uniforms(seed, window_coords(dim, radius)))
+        assert np.array_equal(hard[row], np.isneginf(q))
+        assert np.array_equal(v[row], np.where(hard[row], 0.0, q))
+    assert hard.any() == family.has_hardcore_atom
+
+
+@pytest.mark.parametrize(
+    "dim, radius, name, got",
+    [(1, 2.5, "radius", 2.5), (1, -1, "radius", -1), (1, float("nan"), "radius", float("nan")),
+     (1.5, 2, "dim", 1.5), (0, 2, "dim", 0), (2, "3", "radius", "3")],
+)
+def test_sampler_refuses_non_integer_sizes(dim, radius, name, got):
+    # radius 2.5 once gave an env of radius 2 and 5 sites holding 6 rate values
+    fam = TailFamily.weibull(2.0)
+    message = re.escape(f"{name} must be an integer >= {int(name == 'dim')}, got {got!r}")
+    with pytest.raises(ValueError, match=message):
+        sample_environment(fam, dim, radius, 1)
+    with pytest.raises(ValueError, match=message):
+        sample_potentials(fam, dim, radius, [1, 2])
+    env = sample_environment(fam, 1.0, 3.0, 1)
+    assert (env.dim, env.radius, env.n_sites, env.v_plus.size) == (1, 3, 7, 7)
 
 
 def test_window_extension_shares_sites():

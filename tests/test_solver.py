@@ -487,12 +487,12 @@ def test_site_log_moments_reads_given_sites_of_each_env():
     hard[3 + 2, 3 - 3] = True
     envs = [make_env(grid, hardcore=hard), make_env(-grid)]
     sites = np.array([[0, 0], [2, -3], [-1, 1], [3, 3]])
-    got = site_log_moments(iter(envs), sites, 0.0, 1.5, 0)
+    got = site_log_moments((e.stack() for e in envs), sites, 0.0, 1.5, 0)
     idx = envs[0].flat_index(sites)
     want = [np.where(e.hardcore[idx], -np.inf, 1.5 * (e.v_plus - e.v_minus)[idx]) for e in envs]
     np.testing.assert_array_equal(got, want)
     assert got[0, 1] == -np.inf and np.isfinite(got[1]).all()
     with pytest.raises(SolverError, match="need 4"):
-        site_log_moments(envs, sites, 1.0, 1.0, 1)
+        site_log_moments([e.stack() for e in envs], sites, 1.0, 1.0, 1)
     with pytest.raises(ValueError, match="share one dim and radius"):
-        site_log_moments([envs[0], make_env(grid[1:-1, 1:-1])], [[0, 0]], 1.0, 1.0, 1)
+        site_log_moments([envs[0].stack(), make_env(grid[1:-1, 1:-1]).stack()], [[0, 0]], 1.0, 1.0, 1)
