@@ -44,7 +44,7 @@ from .moments import (
     strip_fraction,
     strip_fraction_bound,
 )
-from .particles import gillespie_run, population_ensemble
+from .particles import population_ensemble
 from .regimes import (
     RegimeConfig,
     RegimeThresholds,

@@ -173,6 +173,8 @@ class Environment:
         single = coords.ndim == 1
         if single:
             coords = coords[None, :]
+        if coords.shape[1] != self.dim:
+            raise ValueError(f"coordinate dimension must be {self.dim}, got {coords.shape[1]}")
         if np.any(np.abs(coords) > self.radius):
             raise IndexError("coordinates outside the sampled window")
         idx = np.zeros(len(coords), dtype=np.int64)

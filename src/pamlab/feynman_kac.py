@@ -15,11 +15,12 @@ left.  So the numbers a path reads do not depend on the box: runs with
 the same seed and different boxes follow the same trajectories, and a
 larger box can only save paths.
 
-Each path's state is one flat index into a killing grid built once per
-call: the killing box padded by one layer, holding v on live box sites
-and 0 elsewhere plus a mask of live sites.  Direction k adds the stride
-of axis k >> 1, negated for odd k; a path that lands off the mask (a
-hard core, or the padding just outside the box) is killed.
+Each path's state is one flat index into the killing box's
+BoxDomain.killing_grid: the box padded by one layer, holding v on live
+box sites and 0 elsewhere plus a mask of live sites; no box means the
+whole window.  Direction k adds the stride of axis k >> 1, negated for
+odd k; a path that lands off the mask (a hard core, or the padding just
+outside the box) is killed.
 """
 
 import math
@@ -46,31 +47,6 @@ class FKEstimate:
     @property
     def all_killed(self):
         return self.n_killed == self.n_paths
-
-
-def _kill_bounds(env, box):
-    """Center and radius of the killing box; None means the whole window."""
-    if box is None:
-        return np.zeros(env.dim, dtype=np.int64), env.radius
-    if not isinstance(box, BoxDomain):
-        raise TypeError("box must be a BoxDomain or None")
-    return np.asarray(box.center, dtype=np.int64), box.radius
-
-
-def _killing_grid(env, center, radius):
-    """(pot, ok, steps) on the killing box padded by one layer, flat in C order.
-
-    pot is v on live box sites and 0 elsewhere; ok is True on box sites
-    that are not hard cores.  steps[k] is the flat offset of direction k:
-    the stride of axis k >> 1, negated for odd k.
-    """
-    shape = (env.side,) * env.dim
-    box = tuple(slice(c - radius + env.radius, c + radius + env.radius + 1) for c in center)
-    ok = np.pad(~env.hardcore.reshape(shape)[box], 1)
-    pot = np.where(ok, np.pad((env.v_plus - env.v_minus).reshape(shape)[box], 1), 0.0)
-    strides = (2 * radius + 3) ** np.arange(env.dim - 1, -1, -1, dtype=np.int64)
-    steps = np.stack([strides, -strides], axis=1).ravel()
-    return pot.ravel(), ok.ravel(), steps
 
 
 def _chunk_log_weights(pot, ok, steps, start, rate, t, n, rng):
@@ -115,9 +91,10 @@ def fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
 
     The random stream consumed per path does not depend on the box (see
     the module docstring), so runs with the same seed and different
-    boxes follow identical walk trajectories.  Raises ValueError unless
-    x has env.dim coordinates, n_paths >= 1, and t and kappa are finite
-    and >= 0.
+    boxes follow identical walk trajectories.  box is a BoxDomain of env,
+    or None for the whole window.  Raises ValueError unless x has env.dim
+    coordinates inside the box, n_paths >= 1, t and kappa are finite and
+    >= 0, and box belongs to env.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     if x.shape != (env.dim,):
@@ -127,11 +104,16 @@ def fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
     for name, value in (("t", t), ("kappa", kappa)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    center, radius = _kill_bounds(env, box)
-    if np.abs(x - center).max() > radius:
+    if box is None:
+        box = BoxDomain(env, (0,) * env.dim, env.radius)
+    elif not isinstance(box, BoxDomain):
+        raise TypeError("box must be a BoxDomain or None")
+    elif box.env is not env:
+        raise ValueError("box must be a BoxDomain of env")
+    if np.abs(x - box.center).max() > box.radius:
         raise ValueError("start point outside the killing box")
-    pot, ok, steps = _killing_grid(env, center, radius)
-    start = int((x - center + radius + 1) @ steps[::2])
+    pot, ok, steps = box.killing_grid()
+    start = int((x - box.center + box.radius + 1) @ steps[::2])
     if kappa == 0.0 or t == 0.0:
         return np.full(n_paths, pot[start] * t if ok[start] else -math.inf)
     out = np.empty(n_paths)

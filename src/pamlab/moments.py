@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-# sample_environment is not called here; it stays in this namespace, where
-# tests patch it to show that refusals come before any sampling
-from .environments import sample_environment, sample_potentials  # noqa: F401
+from .environments import sample_potentials
 from .seeding import derive_seed, generator
 from .solver import required_radius, site_log_moments, windows_per_call
 

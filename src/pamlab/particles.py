@@ -14,67 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import derive_seed, generator
+from .solver import BoxDomain
 
 
 def kill_adjacency(env):
     """Neighbor table (n_sites, 2d): target flat index, or -1 if the move kills.
 
-    Direction j encodes axis j >> 1 and sign +1 for even j, -1 for odd.
+    Read off the whole window's BoxDomain.killing_grid: direction j adds
+    steps[j], so it encodes axis j >> 1 and sign +1 for even j, -1 for
+    odd, and a move that lands off the live mask kills.
     """
-    coords = env.coords()
-    n = len(coords)
-    d = env.dim
-    table = np.full((n, 2 * d), -1, dtype=np.int64)
-    for j in range(2 * d):
-        axis = j >> 1
-        sign = 1 - 2 * (j & 1)
-        shifted = coords.copy()
-        shifted[:, axis] += sign
-        inside = np.abs(shifted[:, axis]) <= env.radius
-        idx = env.flat_index(shifted[inside])
-        dead = env.hardcore[idx]
-        vals = np.where(dead, -1, idx)
-        table[np.nonzero(inside)[0], j] = vals
-    return table
-
-
-@dataclass(frozen=True)
-class ParticleRun:
-    """One trajectory: population after each event, plus event accounting."""
-
-    times: np.ndarray = field(repr=False)
-    populations: np.ndarray = field(repr=False)
-    n_branch: int
-    n_death: int
-    n_boundary_kill: int
-    final_population: int
-    truncated: bool
-    t: float
-
-    def accounting_consistent(self):
-        return self.final_population == 1 + self.n_branch - self.n_death - self.n_boundary_kill
-
-
-def gillespie_run(env, x, kappa, t, seed, cap=10**7):
-    """Simulate one population trajectory started from a single particle.
-
-    This is population_ensemble with one replica that also records the
-    time and the population after each event; it draws the same stream,
-    so it is the run population_ensemble(env, x, kappa, t, 1, seed) makes.
-    """
-    path = []
-    sample = population_ensemble(env, x, kappa, t, 1, seed, cap, _trajectory=path)
-    times, pops = zip(*path)
-    return ParticleRun(
-        times=np.asarray(times),
-        populations=np.asarray(pops, dtype=np.int64),
-        n_branch=int(sample.n_branch[0]),
-        n_death=int(sample.n_death[0]),
-        n_boundary_kill=int(sample.n_boundary_kill[0]),
-        final_population=int(sample.counts[0]),
-        truncated=bool(sample.truncated[0]),
-        t=float(t),
-    )
+    _, ok, steps = BoxDomain(env, (0,) * env.dim, env.radius).killing_grid()
+    site = np.pad(np.arange(env.n_sites).reshape((env.side,) * env.dim), 1, constant_values=-1).ravel()
+    target = np.flatnonzero(site >= 0)[:, None] + steps
+    return np.where(ok[target], site[target], -1)
 
 
 @dataclass(frozen=True)
@@ -111,7 +64,7 @@ class PopulationSample:
         return float(self.counts.std(ddof=1)) / math.sqrt(self.n_runs)
 
 
-def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7, _trajectory=None):
+def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     """Final populations of n_runs independent runs advanced in lockstep.
 
     A replica's state is its particle count per site.  Each sweep makes
@@ -123,9 +76,7 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7, _trajectory=N
     All replicas draw from the stream derive_seed(seed, "particles").
 
     A run stops at time t, at extinction, or once its population exceeds
-    cap (it is then flagged truncated).  _trajectory, a list, receives
-    (time, population) at the start and after each event of a
-    one-replica run.
+    cap (it is then flagged truncated).
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     if t < 0 or kappa < 0:
@@ -140,8 +91,6 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7, _trajectory=N
         live = np.arange(0)
     else:
         live = np.arange(n_runs)  # the replicas still running
-    if _trajectory is not None:
-        _trajectory.append((0.0, len(live)))
     table = kill_adjacency(env)
     n_dir = 2 * env.dim
     jump = n_dir * kappa
@@ -184,8 +133,6 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7, _trajectory=N
         pop += born
         pop -= died
         pop[killed] -= 1
-        if _trajectory is not None:
-            _trajectory.extend(zip(clock.tolist(), pop.tolist()))
     sample = PopulationSample(final, trunc, branch, death, kill, float(t), float(kappa))
     if not np.all(sample.accounting_consistent() | trunc):
         raise RuntimeError("event accounting out of balance")

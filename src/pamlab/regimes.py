@@ -220,7 +220,7 @@ def annealed_reference(family, t):
     return mu, math.sqrt(max(var, 0.0))
 
 
-def _family_draw(family, t):
+def _family_draw(family):
     def draw(rng, n):
         s = rng.exponential(size=n)
         return exp_quantile_array(family, s)
@@ -236,7 +236,7 @@ def _block_log_means_exact(config, t, L, label, draw_fn):
     environment sampler uses, and much faster at large L.
     """
     n_sites = (2 * L + 1) ** config.d
-    draw = draw_fn if draw_fn is not None else _family_draw(config.family, t)
+    draw = draw_fn if draw_fn is not None else _family_draw(config.family)
     out = np.empty(config.n_replica)
     with np.errstate(over="raise"):
         for i in range(config.n_replica):
@@ -312,7 +312,7 @@ def _ratio_stats(logs, log_mu):
     return ratio, float(ratio.mean()), float(ratio.std(ddof=1)), float(q10), float(q50), float(q90)
 
 
-def lln_experiment(config, draw_fn=None, reference=None):
+def lln_experiment(config):
     """Fraction of replicas whose box average tracks the annealed value.
 
     The in-band count compares exponents, |log m^L / log <m> - 1| <=
@@ -329,11 +329,8 @@ def lln_experiment(config, draw_fn=None, reference=None):
         L, gamma_eq = schedule_L(
             config.rule, t, config.family, config.d, config.max_log_L
         )
-        logs = _block_log_means(config, t, L, f"lln-{ti}", draw_fn=draw_fn)
-        if reference is not None:
-            log_mu = math.log(reference[0])
-            sys_half = 0.0
-        elif config.kappa == 0.0:
+        logs = _block_log_means(config, t, L, f"lln-{ti}")
+        if config.kappa == 0.0:
             log_mu = cumulant_H(config.family, t)
             sys_half = 0.0
         else:

@@ -46,11 +46,17 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoxDomain:
-    """A centered box inside a sampled window, minus hard-core sites."""
+    """A box inside a sampled window, minus hard-core sites.
+
+    The box is cut from env.stack() once: v holds its (S, ..., S)
+    potentials, 0 on hard cores, and live is False on hard cores.
+    """
 
     env: object
     center: tuple
     radius: int
+    v: np.ndarray = field(init=False, repr=False, compare=False)
+    live: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         center = tuple(int(c) for c in np.atleast_1d(np.asarray(self.center)))
@@ -61,6 +67,11 @@ class BoxDomain:
             raise ValueError("radius must be >= 0")
         if max(abs(c) for c in center) + self.radius > self.env.radius:
             raise ValueError("box does not fit inside the sampled window")
+        lo = self.env.radius - self.radius
+        cut = (0,) + tuple(slice(lo + c, lo + c + self.side) for c in center)
+        v, hard = (a[cut] for a in self.env.stack())
+        object.__setattr__(self, "v", np.where(hard, 0.0, v))
+        object.__setattr__(self, "live", ~hard)
 
     @property
     def dim(self):
@@ -75,48 +86,39 @@ class BoxDomain:
         return self.side**self.dim
 
     def box_coords(self):
-        """All box sites, C-ordered; cached on first use."""
-        cached = self.__dict__.get("_box_coords")
-        if cached is None:
-            cached = window_coords(self.dim, self.radius) + np.asarray(self.center, dtype=np.int64)
-            self.__dict__["_box_coords"] = cached
-        return cached
-
-    def env_indices(self):
-        cached = self.__dict__.get("_env_indices")
-        if cached is None:
-            cached = self.env.flat_index(self.box_coords())
-            self.__dict__["_env_indices"] = cached
-        return cached
+        """All box sites, C-ordered, (n_box, dim)."""
+        return window_coords(self.dim, self.radius) + np.asarray(self.center, dtype=np.int64)
 
     def active_mask(self):
         """Boolean over box sites; False on hard cores."""
-        cached = self.__dict__.get("_active_mask")
-        if cached is None:
-            cached = ~self.env.hardcore[self.env_indices()]
-            self.__dict__["_active_mask"] = cached
-        return cached
+        return self.live.ravel()
 
     @property
     def n_active(self):
-        return int(self.active_mask().sum())
+        return int(self.live.sum())
 
     def potential(self):
         """Finite v on active sites, in active order."""
-        idx = self.env_indices()[self.active_mask()]
-        return self.env.v_plus[idx] - self.env.v_minus[idx]
+        return self.v[self.live]
+
+    def killing_grid(self):
+        """(pot, ok, steps) on the box padded by one layer, flat in C order.
+
+        pot is v on live box sites and 0 elsewhere; ok is True on live
+        box sites.  steps[k] is the flat offset of direction k: the
+        stride of axis k >> 1, negated for odd k.
+        """
+        strides = (self.side + 2) ** np.arange(self.dim - 1, -1, -1, dtype=np.int64)
+        steps = np.stack([strides, -strides], axis=1).ravel()
+        return np.pad(self.v, 1).ravel(), np.pad(self.live, 1).ravel(), steps
 
     def _neighbor_pairs(self):
         """Index pairs (i, j), i < j in active order, of lattice neighbors."""
-        cached = self.__dict__.get("_pairs")
-        if cached is None:
-            i, j = _grid_pairs((self.side,) * self.dim)
-            keep = self.active_mask()
-            both = keep[i] & keep[j]
-            rank = np.cumsum(keep) - 1
-            cached = (rank[i[both]], rank[j[both]])
-            self.__dict__["_pairs"] = cached
-        return cached
+        i, j = _grid_pairs(self.live.shape)
+        keep = self.active_mask()
+        both = keep[i] & keep[j]
+        rank = np.cumsum(keep) - 1
+        return rank[i[both]], rank[j[both]]
 
     def operator_dense(self, kappa):
         """kappa*Delta + v as a dense symmetric matrix on the active set."""
@@ -160,6 +162,8 @@ class MomentField:
     def value_at(self, coord):
         """(mantissa, log_offset) at one lattice coordinate."""
         coord = np.asarray(coord, dtype=np.int64).reshape(-1)
+        if coord.size != self.domain.dim:
+            raise ValueError(f"coordinate dimension must be {self.domain.dim}, got {coord.size}")
         delta = coord - np.asarray(self.domain.center)
         if np.any(np.abs(delta) > self.domain.radius):
             raise IndexError("coordinate outside the box")
@@ -185,15 +189,6 @@ def _normalized_field(domain, t, kappa, active_values, extra_offset, method, deg
     return MomentField(domain, float(t), float(kappa), full, float(off), method, degree)
 
 
-def _box_stack(domain):
-    """(potentials, active mask) of a box as a (1, S, ..., S) stack, zero on hard cores."""
-    shape = (1,) + (domain.side,) * domain.dim
-    active = domain.active_mask()
-    v = np.zeros(domain.n_box)
-    v[active] = domain.potential()
-    return v.reshape(shape), active.reshape(shape)
-
-
 def solve_truncated(env, box, kappa, t):
     """Truncated moment field on a box with Dirichlet zero outside.
 
@@ -213,8 +208,7 @@ def solve_truncated(env, box, kappa, t):
         v = domain.potential()
         peak = float(v.max())
         return _normalized_field(domain, t, kappa, np.exp((v - peak) * t), peak * t, "closed-form")
-    v, active = _box_stack(domain)
-    vals, off, degree, dense = _solve_stack(v, active, kappa, t, every_site=True)
+    vals, off, degree, dense = _solve_stack(domain.v[None], domain.live[None], kappa, t, every_site=True)
     method = "dense-eig" if dense[0] else "uniformization"
     return _normalized_field(domain, t, kappa, vals[0][domain.active_mask()], off[0], method, int(degree[0]))
 

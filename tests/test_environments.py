@@ -245,6 +245,14 @@ def test_flat_index_matches_coords_order():
         env.flat_index(np.array([4, 0]))
 
 
+def test_flat_index_refuses_wrong_dimension():
+    env = sample_environment(TailFamily.weibull(2.0), 1, 3, 1)
+    with pytest.raises(ValueError, match="coordinate dimension must be 1, got 2"):
+        env.flat_index([1, 2])
+    with pytest.raises(ValueError, match="coordinate dimension must be 1, got 2"):
+        env.flat_index(np.zeros((4, 2), dtype=int))
+
+
 def test_window_coords_shape():
     c = window_coords(3, 2)
     assert c.shape == (125, 3)

@@ -112,6 +112,9 @@ def test_start_outside_box_rejected():
     env = make_env_1d(np.zeros(9))
     with pytest.raises(ValueError):
         fk_path_log_weights(env, (4,), 1.0, 1.0, 10, seed=0, box=BoxDomain(env, (0,), 2))
+    # the killing grid is cut from the box's own environment, so it must be env
+    with pytest.raises(ValueError, match="BoxDomain of env"):
+        fk_path_log_weights(env, (0,), 1.0, 1.0, 10, seed=0, box=BoxDomain(make_env_1d(np.ones(9)), (0,), 2))
 
 
 @pytest.mark.parametrize(
@@ -136,7 +139,7 @@ def _oracle_case(name):
     if name == "d2_offcentre_box_hardcores":
         env = sample_environment(TailFamily.hard_core(0.15), 2, 6, seed=42)
         box = BoxDomain(env, (1, -2), 4)
-        assert not env.hardcore[env.flat_index(np.array([2, -1]))] and env.hardcore[box.env_indices()].any()
+        assert not env.hardcore[env.flat_index(np.array([2, -1]))] and not box.live.all()
         return env, (2, -1), 0.8, 1.5, 12000, box
     if name == "d3_weibull":
         env = sample_environment(TailFamily.weibull(2.0), 3, 4, seed=43)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pamlab import moments, solver
+from pamlab import environments, solver
 from pamlab.analytics import cumulant_H, cumulant_exponent_G
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.moments import (
@@ -246,7 +246,7 @@ def test_block_variance_refuses_hard_cores_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an environment")
 
-    monkeypatch.setattr(moments, "sample_environment", no_sampling)
+    monkeypatch.setattr(environments, "site_uniforms", no_sampling)
     with pytest.raises(ValueError, match="expects no hard cores"):
         block_variance(TailFamily.hard_core(0.2), 1.0, 1.0, L=10, n_replica=60, seed=1)
 
@@ -255,7 +255,7 @@ def test_block_variance_refuses_one_replica_before_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled an environment")
 
-    monkeypatch.setattr(moments, "sample_environment", no_sampling)
+    monkeypatch.setattr(environments, "site_uniforms", no_sampling)
     with pytest.raises(ValueError, match="n_replica >= 2, got 1"):
         block_variance(TailFamily.weibull(2.0), 0.0, 1.0, L=3, n_replica=1, seed=1)
 

@@ -5,11 +5,7 @@ import pytest
 
 from helpers import make_env, make_env_1d
 from pamlab.environments import TailFamily, sample_environment, with_branch_cap
-from pamlab.particles import (
-    gillespie_run,
-    kill_adjacency,
-    population_ensemble,
-)
+from pamlab.particles import kill_adjacency, population_ensemble
 from pamlab.solver import BoxDomain, solve_truncated
 
 
@@ -35,10 +31,10 @@ def test_kill_adjacency_encodes_axes_and_signs():
 
 def test_static_environment_has_no_events():
     env = make_env_1d(np.zeros(3))
-    run = gillespie_run(env, (0,), kappa=0.0, t=5.0, seed=1)
-    assert run.final_population == 1
-    assert len(run.times) == 1
-    assert run.accounting_consistent()
+    run = population_ensemble(env, (0,), kappa=0.0, t=5.0, n_runs=1, seed=1)
+    assert run.counts[0] == 1
+    assert run.n_branch[0] == run.n_death[0] == run.n_boundary_kill[0] == 0
+    assert run.accounting_consistent().all()
 
 
 def test_time_zero_keeps_single_particle():
@@ -50,9 +46,9 @@ def test_time_zero_keeps_single_particle():
 def test_hardcore_start_is_empty():
     hard = np.array([False, True, False])
     env = make_env_1d(np.zeros(3), hardcore=hard)
-    run = gillespie_run(env, (0,), 1.0, 1.0, seed=3)
-    assert run.final_population == 0
-    assert run.n_boundary_kill == 1 and run.accounting_consistent()
+    run = population_ensemble(env, (0,), 1.0, 1.0, n_runs=1, seed=3)
+    assert run.counts[0] == 0
+    assert run.n_boundary_kill[0] == 1 and run.accounting_consistent().all()
     sample = population_ensemble(env, (0,), 1.0, 1.0, n_runs=20, seed=3)
     assert np.all(sample.counts == 0)
     assert np.all(sample.n_boundary_kill == 1) and sample.accounting_consistent().all()
@@ -91,20 +87,16 @@ def test_single_site_window_dies_at_jump_rate():
     p = math.exp(-2.0 * t)
     se = math.sqrt(p * (1 - p) / sample.n_runs)
     assert abs(sample.mean() - p) <= 4.0 * se
-    run = gillespie_run(env, (0,), 1.0, 20.0, seed=7)
-    assert run.final_population == 0
-    assert run.n_boundary_kill == 1
+    run = population_ensemble(env, (0,), 1.0, 20.0, n_runs=1, seed=7)
+    assert run.counts[0] == 0
+    assert run.n_boundary_kill[0] == 1
 
 
 def test_accounting_identity_on_random_environments():
     env = sample_environment(TailFamily.double_exp(1.0), 1, 6, seed=11)
     for s in range(30):
-        run = gillespie_run(env, (0,), 1.0, 1.0, seed=s)
-        assert run.accounting_consistent()
-        assert run.populations[0] == 1
-        assert np.all(np.diff(run.times) >= 0)
-        assert np.all(np.abs(np.diff(run.populations)) <= 1)
-        assert run.final_population == run.populations[-1]
+        run = population_ensemble(env, (0,), 1.0, 1.0, n_runs=1, seed=s)
+        assert run.accounting_consistent().all()
 
 
 def test_population_mean_tracks_solver_weibull():
@@ -141,19 +133,6 @@ def test_ensemble_reports_per_run_accounting():
     assert sample.n_death.sum() + sample.n_boundary_kill.sum() > 0
 
 
-def test_gillespie_run_is_the_one_replica_ensemble():
-    # the eight runs between them branch, die and step off the window
-    env = make_env_1d(np.random.default_rng(3).uniform(-1.5, 1.5, size=5))
-    for s in range(8):
-        run = gillespie_run(env, (0,), 1.0, 2.0, seed=s)
-        sample = population_ensemble(env, (0,), 1.0, 2.0, 1, seed=s)
-        assert run.final_population == sample.counts[0]
-        assert run.n_branch == sample.n_branch[0]
-        assert run.n_death == sample.n_death[0]
-        assert run.n_boundary_kill == sample.n_boundary_kill[0]
-        assert run.truncated == sample.truncated[0]
-
-
 def test_cap_sets_truncated_flag():
     env = make_env_1d([0.0, 3.0, 0.0])
     sample = population_ensemble(env, (0,), 0.0, 4.0, n_runs=40, seed=51, cap=30)
@@ -173,7 +152,13 @@ def test_runs_are_deterministic_in_seed():
 def test_negative_time_rejected():
     env = make_env_1d(np.zeros(3))
     with pytest.raises(ValueError):
-        gillespie_run(env, (0,), 1.0, -1.0, seed=1)
+        population_ensemble(env, (0,), 1.0, -1.0, n_runs=1, seed=1)
+
+
+def test_start_of_wrong_dimension_rejected():
+    env = make_env_1d(np.zeros(5))
+    with pytest.raises(ValueError, match="coordinate dimension must be 1, got 2"):
+        population_ensemble(env, (1, 2), 1.0, 1.0, n_runs=10, seed=1)
 
 
 def test_ensemble_mean_tracks_solver():

@@ -372,5 +372,5 @@ def test_diffusive_run_limits():
     )
     with pytest.raises(ValueError):
         lln_experiment(big_L)
-    with pytest.raises(ValueError):
-        lln_experiment(config, draw_fn=lambda rng, n: np.zeros(n))
+    with pytest.raises(ValueError, match="draw_fn injection requires kappa = 0"):
+        clt_experiment(config, draw_fn=lambda rng, n: np.zeros(n))

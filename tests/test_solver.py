@@ -8,10 +8,10 @@ import scipy.linalg
 from helpers import make_env, make_env_1d, padded_with_hardcore
 from pamlab import solver
 from pamlab.environments import TailFamily, sample_environment, window_coords
+from pamlab.particles import kill_adjacency
 from pamlab.solver import (
     BoxDomain,
     SolverError,
-    _box_stack,
     _dense_fields,
     _dense_route,
     _normalized_field,
@@ -47,7 +47,7 @@ def field_values(fld):
 
 def dense_and_uniformized(box, kappa, t):
     """The same solve by both routes of the kernel, each route function called directly."""
-    v, active = _box_stack(box)
+    v, active = box.v[None], box.live[None]
     vmax, vmin = v[active].max(), v[active].min()
     c = np.array([2.0 * box.dim * kappa + vmax - vmin])
     degree = _poisson_degree(c * t)
@@ -343,6 +343,44 @@ def test_value_at_outside_box_raises():
     fld = solve_truncated(env, BoxDomain(env, (0,), 2), 1.0, 0.5)
     with pytest.raises(IndexError):
         fld.value_at((3,))
+
+
+def test_value_at_refuses_wrong_dimension():
+    env = make_env(np.zeros((5, 5)))
+    fld = solve_truncated(env, BoxDomain(env, (0, 0), 2), 1.0, 0.5)
+    with pytest.raises(ValueError, match="coordinate dimension must be 2, got 1"):
+        fld.value_at((0,))
+    with pytest.raises(ValueError, match="coordinate dimension must be 2, got 3"):
+        fld.value_at((0, 0, 0))
+
+
+@pytest.mark.parametrize("dim, radius, center, box_radius", [(1, 6, (2,), 3), (2, 4, (1, -2), 2), (3, 3, (-1, 0, 1), 1)])
+def test_box_cut_matches_coordinates(dim, radius, center, box_radius):
+    # an off-centre box with hard cores, cut from the window by slicing,
+    # against the same box gathered site by site through flat_index
+    env = sample_environment(TailFamily.hard_core(0.3), dim, radius, seed=8)
+    box = BoxDomain(env, center, box_radius)
+    idx = env.flat_index(box.box_coords())
+    live = ~env.hardcore[idx]
+    assert live.any() and not live.all()
+    np.testing.assert_array_equal(box.active_mask(), live)
+    np.testing.assert_array_equal(box.potential(), (env.v_plus - env.v_minus)[idx[live]])
+    assert box.n_active == live.sum()
+    pot, ok, steps = box.killing_grid()
+    inner = (slice(1, -1),) * dim
+    np.testing.assert_array_equal(ok.reshape((box.side + 2,) * dim)[inner].ravel(), live)
+    np.testing.assert_array_equal(pot.reshape((box.side + 2,) * dim)[inner].ravel()[live], box.potential())
+    assert not pot[~ok].any()
+    # the whole window's kill table, one shifted coordinate at a time
+    coords = env.coords()
+    want = np.full((env.n_sites, 2 * dim), -1)
+    for j in range(2 * dim):
+        for i, x in enumerate(coords):
+            y = x.copy()
+            y[j >> 1] += 1 - 2 * (j & 1)
+            if np.abs(y).max() <= radius and not env.hardcore[env.flat_index(y)]:
+                want[i, j] = env.flat_index(y)
+    np.testing.assert_array_equal(kill_adjacency(env), want)
 
 
 def test_batched_windows_match_per_site_solves():
