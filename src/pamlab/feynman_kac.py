@@ -30,7 +30,7 @@ import numpy as np
 
 from .analytics import rate_I
 from .seeding import derive_seed, generator
-from .solver import BoxDomain
+from .solver import BoxDomain, _box_of
 
 _CHUNK = 8192
 
@@ -104,12 +104,7 @@ def fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
     for name, value in (("t", t), ("kappa", kappa)):
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    if box is None:
-        box = BoxDomain(env, (0,) * env.dim, env.radius)
-    elif not isinstance(box, BoxDomain):
-        raise TypeError("box must be a BoxDomain or None")
-    elif box.env is not env:
-        raise ValueError("box must be a BoxDomain of env")
+    box = BoxDomain(env, (0,) * env.dim, env.radius) if box is None else _box_of(env, box)
     if np.abs(x - box.center).max() > box.radius:
         raise ValueError("start point outside the killing box")
     pot, ok, steps = box.killing_grid()

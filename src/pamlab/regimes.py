@@ -15,7 +15,7 @@ evaluated by Marsaglia, Tsang & Wang 2003) below n D^2 = 2.2, with
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp, ndtr, smirnov
@@ -177,6 +177,17 @@ class RegimeConfig:
             raise ValueError("empty t grid")
 
 
+def _box_size(log_L, max_log_L):
+    """L = ceil(e^log_L), refusing a box over the budget log L <= max_log_L."""
+    if log_L > max_log_L:
+        raise ScheduleOverflowError(
+            f"schedule needs log L = {log_L:.3f} (L ~ e^{log_L:.1f}), "
+            f"over the budget log L <= {max_log_L:.3f}",
+            required_log_L=log_L,
+        )
+    return max(1, math.ceil(math.exp(log_L) - 1e-9))
+
+
 def schedule_L(rule, t, family=None, d=1, max_log_L=math.log(2_000_000)):
     """Integer box size L for time t, plus the gamma-equivalent d log L / J.
 
@@ -187,23 +198,11 @@ def schedule_L(rule, t, family=None, d=1, max_log_L=math.log(2_000_000)):
         L = int(rule.lookup(t))
         if L < 1:
             raise ValueError("explicit schedule must give L >= 1")
-        log_L = math.log(L)
+        _box_size(math.log(L), max_log_L)  # only the budget refusal; L stays as given
     elif rule.kind == "gamma-j":
-        if rule.gamma == 0.0:
-            L = 1
-            log_L = 0.0
-        else:
-            log_L = rule.gamma * growth_J(family, d, t) / d
+        L = _box_size(rule.gamma * growth_J(family, d, t) / d if rule.gamma else 0.0, max_log_L)
     else:
-        log_L = float(rule.lookup(t)) / d
-    if log_L > max_log_L:
-        raise ScheduleOverflowError(
-            f"schedule needs log L = {log_L:.3f} (L ~ e^{log_L:.1f}), "
-            f"over the budget log L <= {max_log_L:.3f}",
-            required_log_L=log_L,
-        )
-    if rule.kind != "explicit" and not (rule.kind == "gamma-j" and rule.gamma == 0.0):
-        L = max(1, math.ceil(math.exp(log_L) - 1e-9))
+        L = _box_size(float(rule.lookup(t)) / d, max_log_L)
     try:
         gamma_eq = d * math.log(L) / growth_J(family, d, t) if L > 1 else 0.0
     except (ValueError, TypeError):
@@ -220,14 +219,6 @@ def annealed_reference(family, t):
     return mu, math.sqrt(max(var, 0.0))
 
 
-def _family_draw(family):
-    def draw(rng, n):
-        s = rng.exponential(size=n)
-        return exp_quantile_array(family, s)
-
-    return draw
-
-
 def _block_log_means_exact(config, t, L, label, draw_fn):
     """log m^L per replica at kappa = 0 from direct i.i.d. potential draws.
 
@@ -236,7 +227,7 @@ def _block_log_means_exact(config, t, L, label, draw_fn):
     environment sampler uses, and much faster at large L.
     """
     n_sites = (2 * L + 1) ** config.d
-    draw = draw_fn if draw_fn is not None else _family_draw(config.family)
+    draw = draw_fn or (lambda rng, n: exp_quantile_array(config.family, rng.exponential(size=n)))
     out = np.empty(config.n_replica)
     with np.errstate(over="raise"):
         for i in range(config.n_replica):
@@ -269,13 +260,27 @@ def _block_log_means_solver(config, t, L, label):
 def _block_log_means(config, t, L, label, draw_fn=None):
     if config.kappa == 0.0:
         return _block_log_means_exact(config, t, L, label, draw_fn)
-    if draw_fn is not None:
-        raise ValueError("draw_fn injection requires kappa = 0")
     return _block_log_means_solver(config, t, L, label)
 
 
 @dataclass(frozen=True)
 class RegimeVerdict:
+    """An lln or clt verdict on the box average m^L at one t.
+
+    The ratio fields describe m^L / exp(ref_log_mu) over the replicas;
+    frac_raw_in_band counts |ratio - 1| <= band and frac_below_half
+    counts ratio < 1/2.  frac_in_band is the statistic the lln verdict
+    reads, |log m^L / ref_log_mu - 1| <= band (|log m^L| <= band when
+    ref_log_mu is 0); for clt it is the raw ratio band and equals
+    frac_raw_in_band.  The regime CLI's frac_in_band column is this field.
+
+    NaN fields: for lln, skew, exkurt, ks_p, median_abs_statistic and
+    max_abs_statistic.  For clt, skew and exkurt when the standardized
+    statistic has no spread or is not finite (ks_p is then 0).  For
+    both, gamma when L > 1 and the growth scale J(t) is undefined.
+    ref_sys_halfwidth is d kappa t for lln and 0 for clt.
+    """
+
     kind: str
     t: float
     L: int
@@ -301,190 +306,128 @@ class RegimeVerdict:
     classification: str
 
 
-def _exponents(config):
-    table = transition_exponents(config.family, config.d)
-    return table.gamma1, table.gamma2
+def _classify(verdict, thresholds):
+    """The one rule from a verdict's statistics to its label.
+
+    lln: annealed when the in-band fraction clears `fraction`, else
+    non-annealed when the below-half fraction does.  clt: gaussian when
+    skewness, excess kurtosis and the KS p-value pass their gates, else
+    non-gaussian when the median |(m^L - mu) / sigma| is degenerate.
+    Anything else is inconclusive.  A CriticalVerdict passes when its
+    below-normalizer fraction clears `fraction`.
+    """
+    thr = thresholds
+    if isinstance(verdict, CriticalVerdict):
+        return verdict.frac_below >= thr.fraction
+    if verdict.kind == "lln":
+        if verdict.frac_in_band >= thr.fraction:
+            return "annealed"
+        if verdict.frac_below_half >= thr.fraction:
+            return "non-annealed"
+    else:
+        shape_ok = abs(verdict.skew) <= thr.skew_max and abs(verdict.exkurt) <= thr.exkurt_max
+        if shape_ok and verdict.ks_p >= thr.ks_p_min:
+            return "gaussian"
+        if verdict.median_abs_statistic <= thr.degenerate_median:
+            return "non-gaussian"
+    return "inconclusive"
 
 
-def _ratio_stats(logs, log_mu):
-    ratio = np.exp(logs - log_mu)
-    q10, q50, q90 = np.quantile(ratio, [0.1, 0.5, 0.9])
-    return ratio, float(ratio.mean()), float(ratio.std(ddof=1)), float(q10), float(q50), float(q90)
+def _regime_verdicts(config, kind, own_stats, draw_fn=None):
+    """One verdict per t of the grid, shared by the lln and clt experiments.
+
+    own_stats(t, L, logs) returns the reference log mu and the fields only
+    that kind fills; the ratio statistics against exp(log mu) and the
+    classification are common.
+    """
+    exps = transition_exponents(config.family, config.d)
+    band = config.thresholds.band
+    verdicts = []
+    for ti, t in enumerate(config.t_grid):
+        L, gamma_eq = schedule_L(config.rule, t, config.family, config.d, config.max_log_L)
+        logs = _block_log_means(config, t, L, f"{kind}-{ti}", draw_fn)
+        log_mu, own = own_stats(t, L, logs)
+        ratio = np.exp(logs - log_mu)
+        q10, q50, q90 = np.quantile(ratio, [0.1, 0.5, 0.9])
+        frac_raw = float(np.mean(np.abs(ratio - 1.0) <= band))
+        fields = {
+            "ref_sys_halfwidth": 0.0, "frac_in_band": frac_raw, "skew": math.nan, "exkurt": math.nan,
+            "ks_p": math.nan, "median_abs_statistic": math.nan, "max_abs_statistic": math.nan, **own,
+        }
+        verdict = RegimeVerdict(
+            kind=kind, t=float(t), L=L, gamma=gamma_eq, gamma1=exps.gamma1, gamma2=exps.gamma2,
+            n_replica=config.n_replica, ref_log_mu=log_mu, ratio_mean=float(ratio.mean()),
+            ratio_sd=float(ratio.std(ddof=1)), ratio_q10=float(q10), ratio_q50=float(q50),
+            ratio_q90=float(q90), frac_raw_in_band=frac_raw,
+            frac_below_half=float(np.mean(ratio < 0.5)), classification="", **fields,
+        )
+        verdicts.append(replace(verdict, classification=_classify(verdict, config.thresholds)))
+    return verdicts
 
 
 def lln_experiment(config):
     """Fraction of replicas whose box average tracks the annealed value.
 
-    The in-band count compares exponents, |log m^L / log <m> - 1| <=
-    band, which is the reading that stays meaningful while m^L itself
-    still carries heavy sampling tails; the raw-ratio count is reported
-    alongside.  Classified annealed when the in-band fraction clears the
-    configured threshold, non-annealed when most mass sits below half
-    the annealed value.
+    The reference is H(t) - d kappa t.  The in-band count compares
+    exponents, |log m^L / log <m> - 1| <= band, which is the reading
+    that stays meaningful while m^L itself still carries heavy sampling
+    tails; the raw-ratio count is reported alongside.
     """
-    g1, g2 = _exponents(config)
-    thr = config.thresholds
-    verdicts = []
-    for ti, t in enumerate(config.t_grid):
-        L, gamma_eq = schedule_L(
-            config.rule, t, config.family, config.d, config.max_log_L
-        )
-        logs = _block_log_means(config, t, L, f"lln-{ti}")
-        if config.kappa == 0.0:
-            log_mu = cumulant_H(config.family, t)
-            sys_half = 0.0
-        else:
-            H = cumulant_H(config.family, t)
-            sys_half = config.d * config.kappa * t
-            log_mu = H - sys_half
-        ratio, rmean, rsd, q10, q50, q90 = _ratio_stats(logs, log_mu)
-        if abs(log_mu) > 1e-12:
-            frac_in_band = float(np.mean(np.abs(logs / log_mu - 1.0) <= thr.band))
-        else:
-            frac_in_band = float(np.mean(np.abs(logs) <= thr.band))
-        frac_raw = float(np.mean(np.abs(ratio - 1.0) <= thr.band))
-        frac_half = float(np.mean(ratio < 0.5))
-        if frac_in_band >= thr.fraction:
-            cls = "annealed"
-        elif frac_half >= thr.fraction:
-            cls = "non-annealed"
-        else:
-            cls = "inconclusive"
-        verdicts.append(
-            RegimeVerdict(
-                kind="lln",
-                t=float(t),
-                L=L,
-                gamma=gamma_eq,
-                gamma1=g1,
-                gamma2=g2,
-                n_replica=config.n_replica,
-                ref_log_mu=log_mu,
-                ref_sys_halfwidth=sys_half,
-                ratio_mean=rmean,
-                ratio_sd=rsd,
-                ratio_q10=q10,
-                ratio_q50=q50,
-                ratio_q90=q90,
-                frac_in_band=frac_in_band,
-                frac_raw_in_band=frac_raw,
-                frac_below_half=frac_half,
-                skew=math.nan,
-                exkurt=math.nan,
-                ks_p=math.nan,
-                median_abs_statistic=math.nan,
-                max_abs_statistic=math.nan,
-                classification=cls,
-            )
-        )
-    return verdicts
+    band = config.thresholds.band
+
+    def own_stats(t, L, logs):
+        sys_half = config.d * config.kappa * t
+        log_mu = cumulant_H(config.family, t) - sys_half
+        dev = logs / log_mu - 1.0 if abs(log_mu) > 1e-12 else logs
+        return log_mu, {"ref_sys_halfwidth": sys_half, "frac_in_band": float(np.mean(np.abs(dev) <= band))}
+
+    return _regime_verdicts(config, "lln", own_stats)
 
 
 def clt_experiment(config, draw_fn=None, reference=None):
     """Normality gates on the standardized block average.
 
     The gate statistic is (m^L - mu) (2L+1)^{d/2} / sigma with the exact
-    single-site kappa = 0 references; skewness, excess kurtosis, and a
-    KS test against a fitted normal decide "gaussian".  The degeneracy
-    probe drops the (2L+1)^{d/2} factor: when even the unscaled
-    deviation (m^L - mu)/sigma has median size below the threshold the
+    single-site kappa = 0 references, or `reference` = (mu, sigma) when
+    given; skewness, excess kurtosis, and a KS test against a fitted
+    normal decide "gaussian".  The degeneracy probe drops the
+    (2L+1)^{d/2} factor: when even the unscaled deviation
+    (m^L - mu)/sigma has median size below the threshold the
     fluctuations have collapsed and the verdict is "non-gaussian".
     """
-    g1, g2 = _exponents(config)
-    thr = config.thresholds
-    verdicts = []
-    for ti, t in enumerate(config.t_grid):
-        L, gamma_eq = schedule_L(
-            config.rule, t, config.family, config.d, config.max_log_L
-        )
-        logs = _block_log_means(config, t, L, f"clt-{ti}", draw_fn=draw_fn)
-        if reference is not None:
-            mu, sigma = reference
-        elif config.kappa == 0.0:
-            mu, sigma = annealed_reference(config.family, t)
-        else:
+    if config.kappa != 0.0:
+        if draw_fn is not None:
+            raise ValueError("draw_fn injection requires kappa = 0")
+        if reference is None:
             raise ValueError("clt_experiment needs kappa = 0 or an explicit reference")
-        m = np.exp(logs)
-        n_sites = (2 * L + 1) ** config.d
-        diff = m - mu
+
+    def own_stats(t, L, logs):
+        mu, sigma = reference if reference is not None else annealed_reference(config.family, t)
+        diff = np.exp(logs) - mu
         if sigma > 0.0:
             single = diff / sigma
         else:
             negligible = np.abs(diff) <= 1e-12 * abs(mu)
             single = np.where(negligible, 0.0, np.sign(diff) * np.inf)
-        stat = single * math.sqrt(n_sites)
-        med = float(np.median(np.abs(single)))
-        mx = float(np.max(np.abs(single)))
+        stat = single * math.sqrt((2 * L + 1) ** config.d)
         sd = float(stat.std(ddof=1))
         if sd > 0.0 and np.all(np.isfinite(stat)):
             skew, exkurt = _moment_shape(stat)
             ks_p = _ks_normal_pvalue((stat - stat.mean()) / sd)
         else:
-            skew = math.nan
-            exkurt = math.nan
-            ks_p = 0.0
-        gates = (
-            abs(skew) <= thr.skew_max
-            and abs(exkurt) <= thr.exkurt_max
-            and ks_p >= thr.ks_p_min
-        )
-        if gates:
-            cls = "gaussian"
-        elif med <= thr.degenerate_median:
-            cls = "non-gaussian"
-        else:
-            cls = "inconclusive"
-        log_mu = math.log(mu)
-        ratio, rmean, rsd, q10, q50, q90 = _ratio_stats(logs, log_mu)
-        verdicts.append(
-            RegimeVerdict(
-                kind="clt",
-                t=float(t),
-                L=L,
-                gamma=gamma_eq,
-                gamma1=g1,
-                gamma2=g2,
-                n_replica=config.n_replica,
-                ref_log_mu=log_mu,
-                ref_sys_halfwidth=0.0,
-                ratio_mean=rmean,
-                ratio_sd=rsd,
-                ratio_q10=q10,
-                ratio_q50=q50,
-                ratio_q90=q90,
-                frac_in_band=float(np.mean(np.abs(ratio - 1.0) <= thr.band)),
-                frac_raw_in_band=float(np.mean(np.abs(ratio - 1.0) <= thr.band)),
-                frac_below_half=float(np.mean(ratio < 0.5)),
-                skew=skew,
-                exkurt=exkurt,
-                ks_p=ks_p,
-                median_abs_statistic=med,
-                max_abs_statistic=mx,
-                classification=cls,
-            )
-        )
-    return verdicts
+            skew, exkurt, ks_p = math.nan, math.nan, 0.0
+        return math.log(mu), {
+            "skew": skew, "exkurt": exkurt, "ks_p": ks_p,
+            "median_abs_statistic": float(np.median(np.abs(single))),
+            "max_abs_statistic": float(np.max(np.abs(single))),
+        }
+
+    return _regime_verdicts(config, "clt", own_stats, draw_fn)
 
 
 def verdict_consistent(verdict, thresholds=RegimeThresholds()):
-    """Recompute the classification from the recorded statistics."""
-    thr = thresholds
-    if verdict.kind == "lln":
-        if verdict.frac_in_band >= thr.fraction:
-            return verdict.classification == "annealed"
-        if verdict.frac_below_half >= thr.fraction:
-            return verdict.classification == "non-annealed"
-        return verdict.classification == "inconclusive"
-    gates = (
-        abs(verdict.skew) <= thr.skew_max
-        and abs(verdict.exkurt) <= thr.exkurt_max
-        and verdict.ks_p >= thr.ks_p_min
-    )
-    if gates:
-        return verdict.classification == "gaussian"
-    if verdict.median_abs_statistic <= thr.degenerate_median:
-        return verdict.classification == "non-gaussian"
-    return verdict.classification == "inconclusive"
+    """Whether the recorded classification follows from the recorded statistics."""
+    return verdict.classification == _classify(verdict, thresholds)
 
 
 @dataclass(frozen=True)
@@ -527,12 +470,11 @@ def critical_experiment(config, gamma, delta, theta=0.5):
     Positive delta probes the upper critical bound; a negative delta
     flips the check into a sharpness probe below the critical curve.
     """
-    g1, g2 = _exponents(config)
-    if not 0.0 < gamma < g1:
-        raise ValueError(f"gamma must lie in (0, {g1:g}) strictly")
+    exps = transition_exponents(config.family, config.d)
+    if not 0.0 < gamma < exps.gamma1:
+        raise ValueError(f"gamma must lie in (0, {exps.gamma1:g}) strictly")
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
-    thr = config.thresholds
     a = critical_a(config.family, gamma, config.d)
     kind = config.family.kind
     verdicts = []
@@ -541,12 +483,7 @@ def critical_experiment(config, gamma, delta, theta=0.5):
             config.family, config.d, t, config.kappa, theta,
             config.n_replica, derive_seed(config.seed, "critical-scale", ti),
         )
-        log_L = gamma * scale / config.d
-        if log_L > config.max_log_L:
-            raise ScheduleOverflowError(
-                f"critical schedule needs log L = {log_L:.3f}", required_log_L=log_L
-            )
-        L = max(1, math.ceil(math.exp(log_L) - 1e-9))
+        L = _box_size(gamma * scale / config.d, config.max_log_L)
         logs = _block_log_means(config, t, L, f"critical-{ti}")
         if kind == "weibull":
             log_norm = (a + delta) * cumulant_H(config.family, t)
@@ -558,20 +495,10 @@ def critical_experiment(config, gamma, delta, theta=0.5):
             log_norm = -(a - delta) * scale
         else:
             raise ValueError(f"no critical normalizer for family {kind!r}")
-        frac = float(np.mean(logs < log_norm))
-        verdicts.append(
-            CriticalVerdict(
-                t=float(t),
-                L=L,
-                gamma=float(gamma),
-                delta=float(delta),
-                a_gamma=a,
-                gamma1=g1,
-                gamma2=g2,
-                n_replica=config.n_replica,
-                log_normalizer=float(log_norm),
-                frac_below=frac,
-                passed=frac >= thr.fraction,
-            )
+        verdict = CriticalVerdict(
+            t=float(t), L=L, gamma=float(gamma), delta=float(delta), a_gamma=a,
+            gamma1=exps.gamma1, gamma2=exps.gamma2, n_replica=config.n_replica, log_normalizer=float(log_norm),
+            frac_below=float(np.mean(logs < log_norm)), passed=False,
         )
+        verdicts.append(replace(verdict, passed=_classify(verdict, config.thresholds)))
     return verdicts

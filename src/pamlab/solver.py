@@ -189,18 +189,25 @@ def _normalized_field(domain, t, kappa, active_values, extra_offset, method, deg
     return MomentField(domain, float(t), float(kappa), full, float(off), method, degree)
 
 
+def _box_of(env, box):
+    """box itself, refused unless it is a BoxDomain cut from env."""
+    if not isinstance(box, BoxDomain) or box.env is not env:
+        raise ValueError("box must be a BoxDomain of env")
+    return box
+
+
 def solve_truncated(env, box, kappa, t):
     """Truncated moment field on a box with Dirichlet zero outside.
 
     kappa > 0 runs the box through _solve_stack as a stack of one that
     reads every site; the route follows the estimated cost and cannot
-    be chosen.
+    be chosen.  Raises ValueError unless box is a BoxDomain of env.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    domain = box if isinstance(box, BoxDomain) else BoxDomain(env, box, 0)
+    domain = _box_of(env, box)
     n = domain.n_active
     if n == 0 or t == 0.0:
         return _normalized_field(domain, t, kappa, np.ones(n), 0.0, "closed-form")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .solver import BoxDomain, SolverError, solve_truncated
+from .solver import BoxDomain, SolverError, _box_of, solve_truncated
 
 # Here the spectrum is the output, so the route follows size alone.
 DENSE_LIMIT = 4000
@@ -49,9 +49,10 @@ def principal_eigen(env, box, kappa, n_top=2, tol=1e-10):
     Dense symmetric eigendecomposition up to DENSE_LIMIT active sites;
     above that Lanczos (ARPACK eigsh) from the fixed start vector
     n^-1/2 (1, ..., 1), so reruns agree bit for bit.  Raises SolverError
-    if the principal residual exceeds tol.
+    if the principal residual exceeds tol, and ValueError unless box is
+    a BoxDomain of env.
     """
-    domain = box if isinstance(box, BoxDomain) else BoxDomain(env, box, 0)
+    domain = _box_of(env, box)
     n = domain.n_active
     if n == 0:
         raise SolverError("empty active set has no spectrum")
@@ -107,18 +108,17 @@ class SandwichReport:
 
 def verify_sandwich(env, box, kappa, t):
     """Check e^{t lambda0} <= sum m and max m <= sqrt(|U|) e^{t lambda0}."""
-    domain = box if isinstance(box, BoxDomain) else BoxDomain(env, box, 0)
-    slice_ = principal_eigen(env, domain, kappa, n_top=1)
-    fld = solve_truncated(env, domain, kappa, t)
+    slice_ = principal_eigen(env, box, kappa, n_top=1)
+    fld = solve_truncated(env, box, kappa, t)
     lam0 = slice_.lambda0
-    logs = fld.log_values()[domain.active_mask()]
+    logs = fld.log_values()[box.active_mask()]
     log_sum = fld.log_total()
     lower = log_sum - t * lam0
-    upper = 0.5 * math.log(domain.n_active) + t * lam0 - float(logs.max())
+    upper = 0.5 * math.log(box.n_active) + t * lam0 - float(logs.max())
     return SandwichReport(
         lambda0=lam0,
         t=float(t),
-        n_active=domain.n_active,
+        n_active=box.n_active,
         lower_margin=float(lower),
         upper_margin=float(upper),
     )

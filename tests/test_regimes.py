@@ -1,17 +1,23 @@
+import dataclasses
 import itertools
+import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
+import pamlab.environments
 from pamlab import regimes
 from pamlab.analytics import critical_a, cumulant_H, growth_J
 from pamlab.environments import TailFamily
 from pamlab.regimes import (
     RegimeConfig,
     RegimeThresholds,
+    RegimeVerdict,
     ScheduleOverflowError,
     ScheduleRule,
     annealed_reference,
@@ -24,6 +30,78 @@ from pamlab.regimes import (
 
 WEIBULL2 = TailFamily.weibull(2.0)
 DEXP1 = TailFamily.double_exp(1.0)
+FIXTURE = os.path.join(os.path.dirname(__file__), "data", "regime_fixture.json")
+
+
+def _two_point_draw(rng, n):
+    return 0.8 * (rng.random(n) < 0.3)
+
+
+def _constant_draw(rng, n):
+    rng.random(n)
+    return np.full(n, 0.6)
+
+
+def _verdict_record(v):
+    """Every field of a verdict: numbers as float.hex, labels and flags as they are."""
+    return {
+        f.name: x if isinstance(x, (str, bool)) else float(x).hex()
+        for f in dataclasses.fields(v)
+        for x in [getattr(v, f.name)]
+    }
+
+
+def regime_values():
+    """Every regime fixture entry, as lists of verdict records."""
+
+    def config(family, rule, t_grid, seed, **kw):
+        return RegimeConfig(family=family, rule=rule, t_grid=t_grid, n_replica=100, seed=seed, **kw)
+
+    def explicit(*pairs):
+        return ScheduleRule(kind="explicit", table=pairs)
+
+    gamma_j = ScheduleRule(kind="gamma-j", gamma=1.5)
+    two_point_mu = 0.7 + 0.3 * math.exp(0.8 * 1.3)
+    two_point_sd = math.sqrt(0.21) * (math.exp(0.8 * 1.3) - 1.0)
+    critical = ScheduleRule(kind="gamma-j", gamma=0.5)
+    runs = {
+        "lln_k0_gamma_j": lln_experiment(config(WEIBULL2, gamma_j, (1.0, 2.0, 3.0), 41)),
+        "lln_k0_dyadic": lln_experiment(config(WEIBULL2, explicit((3.0, 1), (2.0, 64)), (3.0, 2.0), 42)),
+        "lln_k0_non_annealed": lln_experiment(config(DEXP1, explicit((12.0, 1),), (12.0,), 42)),
+        "lln_k0_t0": lln_experiment(config(WEIBULL2, explicit((0.0, 3),), (0.0,), 43)),
+        "lln_k1_explicit": lln_experiment(config(WEIBULL2, explicit((1.0, 8), (2.0, 12)), (1.0, 2.0), 44, kappa=1.0, tol=1e-3)),
+        "clt_dexp_k0": clt_experiment(config(DEXP1, ScheduleRule(kind="gamma-j", gamma=6.0), (1.0,), 47)),
+        "clt_dexp_k0_small_L": clt_experiment(config(DEXP1, ScheduleRule(kind="gamma-j", gamma=1.0), (2.0,), 46)),
+        "clt_hard_core": clt_experiment(config(TailFamily.hard_core(0.3), explicit((1.7, 1),), (1.7,), 47)),
+        "clt_two_point_draw_fn": clt_experiment(
+            config(WEIBULL2, explicit((1.3, 1),), (1.3,), 48), draw_fn=_two_point_draw,
+            reference=(two_point_mu, two_point_sd),
+        ),
+        "clt_constant_draw_fn": clt_experiment(
+            config(WEIBULL2, explicit((1.0, 4),), (1.0,), 49), draw_fn=_constant_draw,
+            reference=(math.exp(0.6), 0.0),
+        ),
+        "clt_k1_reference": clt_experiment(
+            config(WEIBULL2, explicit((1.0, 8),), (1.0,), 50, kappa=1.0, tol=1e-3), reference=(1.5, 0.8),
+        ),
+        "critical_weibull": critical_experiment(config(WEIBULL2, critical, (3.0, 2.0), 51), gamma=0.5, delta=0.1)
+        + critical_experiment(config(WEIBULL2, critical, (3.0,), 51), gamma=0.5, delta=0.3)
+        + critical_experiment(config(WEIBULL2, critical, (3.0,), 51), gamma=0.5, delta=-0.3),
+        "critical_frechet": critical_experiment(
+            config(TailFamily.frechet(1.0), ScheduleRule(kind="gamma-j", gamma=0.02), (2.0,), 52), gamma=0.02, delta=0.005,
+        ),
+    }
+    return {key: [_verdict_record(v) for v in verdicts] for key, verdicts in runs.items()}
+
+
+def test_regime_verdicts_match_fixture():
+    # recorded before the experiments shared one verdict builder
+    with open(FIXTURE) as fh:
+        want = json.load(fh)
+    got = regime_values()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
 
 
 def test_schedule_gamma_j_double_exp():
@@ -374,3 +452,77 @@ def test_diffusive_run_limits():
         lln_experiment(big_L)
     with pytest.raises(ValueError, match="draw_fn injection requires kappa = 0"):
         clt_experiment(config, draw_fn=lambda rng, n: np.zeros(n))
+
+
+
+def _stats(kind, **fields):
+    """A verdict with neutral statistics, overridden by fields; no label yet."""
+    base = dict(
+        kind=kind, t=1.0, L=4, gamma=1.0, gamma1=1.0, gamma2=2.0, n_replica=100, ref_log_mu=1.0,
+        ref_sys_halfwidth=0.0, ratio_mean=1.0, ratio_sd=0.1, ratio_q10=0.9, ratio_q50=1.0, ratio_q90=1.1,
+        frac_in_band=0.5, frac_raw_in_band=0.5, frac_below_half=0.0, skew=math.nan, exkurt=math.nan,
+        ks_p=math.nan, median_abs_statistic=math.nan, max_abs_statistic=math.nan, classification="",
+    )
+    return RegimeVerdict(**{**base, **fields})
+
+
+# labels written out by hand from the default RegimeThresholds
+# (band 0.05, fraction 0.95, skew 0.2, exkurt 0.5, ks_p 0.01, median 0.1)
+_CLASSIFICATION_TABLE = [
+    (_stats("lln", frac_in_band=0.95), "annealed"),
+    (_stats("lln", frac_in_band=1.0, frac_below_half=1.0), "annealed"),
+    (_stats("lln", frac_in_band=0.94, frac_below_half=0.95), "non-annealed"),
+    (_stats("lln", frac_in_band=0.94, frac_below_half=0.94), "inconclusive"),
+    (_stats("lln", frac_in_band=0.0, frac_below_half=0.0), "inconclusive"),
+    (_stats("clt", skew=0.1, exkurt=0.1, ks_p=0.5, median_abs_statistic=0.5), "gaussian"),
+    (_stats("clt", skew=-0.2, exkurt=-0.5, ks_p=0.01, median_abs_statistic=0.5), "gaussian"),
+    (_stats("clt", skew=0.0, exkurt=0.0, ks_p=0.5, median_abs_statistic=0.01), "gaussian"),
+    (_stats("clt", skew=0.0, exkurt=0.0, ks_p=0.0099, median_abs_statistic=0.5), "inconclusive"),
+    (_stats("clt", skew=0.21, exkurt=0.0, ks_p=0.5, median_abs_statistic=0.1), "non-gaussian"),
+    (_stats("clt", skew=0.0, exkurt=0.51, ks_p=0.5, median_abs_statistic=0.11), "inconclusive"),
+    (_stats("clt", skew=math.nan, exkurt=0.0, ks_p=1.0, median_abs_statistic=0.5), "inconclusive"),
+    (_stats("clt", skew=math.nan, exkurt=math.nan, ks_p=0.0, median_abs_statistic=0.0), "non-gaussian"),
+    (_stats("clt", skew=0.0, exkurt=math.nan, ks_p=1.0, median_abs_statistic=0.05), "non-gaussian"),
+]
+_LABELS = ("annealed", "non-annealed", "gaussian", "non-gaussian", "inconclusive")
+
+
+@pytest.mark.parametrize("stats, label", _CLASSIFICATION_TABLE)
+def test_verdict_consistent_against_hand_labels(stats, label):
+    assert verdict_consistent(dataclasses.replace(stats, classification=label))
+    for other in _LABELS:
+        if other != label:
+            assert not verdict_consistent(dataclasses.replace(stats, classification=other)), other
+
+
+def test_verdict_consistent_reads_the_given_thresholds():
+    v = _stats("lln", frac_in_band=0.6, classification="inconclusive")
+    assert verdict_consistent(v)
+    assert not verdict_consistent(v, RegimeThresholds(fraction=0.6))
+    assert verdict_consistent(dataclasses.replace(v, classification="annealed"), RegimeThresholds(fraction=0.6))
+    g = _stats("clt", skew=0.3, exkurt=0.0, ks_p=0.5, median_abs_statistic=0.5, classification="gaussian")
+    assert not verdict_consistent(g)
+    assert verdict_consistent(g, RegimeThresholds(skew_max=0.3))
+
+
+def test_clt_refuses_kappa_positive_without_reference_before_any_site_is_hashed(monkeypatch):
+    def no_hashing(*args, **kwargs):
+        raise AssertionError("hashed a site")
+
+    monkeypatch.setattr(pamlab.environments, "site_uniforms", no_hashing)
+    config = RegimeConfig(
+        family=WEIBULL2, rule=ScheduleRule(kind="explicit", table=((1.0, 8),)), t_grid=(1.0,),
+        kappa=1.0, n_replica=100, seed=31,
+    )
+    with pytest.raises(ValueError, match="needs kappa = 0 or an explicit reference"):
+        clt_experiment(config)
+
+
+if __name__ == "__main__":
+    # Records the fixture.  It was recorded once, before lln and clt
+    # shared one verdict builder; re-recording it would make the test vacuous.
+    if "--record" not in sys.argv:
+        sys.exit("usage: python tests/test_regimes.py --record")
+    with open(FIXTURE, "w") as fh:
+        json.dump(regime_values(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -354,6 +354,15 @@ def test_value_at_refuses_wrong_dimension():
         fld.value_at((0, 0, 0))
 
 
+def test_solve_refuses_a_box_of_another_environment():
+    # the box carries its own potentials, so a box of b would solve b
+    a = make_env_1d(np.linspace(0.0, 1.0, 9))
+    b = make_env_1d(np.linspace(1.0, 0.0, 9))
+    for box in (BoxDomain(b, (0,), 3), (0,)):
+        with pytest.raises(ValueError, match="box must be a BoxDomain of env"):
+            solve_truncated(a, box, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("dim, radius, center, box_radius", [(1, 6, (2,), 3), (2, 4, (1, -2), 2), (3, 3, (-1, 0, 1), 1)])
 def test_box_cut_matches_coordinates(dim, radius, center, box_radius):
     # an off-centre box with hard cores, cut from the window by slicing,

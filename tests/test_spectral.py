@@ -106,6 +106,16 @@ def test_empty_active_set_raises():
         principal_eigen(env, BoxDomain(env, (0,), 1), kappa=1.0)
 
 
+def test_spectral_refuses_a_box_of_another_environment():
+    a = make_env_1d(np.linspace(0.0, 1.0, 9))
+    b = make_env_1d(np.linspace(1.0, 0.0, 9))
+    for box in (BoxDomain(b, (0,), 3), (0,)):
+        with pytest.raises(ValueError, match="box must be a BoxDomain of env"):
+            principal_eigen(a, box, kappa=1.0)
+        with pytest.raises(ValueError, match="box must be a BoxDomain of env"):
+            verify_sandwich(a, box, 1.0, 1.0)
+
+
 def test_growth_rate_approaches_lambda0():
     kept = 0
     for seed in range(10):
