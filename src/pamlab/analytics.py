@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
+from numpy.polynomial.legendre import leggauss
 
+from ._special import logsumexp
 from .environments import TailFamily
 
 _LOG_WINDOW = 60.0  # integrand kept down to exp(-60) relative to its peak
@@ -136,7 +137,7 @@ def rate_I(y):
 
 def _gl_nodes(n):
     if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
+        _GL_CACHE[n] = leggauss(n)
     return _GL_CACHE[n]
 
 

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
+from ._special import logsumexp
 from .environments import sample_potentials
 from .seeding import derive_seed, generator
 from .solver import required_radius, site_log_moments, windows_per_call

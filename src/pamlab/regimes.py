@@ -10,16 +10,16 @@ so each run can be placed on the phase diagram.
 The CLT gates compute their statistics here rather than through
 scipy.stats: biased sample skewness and excess kurtosis, and a KS
 p-value from the exact Kolmogorov distribution (Durbin's matrix, as
-evaluated by Marsaglia, Tsang & Wang 2003) below n D^2 = 2.2, with
-2 smirnov(n, D) above it.
+evaluated by Marsaglia, Tsang & Wang 2003) below n D^2 = 2.2, and
+above it twice the exact one-sided tail of Birnbaum & Tingey (1951).
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, smirnov
 
+from ._special import logsumexp, ndtr, smirnov
 from .analytics import (
     critical_a,
     cumulant_H,

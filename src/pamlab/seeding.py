@@ -10,6 +10,7 @@ on the order in which replicas are computed.
 import hashlib
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -35,7 +36,7 @@ def derive_seed(master, label, index=0):
 
 def generator(seed):
     """Sequential RNG stream for a derived seed."""
-    return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+    return Generator(PCG64(int(seed) & _MASK64))
 
 
 def _mix(z):

@@ -18,11 +18,11 @@ is cheaper.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
-from scipy.special import gammaln, logsumexp, pdtr, pdtrc
 
+from ._special import log_factorial, logsumexp
 from .analytics import rate_I
 from .environments import window_coords
 
@@ -112,26 +112,17 @@ class BoxDomain:
         steps = np.stack([strides, -strides], axis=1).ravel()
         return np.pad(self.v, 1).ravel(), np.pad(self.live, 1).ravel(), steps
 
-    def _neighbor_pairs(self):
-        """Index pairs (i, j), i < j in active order, of lattice neighbors."""
-        i, j = _grid_pairs(self.live.shape)
-        keep = self.active_mask()
-        both = keep[i] & keep[j]
-        rank = np.cumsum(keep) - 1
-        return rank[i[both]], rank[j[both]]
-
     def operator_dense(self, kappa):
         """kappa*Delta + v as a dense symmetric matrix on the active set."""
-        return self.operator_sparse(kappa).toarray()
-
-    def operator_sparse(self, kappa):
-        n = self.n_active
-        i, j = self._neighbor_pairs()
-        diag = self.potential() - 2.0 * self.dim * kappa
-        rows = np.concatenate([np.arange(n), i, j])
-        cols = np.concatenate([np.arange(n), j, i])
-        vals = np.concatenate([diag, np.full(len(i), kappa), np.full(len(j), kappa)])
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        keep = self.active_mask()
+        i, j = _grid_pairs(self.live.shape)
+        both = keep[i] & keep[j]
+        rank = np.cumsum(keep) - 1
+        i, j = rank[i[both]], rank[j[both]]
+        A = np.diag(self.potential() - 2.0 * self.dim * kappa)
+        A[i, j] = kappa
+        A[j, i] = kappa
+        return A
 
 
 @dataclass(frozen=True)
@@ -263,18 +254,47 @@ def windows_per_call(n_sites):
     return max(1, _STACK_SITES // n_sites)
 
 
+@lru_cache(maxsize=None)
+def _log_factorials(size):
+    """Read-only table of log k! for k < size; callers ask for powers of two."""
+    table = np.array([log_factorial(k) for k in range(size)])
+    table.setflags(write=False)
+    return table
+
+
 def _poisson_degree(lam):
     """Per entry, the smallest K with Pr(N > K) <= _POISSON_TAIL Pr(N <= K), N ~ Poisson(lam).
 
     The predicate is monotone in K, so an integer bisection between
     floor(lam) and lam + 8 sqrt(lam) + 40 finds it; an upper end that
-    fails the predicate raises.
+    fails the predicate raises.  The tail Pr(N > K) is
+    p (1 + r_1 + r_1 r_2 + ...) with p = Pr(N = K + 1) and ratios
+    r_i = lam / (K + 1 + i) that fall in i, so it lies between p and
+    p / (1 - r_1).  Only entries whose predicate those bounds leave
+    open sum the series, until its terms are below e^-40 of p.
     """
+    lam = np.asarray(lam, dtype=np.float64)
     lo = np.floor(lam)
     hi = np.ceil(lam + 8.0 * np.sqrt(lam) + 40.0)
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
 
     def small_tail(k):
-        return pdtrc(k, lam) <= _POISSON_TAIL * pdtr(k, lam)
+        j = k + 1.0
+        log_fact = _log_factorials(1 << int(j.max(initial=0.0)).bit_length())
+        p = np.exp(j * log_lam - lam - log_fact[j.astype(np.int64)])
+        r = lam / (j + 1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper = p / (1.0 - r)
+        falls = r < 1.0
+        good = falls & (upper <= _POISSON_TAIL * (1.0 - upper))
+        open_ = falls & ~good & (p <= _POISSON_TAIL * (1.0 - p))
+        if open_.any():
+            n_terms = math.ceil(40.0 / -math.log(r[open_].max()))
+            ratios = lam[open_, None] / (j[open_, None] + np.arange(1.0, n_terms + 1.0))
+            tail = p[open_] * (1.0 + np.cumprod(ratios, axis=1).sum(axis=1))
+            good[open_] = tail <= _POISSON_TAIL * (1.0 - tail)
+        return good
 
     if not np.all(small_tail(hi)):
         raise SolverError(f"no Poisson degree found below {hi.max():.0f}")
@@ -309,6 +329,7 @@ def _uniformized_sums(v, active, kappa, t, vmin, c, degree, every_site):
     lam = c * t
     with np.errstate(divide="ignore"):
         log_lam = np.log(lam)
+    log_fact = _log_factorials(1 << int(degree.max(initial=0)).bit_length())
     inner = (slice(None),) + (slice(1, -1),) * d
     shifts = [inner[: k + 1] + (s,) + inner[k + 2 :] for k in range(d) for s in (slice(None, -2), slice(2, None))]
     read = inner if every_site else (slice(None),) + tuple(slice(1 + s // 2, 2 + s // 2) for s in shape)
@@ -329,7 +350,7 @@ def _uniformized_sums(v, active, kappa, t, vmin, c, degree, every_site):
         np.multiply(diag[:n], cur[inner], out=tmp[:n])
         out += tmp[:n]
         u, nxt = nxt, u
-        weight = np.exp(k * log_lam[:n] - lam[:n] - gammaln(k + 1.0))
+        weight = np.exp(k * log_lam[:n] - lam[:n] - log_fact[k])
         acc[:n] += weight.reshape((n,) + (1,) * d) * u[:n][read]
     out = np.empty_like(acc)
     out[order] = acc

@@ -15,6 +15,20 @@ def test_singleton_eigenvalue_is_potential_minus_two_d_kappa():
     assert np.isclose(slice_.lambda0, 0.7 - 2.0, atol=1e-12)
 
 
+def test_n_top_below_one_is_refused():
+    env = make_env_1d([0.0, 0.7, 0.0])
+    for n_top in (0, -3):
+        with pytest.raises(ValueError, match=f"n_top must be >= 1, got {n_top}"):
+            principal_eigen(env, BoxDomain(env, (0,), 1), kappa=1.0, n_top=n_top)
+
+
+def test_eigenvalues_hold_at_most_n_active_entries():
+    env = make_env_1d([0.0, 0.7, 0.0])
+    assert len(principal_eigen(env, BoxDomain(env, (0,), 0), kappa=1.0).eigenvalues) == 1
+    assert len(principal_eigen(env, BoxDomain(env, (0,), 1), kappa=1.0, n_top=5).eigenvalues) == 3
+    assert len(principal_eigen(env, BoxDomain(env, (0,), 1), kappa=1.0, n_top=2).eigenvalues) == 2
+
+
 def test_path_graph_spectrum_closed_form():
     n = 15
     env = make_env_1d(np.zeros(n))
@@ -59,7 +73,7 @@ def test_principal_vector_nonnegative_unit_and_small_residual():
 def test_power_iteration_path_on_large_box():
     env = sample_environment(TailFamily.weibull(1.5), 1, 2500, seed=12)
     slice_ = principal_eigen(env, BoxDomain(env, (0,), 2500), kappa=1.0)
-    assert slice_.method == "eigsh"
+    assert slice_.method == "lanczos"
     assert slice_.residual <= 1e-10
     vmax = (env.v_plus - env.v_minus).max()
     # trial vector at the peak site gives lambda0 >= vmax - 2 d kappa
@@ -74,7 +88,7 @@ def test_large_box_with_near_degenerate_top_pair():
     box = BoxDomain(env, (0, 0), 32)
     assert box.n_active > 4000
     slice_ = principal_eigen(env, box, kappa=1.0, n_top=2)
-    assert slice_.method == "eigsh"
+    assert slice_.method == "lanczos"
     assert len(slice_.eigenvalues) == 2
     assert 0.0 < slice_.eigenvalues[0] - slice_.eigenvalues[1] < 1e-3
     assert slice_.residual <= 1e-10
