@@ -40,8 +40,7 @@ _PANEL_TOL = 1e-10
 _MAX_PANELS = 20000
 _MAX_DEPTH = 48
 _ROOT_RTOL = 1e-13  # relative tolerance of the bracketed root finders
-
-_GL_CACHE = {}
+_GL_X, _GL_W = leggauss(16)  # the Gauss-Legendre rule of every quadrature panel
 
 
 class QuadratureError(RuntimeError):
@@ -133,12 +132,6 @@ def rate_I(y):
         raise ValueError("rate_I is defined for y >= 0")
     out = y * np.arcsinh(y) - np.hypot(1.0, y) + 1.0
     return float(out) if out.ndim == 0 else out
-
-
-def _gl_nodes(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = leggauss(n)
-    return _GL_CACHE[n]
 
 
 def _log_integrand_z(family, t):
@@ -236,11 +229,10 @@ def _lower_cut(G, zpeak, Gpeak, floor):
     return _window_cut(G, zpeak, Gpeak, -1.0)
 
 
-def _panel_log(g, a, b, n):
-    """log of int_a^b e^g via n-point Gauss-Legendre, evaluated stably."""
-    x, w = _gl_nodes(n)
+def _panel_log(g, a, b):
+    """log of int_a^b e^g via 16-point Gauss-Legendre, evaluated stably."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(logsumexp(g(mid + half * x) + np.log(half * w)))
+    return float(logsumexp(g(mid + half * _GL_X) + np.log(half * _GL_W)))
 
 
 def _adaptive_log_integral(g, a, b):
@@ -260,9 +252,9 @@ def _adaptive_log_integral(g, a, b):
                 f"panel budget {_MAX_PANELS} exhausted", achieved=worst
             )
         pa, pb, depth = stack.pop()
-        whole = _panel_log(g, pa, pb, 16)
+        whole = _panel_log(g, pa, pb)
         mid = 0.5 * (pa + pb)
-        halves = np.logaddexp(_panel_log(g, pa, mid, 16), _panel_log(g, mid, pb, 16))
+        halves = np.logaddexp(_panel_log(g, pa, mid), _panel_log(g, mid, pb))
         if whole == -np.inf and halves == -np.inf:
             err = 0.0
         elif not (np.isfinite(whole) and np.isfinite(halves)):
@@ -326,11 +318,6 @@ def cumulant_exponent_G(family, theta, t):
     return (cumulant_H(family, (1.0 + theta) * t) - (1.0 + theta) * cumulant_H(family, t)) / theta
 
 
-def cumulant_gap(family, s):
-    """k(s) = H(2s) - 2 H(s), the doubling gap of the cumulant."""
-    return cumulant_H(family, 2.0 * s) - 2.0 * cumulant_H(family, s)
-
-
 @dataclass(frozen=True)
 class ExponentTable:
     """Transition exponents and the growth-scale descriptor of a family.
@@ -386,9 +373,10 @@ def transition_exponents(family, d=1):
 def frechet_alpha(family, d, t):
     """Scale alpha_t solving k(t a^-d) a^2 = t a^-d by Brent's method.
 
-    k is the doubling gap of the numerically computed H.  The left side
-    over the right is increasing in a for d = 1, so an expanding bracket
-    around a = 1 closes; failure to bracket raises RootBracketError.
+    k(s) = H(2s) - 2 H(s) = G_1(s) is the doubling gap of the numerically
+    computed H.  The left side over the right is increasing in a for
+    d = 1, so an expanding bracket around a = 1 closes; failure to
+    bracket raises RootBracketError.
     """
     if family.kind != "frechet":
         raise ValueError("alpha-scale is defined for the frechet family")
@@ -398,7 +386,7 @@ def frechet_alpha(family, d, t):
 
     def phi(a):
         s = t * a ** (-float(d))
-        return cumulant_gap(family, s) * a * a - s
+        return cumulant_exponent_G(family, 1.0, s) * a * a - s
 
     lo = hi = 1.0
     for _ in range(200):

@@ -1,12 +1,20 @@
 """Command line front end.
 
 Every subcommand takes flat KEY=VALUE arguments, writes CSV tables plus
-a summary.json into --out, and exits 0 only when all of its checks
-passed.  A run uses no worker pool and draws its randomness from the
-seed key alone; float cells are printed with %.17g, so a repeated run
+a summary.json into --out, and exits 0 when all of its checks passed and
+1 when one failed.  A configuration refused by the schema here or by the
+library (any ValueError it raises) exits 2 with "config error: ..." and
+writes no file.  A run uses no worker pool and draws its randomness from
+the seed key alone; float cells are printed with %.17g, so a repeated run
 is byte identical.  Wall-clock timings are confined to summary.json,
 whose timings also record the package start-up (import_s) and the
 process's peak resident memory (peak_rss_mb).
+
+Each cmd_* returns (tables, passed, extra).  tables maps a CSV file name
+to a column table: a dict from column name to that column's cells, in
+the order of the CSV header.  A column is a list, tuple or 1-d array; a
+scalar stands for a column repeating it, so a table of scalars is one
+row.  main turns each table into rows once and hands them to write_csv.
 """
 
 import argparse
@@ -63,53 +71,24 @@ _FAMILY_KEYS = {
     "rho": ("float", False, None),
     "p": ("float", False, None),
 }
+# the sampled window of a run, and the walk solved or simulated on it
+_WINDOW_KEYS = {
+    **_FAMILY_KEYS,
+    "dim": ("int", False, 1),
+    "radius": ("int", True, None),
+    "seed": ("int", False, 0),
+}
+_WALK_KEYS = {
+    "kappa": ("float", True, None),
+    "t": ("float", True, None),
+}
 
 SCHEMAS = {
-    "sample-env": {
-        **_FAMILY_KEYS,
-        "dim": ("int", False, 1),
-        "radius": ("int", True, None),
-        "seed": ("int", False, 0),
-        "baseline_death": ("float", False, 0.0),
-    },
-    "solve": {
-        **_FAMILY_KEYS,
-        "dim": ("int", False, 1),
-        "radius": ("int", True, None),
-        "box_radius": ("int", True, None),
-        "seed": ("int", False, 0),
-        "kappa": ("float", True, None),
-        "t": ("float", True, None),
-    },
-    "fk": {
-        **_FAMILY_KEYS,
-        "dim": ("int", False, 1),
-        "radius": ("int", True, None),
-        "seed": ("int", False, 0),
-        "kappa": ("float", True, None),
-        "t": ("float", True, None),
-        "n_paths": ("int", False, 10000),
-        "x": ("ints", False, None),
-    },
-    "particles": {
-        **_FAMILY_KEYS,
-        "dim": ("int", False, 1),
-        "radius": ("int", True, None),
-        "seed": ("int", False, 0),
-        "kappa": ("float", True, None),
-        "t": ("float", True, None),
-        "n_runs": ("int", False, 1000),
-        "cap": ("int", False, 10**7),
-    },
-    "spectral-check": {
-        **_FAMILY_KEYS,
-        "dim": ("int", False, 1),
-        "radius": ("int", True, None),
-        "seed": ("int", False, 0),
-        "kappa": ("float", True, None),
-        "t": ("float", True, None),
-        "n_instances": ("int", False, 20),
-    },
+    "sample-env": {**_WINDOW_KEYS, "baseline_death": ("float", False, 0.0)},
+    "solve": {**_WINDOW_KEYS, "box_radius": ("int", True, None), **_WALK_KEYS},
+    "fk": {**_WINDOW_KEYS, **_WALK_KEYS, "n_paths": ("int", False, 10000), "x": ("ints", False, None)},
+    "particles": {**_WINDOW_KEYS, **_WALK_KEYS, "n_runs": ("int", False, 1000), "cap": ("int", False, 10**7)},
+    "spectral-check": {**_WINDOW_KEYS, **_WALK_KEYS, "n_instances": ("int", False, 20)},
     "exponents": {
         **_FAMILY_KEYS,
         "d": ("int", False, 1),
@@ -119,8 +98,7 @@ SCHEMAS = {
     "exponents-mc": {
         **_FAMILY_KEYS,
         "dim": ("int", False, 1),
-        "kappa": ("float", True, None),
-        "t": ("float", True, None),
+        **_WALK_KEYS,
         "n_replica": ("int", False, 1000),
         "seed": ("int", False, 0),
         "theta": ("float", False, None),
@@ -290,7 +268,7 @@ def _parse_table(raw, errors, key):
 
 
 def _fmt_cell(value):
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
         return "%.17g" % value
@@ -300,76 +278,66 @@ def _fmt_cell(value):
 
 
 def write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row[c]) for c in columns))
+    """Write the header `columns` and `rows`, each a sequence of cells in column order."""
+    lines = [",".join(columns)] + [",".join(map(_fmt_cell, row)) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _coord_columns(dim):
-    return [f"x{j}" for j in range(dim)]
+def _table_rows(table):
+    """(columns, rows) of a column table; a scalar cell fills its whole column."""
+    seqs = (list, tuple, np.ndarray)
+    n = max((len(col) for col in table.values() if isinstance(col, seqs)), default=1)
+    cols = [col if isinstance(col, seqs) else [col] * n for col in table.values()]
+    return list(table), list(zip(*cols, strict=True))
+
+
+def _coord_columns(coords):
+    return {f"x{j}": coords[:, j] for j in range(coords.shape[1])}
+
+
+def _fields(objs, *names, **renamed):
+    """One column per attribute of objs: names as they are, then column=attribute pairs."""
+    cols = {name: [getattr(o, name) for o in objs] for name in names}
+    return cols | {col: [getattr(o, attr) for o in objs] for col, attr in renamed.items()}
 
 
 def cmd_sample_env(cfg):
     env = sample_environment(
         cfg.family, cfg["dim"], cfg["radius"], cfg["seed"], cfg["baseline_death"]
     )
-    coords = env.coords()
     pot = effective_potential(env)
-    cols = _coord_columns(env.dim) + ["v_plus", "v_minus", "hardcore", "potential"]
-    rows = []
-    for i in range(env.n_sites):
-        row = {f"x{j}": coords[i, j] for j in range(env.dim)}
-        row["v_plus"] = float(env.v_plus[i])
-        row["v_minus"] = float(env.v_minus[i])
-        row["hardcore"] = bool(env.hardcore[i])
-        row["potential"] = float(pot[i])
-        rows.append(row)
+    table = {
+        **_coord_columns(env.coords()),
+        "v_plus": env.v_plus, "v_minus": env.v_minus, "hardcore": env.hardcore, "potential": pot,
+    }
     extra = {
         "n_sites": env.n_sites,
         "n_hardcore": int(env.hardcore.sum()),
         "max_potential": float(pot[np.isfinite(pot)].max()) if np.isfinite(pot).any() else None,
     }
-    return [("environment.csv", cols, rows)], True, extra
+    return {"environment.csv": table}, True, extra
 
 
 def cmd_solve(cfg):
     env = sample_environment(cfg.family, cfg["dim"], cfg["radius"], cfg["seed"])
     box = BoxDomain(env, (0,) * env.dim, cfg["box_radius"])
     field = solve_truncated(env, box, cfg["kappa"], cfg["t"])
-    logs = field.log_values()
-    active = box.active_mask()
-    coords = box.box_coords()
-    cols = _coord_columns(env.dim) + ["active", "log_m"]
-    rows = []
-    for i in range(box.n_box):
-        row = {f"x{j}": coords[i, j] for j in range(env.dim)}
-        row["active"] = bool(active[i])
-        row["log_m"] = float(logs[i])
-        rows.append(row)
-    extra = {"log_total": float(field.log_total()), "n_active": int(box.n_active), "method": field.method}
-    extra["degree"] = field.degree
-    return [("solution.csv", cols, rows)], True, extra
+    table = {**_coord_columns(box.box_coords()), "active": box.active_mask(), "log_m": field.log_values()}
+    extra = {
+        "log_total": float(field.log_total()), "n_active": int(box.n_active),
+        "method": field.method, "degree": field.degree,
+    }
+    return {"solution.csv": table}, True, extra
 
 
 def cmd_fk(cfg):
     env = sample_environment(cfg.family, cfg["dim"], cfg["radius"], derive_seed(cfg["seed"], "env"))
     x = cfg["x"] if cfg["x"] is not None else (0,) * env.dim
     est = fk_estimate(env, x, cfg["kappa"], cfg["t"], cfg["n_paths"], derive_seed(cfg["seed"], "paths"))
-    cols = ["t", "kappa", "n_paths", "n_killed", "log_value", "stderr_log"]
-    rows = [
-        {
-            "t": cfg["t"],
-            "kappa": cfg["kappa"],
-            "n_paths": est.n_paths,
-            "n_killed": est.n_killed,
-            "log_value": est.log_value,
-            "stderr_log": est.stderr_log,
-        }
-    ]
+    table = {"t": cfg["t"], "kappa": cfg["kappa"]} | _fields([est], "n_paths", "n_killed", "log_value", "stderr_log")
     extra = {"all_killed": est.all_killed, "n_killed": est.n_killed, "kill_fraction": est.n_killed / est.n_paths}
-    return [("fk.csv", cols, rows)], True, extra
+    return {"fk.csv": table}, True, extra
 
 
 def cmd_particles(cfg):
@@ -378,118 +346,62 @@ def cmd_particles(cfg):
         env, (0,) * env.dim, cfg["kappa"], cfg["t"], cfg["n_runs"], derive_seed(cfg["seed"], "run"), cfg["cap"]
     )
     consistent = sample.accounting_consistent()
-    cols = ["replica", "final_population", "n_branch", "n_death", "n_boundary_kill", "truncated", "consistent"]
-    rows = [
-        {
-            "replica": r,
-            "final_population": sample.counts[r],
-            "n_branch": sample.n_branch[r],
-            "n_death": sample.n_death[r],
-            "n_boundary_kill": sample.n_boundary_kill[r],
-            "truncated": bool(sample.truncated[r]),
-            "consistent": bool(consistent[r]),
-        }
-        for r in range(sample.n_runs)
-    ]
+    table = {
+        "replica": np.arange(sample.n_runs), "final_population": sample.counts,
+        "n_branch": sample.n_branch, "n_death": sample.n_death, "n_boundary_kill": sample.n_boundary_kill,
+        "truncated": sample.truncated, "consistent": consistent,
+    }
     ok = bool(np.all(consistent | sample.truncated))
     extra = {
         "mean_population": sample.mean(),
         "stderr": sample.stderr() if sample.n_runs > 1 else 0.0,
     }
-    return [("particles.csv", cols, rows)], ok, extra
+    return {"particles.csv": table}, ok, extra
 
 
 def cmd_spectral_check(cfg):
-    cols = ["instance", "n_active", "lambda0", "t", "lower_margin", "upper_margin", "ok"]
-    rows = []
-    ok = True
+    reports = []
     for i in range(cfg["n_instances"]):
         env = sample_environment(cfg.family, cfg["dim"], cfg["radius"], derive_seed(cfg["seed"], "spectral", i))
         box = BoxDomain(env, (0,) * env.dim, cfg["radius"])
-        rep = verify_sandwich(env, box, cfg["kappa"], cfg["t"])
-        ok = ok and rep.passed
-        rows.append(
-            {
-                "instance": i,
-                "n_active": rep.n_active,
-                "lambda0": rep.lambda0,
-                "t": rep.t,
-                "lower_margin": rep.lower_margin,
-                "upper_margin": rep.upper_margin,
-                "ok": rep.passed,
-            }
-        )
-    return [("spectral.csv", cols, rows)], ok, {"n_instances": cfg["n_instances"]}
+        reports.append(verify_sandwich(env, box, cfg["kappa"], cfg["t"]))
+    table = {"instance": np.arange(len(reports))} | _fields(
+        reports, "n_active", "lambda0", "t", "lower_margin", "upper_margin", ok="passed"
+    )
+    return {"spectral.csv": table}, all(r.passed for r in reports), {"n_instances": cfg["n_instances"]}
 
 
 def cmd_exponents(cfg):
-    table = transition_exponents(cfg.family, cfg["d"])
-    exp_cols = ["family", "d", "gamma1", "gamma2", "empirical_only", "nu"]
-    exp_rows = [
-        {
-            "family": cfg.family.label(),
-            "d": cfg["d"],
-            "gamma1": table.gamma1,
-            "gamma2": table.gamma2,
-            "empirical_only": table.empirical_only,
-            "nu": table.nu if table.nu is not None else math.nan,
-        }
-    ]
-    growth_cols = ["t", "H", "J"]
-    growth_rows = [
-        {"t": t, "H": cumulant_H(cfg.family, t), "J": growth_J(cfg.family, cfg["d"], t)}
-        for t in cfg["t_grid"]
-    ]
-    tables = [("exponents.csv", exp_cols, exp_rows), ("growth.csv", growth_cols, growth_rows)]
+    exps = transition_exponents(cfg.family, cfg["d"])
+    exponents = {
+        "family": cfg.family.label(), "d": cfg["d"], "gamma1": exps.gamma1, "gamma2": exps.gamma2,
+        "empirical_only": exps.empirical_only, "nu": exps.nu if exps.nu is not None else math.nan,
+    }
+    growth = [(cumulant_H(cfg.family, t), growth_J(cfg.family, cfg["d"], t)) for t in cfg["t_grid"]]
+    tables = {
+        "exponents.csv": exponents,
+        "growth.csv": {"t": cfg["t_grid"], "H": [h for h, _ in growth], "J": [j for _, j in growth]},
+    }
     if cfg["gamma"] is not None:
-        a = critical_a(cfg.family, cfg["gamma"], cfg["d"])
-        tables.append(
-            ("critical_curve.csv", ["gamma", "a"], [{"gamma": cfg["gamma"], "a": a}])
-        )
-    return tables, True, {"gamma1": table.gamma1, "gamma2": table.gamma2}
+        tables["critical_curve.csv"] = {"gamma": cfg["gamma"], "a": critical_a(cfg.family, cfg["gamma"], cfg["d"])}
+    return tables, True, {"gamma1": exps.gamma1, "gamma2": exps.gamma2}
 
 
 def cmd_exponents_mc(cfg):
-    rows = []
-    ok = True
-    try:
-        est = estimate_H1(
-            cfg.family, cfg["kappa"], cfg["t"], cfg["n_replica"],
-            derive_seed(cfg["seed"], "h1"), dim=cfg["dim"], tol=cfg["tol"],
-        )
-        fest = None if cfg["theta"] is None else estimate_F_theta(
-            cfg.family, cfg["theta"], cfg["kappa"], cfg["t"], cfg["n_replica"],
-            derive_seed(cfg["seed"], "ftheta"), dim=cfg["dim"], tol=cfg["tol"],
-        )
-    except ValueError as err:  # every replica killed: nothing to estimate from
-        raise ConfigError(str(err)) from err
-    exact = cumulant_H(cfg.family, cfg["t"]) if cfg["kappa"] == 0.0 else math.nan
-    in_ci = bool(est.ci_lo - 1e-9 <= exact <= est.ci_hi + 1e-9) if math.isfinite(exact) else True
-    ok = ok and in_ci
-    rows.append(
-        {
-            "stat": "H1", "theta": math.nan, "t": cfg["t"], "kappa": cfg["kappa"],
-            "n_replica": cfg["n_replica"], "value": est.value,
-            "ci_lo": est.ci_lo, "ci_hi": est.ci_hi, "exact": exact, "in_ci": in_ci,
-        }
-    )
-    if fest is not None:
-        fexact = (
-            cumulant_exponent_G(cfg.family, cfg["theta"], cfg["t"])
-            if cfg["kappa"] == 0.0
-            else math.nan
-        )
-        fin = bool(fest.ci_lo - 1e-9 <= fexact <= fest.ci_hi + 1e-9) if math.isfinite(fexact) else True
-        ok = ok and fin
-        rows.append(
-            {
-                "stat": "F_theta", "theta": cfg["theta"], "t": cfg["t"], "kappa": cfg["kappa"],
-                "n_replica": cfg["n_replica"], "value": fest.value,
-                "ci_lo": fest.ci_lo, "ci_hi": fest.ci_hi, "exact": fexact, "in_ci": fin,
-            }
-        )
-    cols = ["stat", "theta", "t", "kappa", "n_replica", "value", "ci_lo", "ci_hi", "exact", "in_ci"]
-    return [("moments_mc.csv", cols, rows)], ok, {}
+    family, kappa, t, theta = cfg.family, cfg["kappa"], cfg["t"], cfg["theta"]
+    n, kw = cfg["n_replica"], {"dim": cfg["dim"], "tol": cfg["tol"]}
+    stats, thetas = ["H1"], [math.nan]
+    ests = [estimate_H1(family, kappa, t, n, derive_seed(cfg["seed"], "h1"), **kw)]
+    exact = [cumulant_H(family, t) if kappa == 0.0 else math.nan]
+    if theta is not None:
+        stats.append("F_theta")
+        thetas.append(theta)
+        ests.append(estimate_F_theta(family, theta, kappa, t, n, derive_seed(cfg["seed"], "ftheta"), **kw))
+        exact.append(cumulant_exponent_G(family, theta, t) if kappa == 0.0 else math.nan)
+    in_ci = [not math.isfinite(x) or est.ci_lo - 1e-9 <= x <= est.ci_hi + 1e-9 for est, x in zip(ests, exact)]
+    table = {"stat": stats, "theta": thetas, "t": t, "kappa": kappa, "n_replica": n}
+    table |= _fields(ests, "value", "ci_lo", "ci_hi") | {"exact": exact, "in_ci": in_ci}
+    return {"moments_mc.csv": table}, all(in_ci), {}
 
 
 def cmd_regime(cfg):
@@ -511,39 +423,20 @@ def cmd_regime(cfg):
         d=cfg["d"], n_replica=cfg["n_replica"], seed=cfg["seed"],
         thresholds=thresholds, max_log_L=cfg["max_log_L"], tol=cfg["tol"],
     )
-    label = cfg.family.label()
+    table = {"family": cfg.family.label(), "kappa": cfg["kappa"], "d": cfg["d"]}
     if cfg["mode"] == "critical":
         verdicts = critical_experiment(config, cfg["gamma"], cfg["delta"], cfg["theta"])
-        cols = ["family", "kappa", "d", "t", "L", "gamma", "delta", "a_gamma",
-                "log_normalizer", "frac_below", "passed"]
-        rows = [
-            {
-                "family": label, "kappa": cfg["kappa"], "d": cfg["d"], "t": v.t,
-                "L": v.L, "gamma": v.gamma, "delta": v.delta, "a_gamma": v.a_gamma,
-                "log_normalizer": v.log_normalizer, "frac_below": v.frac_below,
-                "passed": v.passed,
-            }
-            for v in verdicts
-        ]
+        table |= _fields(verdicts, "t", "L", "gamma", "delta", "a_gamma", "log_normalizer", "frac_below", "passed")
         ok = all(v.passed for v in verdicts)
-        return [("critical.csv", cols, rows)], ok, {"a_gamma": verdicts[0].a_gamma}
+        return {"critical.csv": table}, ok, {"a_gamma": verdicts[0].a_gamma}
     run = lln_experiment if cfg["mode"] == "lln" else clt_experiment
     verdicts = run(config)
-    cols = ["family", "kappa", "d", "t", "L", "gamma", "gamma1", "gamma2",
-            "frac_in_band", "skew", "kurt", "ks_p", "verdict"]
-    rows = [
-        {
-            "family": label, "kappa": cfg["kappa"], "d": cfg["d"], "t": v.t, "L": v.L,
-            "gamma": v.gamma, "gamma1": v.gamma1, "gamma2": v.gamma2,
-            "frac_in_band": v.frac_in_band, "skew": v.skew, "kurt": v.exkurt,
-            "ks_p": v.ks_p, "verdict": v.classification,
-        }
-        for v in verdicts
-    ]
+    table |= _fields(
+        verdicts, "t", "L", "gamma", "gamma1", "gamma2", "frac_in_band", "skew",
+        kurt="exkurt", ks_p="ks_p", verdict="classification",
+    )
     ok = all(verdict_consistent(v, thresholds) for v in verdicts)
-    return [("regime.csv", cols, rows)], ok, {
-        "classifications": [v.classification for v in verdicts]
-    }
+    return {"regime.csv": table}, ok, {"classifications": [v.classification for v in verdicts]}
 
 
 COMMANDS = {
@@ -556,12 +449,6 @@ COMMANDS = {
     "exponents-mc": cmd_exponents_mc,
     "regime": cmd_regime,
 }
-
-
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def main(argv=None):
@@ -577,31 +464,26 @@ def main(argv=None):
     t_start = time.perf_counter()
     try:
         cfg = build_config(args.command, args.pairs)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
         tables, passed, extra = COMMANDS[args.command](cfg)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except ScheduleOverflowError as err:
         print(f"refused: {err}", file=sys.stderr)
         return 2
+    except ValueError as err:  # a ConfigError, or a configuration the library refuses
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
 
     os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    for name, columns, rows in tables:
+    for name, table in tables.items():
         path = os.path.join(args.out, name)
+        columns, rows = _table_rows(table)
         write_csv(path, columns, rows)
-        outputs.append(name)
         print(f"wrote {path} ({len(rows)} rows)")
     elapsed = time.perf_counter() - t_start
     summary = {
         "version": __version__,
         "command": args.command,
-        "config": {k: _json_safe(v) for k, v in cfg.values.items()},
-        "outputs": outputs,
+        "config": cfg.values,
+        "outputs": list(tables),
         "checks_passed": bool(passed),
         "results": extra,
         "timings": {

@@ -86,13 +86,29 @@ def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     return _replica_site_logs(family, _env_seeds(seed, n_replica), R, np.zeros((1, dim)), kappa, t, R)[:, 0]
 
 
-def _log_mean(logs):
-    return float(logsumexp(logs)) - math.log(len(logs))
+def _replica_bootstrap(family, kappa, t, n_replica, seed, dim, tol, powers, stat):
+    """Replica log moments, stat over all replicas and its bootstrap CI.
 
-
-def _bootstrap_indices(n, seed):
-    rng = generator(derive_seed(seed, "bootstrap", 0))
-    return rng.integers(0, n, size=(_BOOTSTRAP, n))
+    stat(peak, *means) takes, for each p in powers, the replica mean of
+    (m / m_peak)^p, with peak = log m_peak so no power overflows.  Every
+    bootstrap resample recomputes all the means jointly, and the interval
+    is its 99 percent percentile range, taken in the scale stat returns.
+    Fewer than 50 replicas, and a set in which every replica was killed,
+    are refused.
+    """
+    if n_replica < 50:
+        raise ValueError("need at least 50 replicas")
+    logs = _replica_log_moments(family, kappa, t, n_replica, seed, dim=dim, tol=tol)
+    peak = float(np.max(logs))
+    if not math.isfinite(peak):
+        raise ValueError("all replicas were killed")
+    ws = [np.exp(p * (logs - peak)) for p in powers]
+    idx = generator(derive_seed(seed, "bootstrap", 0)).integers(0, n_replica, size=(_BOOTSTRAP, n_replica))
+    with np.errstate(divide="ignore"):
+        boot = stat(peak, *(w[idx].mean(axis=1) for w in ws))
+    half = (100.0 - _CI) / 2.0
+    lo, hi = np.percentile(boot, [half, 100.0 - half])
+    return logs, float(stat(peak, *(w.mean() for w in ws))), float(lo), float(hi)
 
 
 def estimate_H1(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
@@ -102,21 +118,11 @@ def estimate_H1(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     log space, so it stays meaningful when a few replicas dominate the
     mean.  A replica set in which every replica was killed is refused.
     """
-    if n_replica < 50:
-        raise ValueError("need at least 50 replicas")
-    logs = _replica_log_moments(family, kappa, t, n_replica, seed, dim=dim, tol=tol)
-    peak = float(np.max(logs))
-    if not math.isfinite(peak):
-        raise ValueError("all replicas were killed")
-    value = _log_mean(logs)
-    w = np.exp(logs - peak)
-    idx = _bootstrap_indices(n_replica, seed)
-    means = w[idx].mean(axis=1)
-    with np.errstate(divide="ignore"):
-        boot = np.log(means) + peak
-    half = (100.0 - _CI) / 2.0
-    lo, hi = np.percentile(boot, [half, 100.0 - half])
-    return H1Estimate(value, float(lo), float(hi), n_replica, float(t), float(kappa))
+    logs, _, lo, hi = _replica_bootstrap(
+        family, kappa, t, n_replica, seed, dim, tol, (1.0,), lambda peak, mean_w: np.log(mean_w) + peak
+    )
+    value = float(logsumexp(logs)) - math.log(n_replica)  # summed in log space, not through the peak
+    return H1Estimate(value, lo, hi, n_replica, float(t), float(kappa))
 
 
 def estimate_F_theta(family, theta, kappa, t, n_replica, seed, dim=1, tol=1e-6):
@@ -128,27 +134,14 @@ def estimate_F_theta(family, theta, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     """
     if not math.isfinite(theta) or theta <= -1 or theta == 0:
         raise ValueError("theta must be > -1 and nonzero")
-    if n_replica < 50:
-        raise ValueError("need at least 50 replicas")
-    logs = _replica_log_moments(family, kappa, t, n_replica, seed, dim=dim, tol=tol)
-    peak = float(np.max(logs))
-    if not math.isfinite(peak):
-        raise ValueError("all replicas were killed")
-    w = np.exp(logs - peak)
-    wq = np.exp((1.0 + theta) * (logs - peak))
 
-    def gap(mean_w, mean_wq):
+    def gap(peak, mean_w, mean_wq):
         log_m1 = np.log(mean_w) + peak
         log_mq = np.log(mean_wq) + (1.0 + theta) * peak
         return (log_mq - (1.0 + theta) * log_m1) / theta
 
-    value = float(gap(w.mean(), wq.mean()))
-    idx = _bootstrap_indices(n_replica, seed)
-    with np.errstate(divide="ignore"):
-        boot = gap(w[idx].mean(axis=1), wq[idx].mean(axis=1))
-    half = (100.0 - _CI) / 2.0
-    lo, hi = np.percentile(boot, [half, 100.0 - half])
-    return FThetaEstimate(value, float(lo), float(hi), float(theta), n_replica, float(t), float(kappa))
+    _, value, lo, hi = _replica_bootstrap(family, kappa, t, n_replica, seed, dim, tol, (1.0, 1.0 + theta), gap)
+    return FThetaEstimate(value, lo, hi, float(theta), n_replica, float(t), float(kappa))
 
 
 @dataclass(frozen=True)

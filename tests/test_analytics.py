@@ -18,7 +18,6 @@ from pamlab.analytics import (
     ExponentTable,
     critical_a,
     cumulant_exponent_G,
-    cumulant_gap,
     cumulant_H,
     frechet_alpha,
     growth_J,
@@ -343,7 +342,7 @@ def test_frechet_alpha_solves_implicit_equation():
     for t in (2.0, 10.0, 50.0):
         a = frechet_alpha(FRECHET1, 1, t)
         s = t / a
-        resid = cumulant_gap(FRECHET1, s) * a * a - s
+        resid = cumulant_exponent_G(FRECHET1, 1.0, s) * a * a - s
         assert abs(resid) <= 1e-8 * s
         assert growth_J(FRECHET1, 1, t) == pytest.approx(t / a**2, rel=1e-9)
     with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from pamlab.cli import ConfigError, build_config, main
 from pamlab.seeding import derive_seed
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "seed_fixture.json")
+CLI_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cli_fixture.json")
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def read_bytes(path):
@@ -336,3 +340,111 @@ def test_replica_and_clt_refusals_are_config_errors(tmp_path, capsys):
     assert main(killed + ["--out", str(tmp_path)]) == 2
     assert "config error: all replicas were killed" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponents", "family=sq_double_exp", "t_grid=1"],
+        ["exponents", "family=hard_core", "p=0.2", "gamma=0.5"],
+        ["exponents", "family=weibull", "rho=2", "t_grid=0"],
+        ["regime", "family=weibull", "rho=2", "mode=critical", "gamma=5", "delta=0.1", "t_grid=3", "n_replica=100"],
+        ["fk", "family=weibull", "rho=2", "radius=3", "kappa=1", "t=1", "x=9"],
+        ["regime", "family=weibull", "rho=2", "mode=lln", "rule=gamma-j", "gamma=0.5", "t_grid=3", "kappa=1",
+         "n_replica=100", "d=2"],
+    ],
+)
+def test_library_refusals_are_config_errors(tmp_path, capsys, argv):
+    # build_config accepts these; the library raises ValueError on them
+    build_config(argv[0], argv[1:])
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_readme_commands_parse():
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [ln.split() for ln in block.splitlines() if ln.startswith("pamlab ")]
+    assert len(lines) >= 8
+    for argv in lines:
+        command, rest = argv[1], argv[2:]
+        if "--out" in rest:
+            i = rest.index("--out")
+            del rest[i : i + 2]
+        build_config(command, rest)
+
+
+# Small runs of every command, each route and corner the tables have.
+CLI_RUNS = {
+    "sample-env-hardcore-2d": ["sample-env", "family=hard_core", "p=0.3", "dim=2", "radius=3", "seed=2",
+                               "baseline_death=0.4"],
+    "solve-dense": ["solve", "family=weibull", "rho=2", "radius=8", "box_radius=5", "kappa=1", "t=1.5", "seed=4"],
+    "solve-uniformization": ["solve", "family=weibull", "rho=2", "radius=50", "box_radius=50", "kappa=1",
+                             "t=1.5", "seed=4"],
+    "solve-kappa0": ["solve", "family=double_exp", "rho=1", "radius=6", "box_radius=4", "kappa=0", "t=1",
+                     "seed=3"],
+    "solve-hardcore-2d": ["solve", "family=hard_core", "p=0.2", "dim=2", "radius=4", "box_radius=3", "kappa=1",
+                          "t=1", "seed=1"],
+    "fk": ["fk", "family=double_exp", "rho=1", "radius=5", "kappa=1", "t=1", "x=1", "n_paths=500", "seed=3"],
+    "particles": ["particles", "family=weibull", "rho=2", "radius=3", "kappa=0.5", "t=0.5", "n_runs=50",
+                  "seed=9"],
+    "particles-hardcore": ["particles", "family=hard_core", "p=0.5", "radius=3", "seed=1", "kappa=1", "t=1",
+                           "n_runs=3"],
+    "spectral-dense": ["spectral-check", "family=double_exp", "rho=1", "radius=6", "kappa=0.7", "t=1",
+                       "n_instances=3", "seed=8"],
+    "spectral-lanczos": ["spectral-check", "family=weibull", "rho=2", "dim=3", "radius=8", "n_instances=1",
+                         "kappa=1", "t=1", "seed=4"],
+    "exponents-gamma": ["exponents", "family=weibull", "rho=2", "t_grid=1,2,3", "gamma=0.5"],
+    "exponents-frechet-2d": ["exponents", "family=frechet", "rho=1", "d=2", "t_grid=0.5,1"],
+    "exponents-empty-grid": ["exponents", "family=weibull", "rho=2"],
+    "exponents-mc-kappa0": ["exponents-mc", "family=weibull", "rho=2", "kappa=0", "t=1.5", "n_replica=100",
+                            "seed=6", "theta=0.5"],
+    "exponents-mc-kappa1": ["exponents-mc", "family=weibull", "rho=2", "kappa=1", "t=1", "n_replica=50",
+                            "seed=2"],
+    "regime-lln": ["regime", "family=weibull", "rho=2", "t_grid=3", "mode=lln", "rule=gamma-j", "gamma=2.5",
+                   "n_replica=100", "seed=5"],
+    "regime-clt": ["regime", "family=double_exp", "rho=1", "mode=clt", "rule=gamma-j", "gamma=2.5",
+                   "t_grid=2", "kappa=0", "n_replica=100", "seed=5"],
+    "regime-critical": ["regime", "family=weibull", "rho=2", "t_grid=3", "mode=critical", "gamma=0.5",
+                        "delta=-0.3", "n_replica=100", "seed=2"],
+    "regime-kappa1-explicit": ["regime", "family=weibull", "rho=2", "kappa=1", "t_grid=1,2", "mode=lln",
+                               "rule=explicit", "L_table=1:3,2:4", "n_replica=100", "seed=3"],
+}
+
+
+def cli_digests(argv, out):
+    """Exit code and sha256 of every file a run writes; summary.json without timings."""
+    rc = main(argv + ["--out", out])
+    digests = {"rc": rc}
+    for name in sorted(os.listdir(out)):
+        data = read_bytes(os.path.join(out, name))
+        if name == "summary.json":
+            summary = json.loads(data)
+            summary.pop("timings")
+            data = json.dumps(summary, indent=2, sort_keys=True).encode()
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def cli_values():
+    with tempfile.TemporaryDirectory() as root:
+        return {key: cli_digests(argv, os.path.join(root, key)) for key, argv in CLI_RUNS.items()}
+
+
+def test_cli_outputs_match_fixture():
+    # recorded before the commands returned column tables
+    with open(CLI_FIXTURE) as fh:
+        want = json.load(fh)
+    assert cli_values() == want
+
+
+if __name__ == "__main__":
+    # Records the fixture.  It was recorded once, before the commands
+    # returned column tables; re-recording it would make the test vacuous.
+    if "--record" not in sys.argv:
+        sys.exit("usage: python tests/test_cli.py --record")
+    with open(CLI_FIXTURE, "w") as fh:
+        json.dump(cli_values(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
