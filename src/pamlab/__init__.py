@@ -29,20 +29,15 @@ from .environments import (
     Environment,
     TailFamily,
     effective_potential,
-    load_environment,
     sample_environment,
-    save_environment,
     window_coords,
 )
 from .feynman_kac import exit_tail_mc, fk_estimate, fk_path_log_weights, wilson_interval
 from .moments import (
     block_variance,
-    build_partitions,
     correlation_profile,
     estimate_F_theta,
     estimate_H1,
-    strip_fraction,
-    strip_fraction_bound,
 )
 from .particles import population_ensemble
 from .regimes import (

@@ -40,6 +40,7 @@ _PANEL_TOL = 1e-10
 _MAX_PANELS = 20000
 _MAX_DEPTH = 48
 _ROOT_RTOL = 1e-13  # relative tolerance of the bracketed root finders
+_LOG_ERROR_LIMIT = 1e-9  # largest log-error of H that the quadrature accepts
 _GL_X, _GL_W = leggauss(16)  # the Gauss-Legendre rule of every quadrature panel
 
 
@@ -268,7 +269,7 @@ def _adaptive_log_integral(g, a, b):
             stack.append((pa, mid, depth + 1))
             stack.append((mid, pb, depth + 1))
     total = float(logsumexp(leaf_logs))
-    if worst > 1e-9:
+    if worst > _LOG_ERROR_LIMIT:
         raise QuadratureError(
             f"quadrature stalled at log-error {worst:.3e}", achieved=worst
         )
@@ -316,6 +317,24 @@ def cumulant_exponent_G(family, theta, t):
     if theta == 0.0 or theta <= -1.0:
         raise ValueError("theta must be nonzero and > -1")
     return (cumulant_H(family, (1.0 + theta) * t) - (1.0 + theta) * cumulant_H(family, t)) / theta
+
+
+def _cumulant_pair(family, s, where):
+    """(H(s), H(2s)), refused unless the gap G_1(s) = H(2s) - 2 H(s) is resolved.
+
+    Each quadrature H is off by up to _LOG_ERROR_LIMIT, so G_1 is known
+    only to 3 times that; a gap no larger is rounding noise, and `where`
+    names the caller in the ValueError.  H(0) = 0 and the hard-core H
+    are exact, so they pass.
+    """
+    h1, h2 = cumulant_H(family, s), cumulant_H(family, 2.0 * s)
+    gap = h2 - 2.0 * h1
+    if s > 0.0 and family.kind != "hard_core" and not gap > 3.0 * _LOG_ERROR_LIMIT:
+        raise ValueError(
+            f"{where}: G_1(s) = H(2s) - 2 H(s) = {gap:.3g} at s = {s:.6g} is not above"
+            f" {3.0 * _LOG_ERROR_LIMIT:g}, 3 times the quadrature's log-error limit"
+        )
+    return h1, h2
 
 
 @dataclass(frozen=True)
@@ -376,7 +395,9 @@ def frechet_alpha(family, d, t):
     k(s) = H(2s) - 2 H(s) = G_1(s) is the doubling gap of the numerically
     computed H.  The left side over the right is increasing in a for
     d = 1, so an expanding bracket around a = 1 closes; failure to
-    bracket raises RootBracketError.
+    bracket raises RootBracketError.  A G_1(s) within the quadrature
+    error of H raises ValueError (see _cumulant_pair); that is where
+    small t ends.
     """
     if family.kind != "frechet":
         raise ValueError("alpha-scale is defined for the frechet family")
@@ -386,7 +407,8 @@ def frechet_alpha(family, d, t):
 
     def phi(a):
         s = t * a ** (-float(d))
-        return cumulant_exponent_G(family, 1.0, s) * a * a - s
+        h1, h2 = _cumulant_pair(family, s, f"frechet alpha at t = {t:g}")
+        return (h2 - 2.0 * h1) * a * a - s
 
     lo = hi = 1.0
     for _ in range(200):

@@ -4,11 +4,12 @@ Every subcommand takes flat KEY=VALUE arguments, writes CSV tables plus
 a summary.json into --out, and exits 0 when all of its checks passed and
 1 when one failed.  A configuration refused by the schema here or by the
 library (any ValueError it raises) exits 2 with "config error: ..." and
-writes no file.  A run uses no worker pool and draws its randomness from
-the seed key alone; float cells are printed with %.17g, so a repeated run
-is byte identical.  Wall-clock timings are confined to summary.json,
-whose timings also record the package start-up (import_s) and the
-process's peak resident memory (peak_rss_mb).
+writes no file; a regime box overflow or a SolverError exits 2 the same
+way with "refused: ...".  A run uses no worker pool and draws its
+randomness from the seed key alone; float cells are printed with %.17g,
+so a repeated run is byte identical.  Wall-clock timings are confined to
+summary.json, whose timings also record the package start-up (import_s)
+and the process's peak resident memory (peak_rss_mb).
 
 Each cmd_* returns (tables, passed, extra).  tables maps a CSV file name
 to a column table: a dict from column name to that column's cells, in
@@ -45,7 +46,7 @@ from .regimes import (
     verdict_consistent,
 )
 from .seeding import derive_seed
-from .solver import BoxDomain, solve_truncated
+from .solver import BoxDomain, SolverError, solve_truncated
 from .spectral import verify_sandwich
 
 # package start-up: from the first line of pamlab/__init__.py to here
@@ -465,7 +466,7 @@ def main(argv=None):
     try:
         cfg = build_config(args.command, args.pairs)
         tables, passed, extra = COMMANDS[args.command](cfg)
-    except ScheduleOverflowError as err:
+    except (ScheduleOverflowError, SolverError) as err:
         print(f"refused: {err}", file=sys.stderr)
         return 2
     except ValueError as err:  # a ConfigError, or a configuration the library refuses

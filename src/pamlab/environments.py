@@ -7,8 +7,6 @@ obstacles; they are flagged rather than stored as floating infinities in the
 rate arrays.
 """
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -120,11 +118,6 @@ def quantile_array(family, u):
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("quantile argument must lie in the open interval (0,1)")
     return exp_quantile_array(family, -np.log1p(-u))
-
-
-def tail_quantile(family, u):
-    """Scalar quantile of v(0); may return -inf for the hard-core family."""
-    return float(quantile_array(family, np.array([u]))[0])
 
 
 def window_coords(dim, radius):
@@ -250,73 +243,6 @@ def with_branch_cap(env, cap):
         v_plus=np.minimum(env.v_plus, float(cap)),
         v_minus=env.v_minus.copy(),
         hardcore=env.hardcore.copy(),
-    )
-
-
-def save_environment(env, stem):
-    """Write `<stem>.csv` (columnar sites) and `<stem>.json` (header)."""
-    stem = str(stem)
-    coords = env.coords()
-    with open(stem + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{k}" for k in range(env.dim)] + ["v_minus", "v_plus", "hardcore"])
-        for i in range(env.n_sites):
-            row = [str(int(c)) for c in coords[i]]
-            row += [format(env.v_minus[i], ".17g"), format(env.v_plus[i], ".17g")]
-            row.append("1" if env.hardcore[i] else "0")
-            writer.writerow(row)
-    header = {
-        "family": {"kind": env.family.kind, **env.family.params()},
-        "dim": env.dim,
-        "radius": env.radius,
-        "seed": env.seed,
-        "baseline_death": env.baseline_death,
-        "n_sites": int(env.n_sites),
-    }
-    with open(stem + ".json", "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_environment(stem):
-    """Inverse of `save_environment`; reconstructs the arrays bit-exactly."""
-    stem = str(stem)
-    with open(stem + ".json") as fh:
-        header = json.load(fh)
-    fam = header["family"]
-    family = TailFamily(fam["kind"], rho=fam.get("rho"), p=fam.get("p"))
-    dim, radius = header["dim"], header["radius"]
-    n = (2 * radius + 1) ** dim
-    v_minus = np.empty(n)
-    v_plus = np.empty(n)
-    hardcore = np.empty(n, dtype=bool)
-    expected = window_coords(dim, radius)
-    with open(stem + ".csv", newline="") as fh:
-        reader = csv.reader(fh)
-        head = next(reader)
-        if head != [f"x{k}" for k in range(dim)] + ["v_minus", "v_plus", "hardcore"]:
-            raise ValueError(f"unexpected environment CSV columns: {head}")
-        count = 0
-        for i, row in enumerate(reader):
-            if i >= n:
-                raise ValueError("environment CSV has more rows than the header declares")
-            if [int(c) for c in row[:dim]] != list(expected[i]):
-                raise ValueError(f"environment CSV row {i} out of order")
-            v_minus[i] = float(row[dim])
-            v_plus[i] = float(row[dim + 1])
-            hardcore[i] = row[dim + 2] == "1"
-            count += 1
-    if count != n:
-        raise ValueError("environment CSV is missing rows")
-    return Environment(
-        family=family,
-        dim=dim,
-        radius=radius,
-        seed=header["seed"],
-        baseline_death=header["baseline_death"],
-        v_plus=v_plus,
-        v_minus=v_minus,
-        hardcore=hardcore,
     )
 
 

@@ -2,8 +2,8 @@
 
 Everything here averages over independent environment replicas: the
 annealed growth estimate, the intermittency gap at tilt theta, spatial
-correlation profiles, and a block partition scheme used to bound how
-much of a box sits near block boundaries.  Every site moment m(x, t) is
+correlation profiles, and the variance of a box sum with its
+lag-covariance reconstruction.  Every site moment m(x, t) is
 read by one reader, solver.site_log_moments, from replicas sampled a
 stack at a time: one environments.sample_potentials call hashes the
 windows of as many replicas as one batched solve takes.  At kappa = 0
@@ -23,10 +23,6 @@ from .solver import required_radius, site_log_moments, windows_per_call
 
 _BOOTSTRAP = 1000
 _CI = 99.0
-
-
-class PartitionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -171,64 +167,12 @@ def correlation_profile(family, kappa, t, lags, n_replica, seed, tol=1e-4):
     peak = finite.max()
     m = np.exp(vals - peak)
     base = m[:, 0]
-    rs = np.empty(len(lags))
-    for j in range(len(lags)):
-        other = m[:, j + 1]
-        sa = base.std()
-        sb = other.std()
-        if sa == 0.0 or sb == 0.0:
-            rs[j] = 0.0
-        else:
-            rs[j] = float(np.corrcoef(base, other)[0, 1])
+    rs = np.zeros(len(lags))  # a constant side has correlation 0
+    if base.std() != 0.0:
+        for j in range(len(lags)):
+            if m[:, j + 1].std() != 0.0:
+                rs[j] = np.corrcoef(base, m[:, j + 1])[0, 1]
     return CorrelationProfile(lags=lags, r=rs, n_replica=n_replica, dependence_radius=R)
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Partition of the 1-d index range [-L, L] into q contiguous blocks.
-
-    The first qbar blocks have length Lp + 1 and the rest length Lp, so
-    the lengths add up to 2L + 1 exactly.
-    """
-
-    L: int
-    Lp: int
-    q: int
-    qbar: int
-    sizes: tuple
-    starts: tuple
-
-
-def build_partitions(L, Lp):
-    L = int(L)
-    Lp = int(Lp)
-    if L < 0 or Lp < 1:
-        raise PartitionError("need L >= 0 and Lp >= 1")
-    n = 2 * L + 1
-    q = -(-n // (Lp + 1))
-    qbar = n - q * Lp
-    if qbar < 0:
-        raise PartitionError(f"no block count fits: 2L+1 = {n} < q*Lp = {q * Lp}")
-    sizes = tuple([Lp + 1] * qbar + [Lp] * (q - qbar))
-    starts = tuple(-L + int(s) for s in np.concatenate([[0], np.cumsum(sizes)[:-1]]))
-    return PartitionPlan(L=L, Lp=Lp, q=q, qbar=qbar, sizes=sizes, starts=starts)
-
-
-def strip_fraction(plan, r, dim=1):
-    """Fraction of the box outside the shrunken main blocks.
-
-    Every block keeps a centered core of side Lp - 2r (empty if r is too
-    large); the rest of the box is the boundary strip.
-    """
-    core = max(0, plan.Lp - 2 * r)
-    n = 2 * plan.L + 1
-    return 1.0 - (plan.q**dim * core**dim) / (n**dim)
-
-
-def strip_fraction_bound(Lp, r, dim=1):
-    """Upper bound ((Lp+1)^d - (Lp-2r)^d) / Lp^d for the strip fraction."""
-    core = max(0, Lp - 2 * r)
-    return ((Lp + 1) ** dim - core**dim) / (Lp**dim)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import numpy as np
 
 from ._special import logsumexp, ndtr, smirnov
 from .analytics import (
+    _cumulant_pair,
     critical_a,
     cumulant_H,
     cumulant_exponent_G,
@@ -211,12 +212,15 @@ def schedule_L(rule, t, family=None, d=1, max_log_L=math.log(2_000_000)):
 
 
 def annealed_reference(family, t):
-    """Exact kappa = 0 single-site reference (mean, sd) of m(0, t)."""
-    H1 = cumulant_H(family, t)
-    H2 = cumulant_H(family, 2.0 * t)
+    """Exact kappa = 0 single-site reference (mean, sd) of m(0, t).
+
+    Refuses, with ValueError, a t at which H(2t) - 2 H(t) lies within the
+    quadrature error of H, since e^H(2t) - e^2H(t) is then noise.
+    """
+    H1, H2 = _cumulant_pair(family, t, f"annealed reference at t = {t:g}")
     mu = math.exp(H1)
     var = math.exp(H2) - math.exp(2.0 * H1)
-    return mu, math.sqrt(max(var, 0.0))
+    return mu, math.sqrt(var)
 
 
 def _block_log_means_exact(config, t, L, label, draw_fn):
@@ -400,9 +404,11 @@ def clt_experiment(config, draw_fn=None, reference=None):
             raise ValueError("draw_fn injection requires kappa = 0")
         if reference is None:
             raise ValueError("clt_experiment needs kappa = 0 or an explicit reference")
+    # every reference is computed, or refused, before the first draw
+    refs = {t: reference if reference is not None else annealed_reference(config.family, t) for t in config.t_grid}
 
     def own_stats(t, L, logs):
-        mu, sigma = reference if reference is not None else annealed_reference(config.family, t)
+        mu, sigma = refs[t]
         diff = np.exp(logs) - mu
         if sigma > 0.0:
             single = diff / sigma

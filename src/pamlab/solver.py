@@ -225,11 +225,15 @@ def required_radius(kappa, t, tol, d=1):
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
     target = -2.0 * math.log(tol)
+
+    def short(R):  # the bound is increasing in R
+        return 2.0 * kt * rate_I(R / (2.0 * kt)) - 2.0 * d * kt < target
+
+    if short(10**6):
+        raise SolverError(f"truncation radius exceeds 1e6 for kappa t = {kt:g}, d = {d}, tol = {tol:g}")
     R = 1
-    while 2.0 * kt * rate_I(R / (2.0 * kt)) - 2.0 * d * kt < target:
+    while short(R):
         R += 1
-        if R > 10**6:
-            raise SolverError("truncation radius exceeds 1e6")
     return max(math.ceil(kt**1.5), R)
 
 

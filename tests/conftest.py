@@ -1,17 +1,17 @@
 import re
 
-_CRITERION = re.compile(r"test_criterion_(\d+)")
+_CRITERION = re.compile(r"test_criterion_(\d+[a-z]?)")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Print one PASS/FAIL line per numbered acceptance criterion."""
+    """Print one PASS/FAIL line per acceptance criterion, sub-criteria (08a, 08b, ...) by name."""
     results = {}
     for status in ("passed", "failed", "error"):
         for report in terminalreporter.stats.get(status, []):
             match = _CRITERION.search(getattr(report, "nodeid", ""))
             if match is None:
                 continue
-            key = int(match.group(1))
+            key = match.group(1)
             ok = status == "passed"
             results[key] = results.get(key, True) and ok
     if not results:

@@ -349,6 +349,19 @@ def test_frechet_alpha_solves_implicit_equation():
         frechet_alpha(WEIBULL2, 1, 2.0)
 
 
+def test_frechet_alpha_refuses_an_unresolved_gap():
+    # alpha_t settles to a constant as t -> 0 while the gap G_1 is resolved ...
+    assert frechet_alpha(FRECHET1, 1, 1e-8) == pytest.approx(0.8493, abs=1e-4)
+    # ... and at these t G_1 is rounding noise of H, so a root of phi would be noise too
+    cases = [(FRECHET1, t) for t in (1e-17, 1e-20, 1e-29, 1e-300)]
+    cases += [(TailFamily.frechet(2.0), t) for t in (1e-4, 1e-5, 1e-8, 1e-11, 1e-14)]
+    for fam, t in cases:
+        with pytest.raises(ValueError, match=r"frechet alpha at t = .*G_1\(s\) = .* at s = "):
+            frechet_alpha(fam, 1, t)
+        with pytest.raises(ValueError, match="G_1"):
+            growth_J(fam, 1, t)
+
+
 def test_brentq_matches_scipy_bit_for_bit(monkeypatch):
     """Every root the analytics take (peak slopes, window cuts, frechet phi) equals scipy's brentq."""
     own = analytics._brentq

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -289,6 +290,18 @@ def test_regime_overflow_refused(tmp_path, capsys):
     assert "log L" in err
 
 
+def test_solver_refusal_is_quick(tmp_path, capsys):
+    # kappa t = 1e6 needs a truncation radius beyond 1e6, which is refused
+    # before any radius is searched and any replica is sampled
+    start = time.perf_counter()
+    rc = main(["exponents-mc", "family=weibull", "rho=2", "kappa=50", "t=20000", "n_replica=50",
+               "--out", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "refused: truncation radius exceeds 1e6 for kappa t = 1e+06" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_regime_critical_exit_reflects_checks(tmp_path):
     rc = main(
         [
@@ -352,6 +365,11 @@ def test_replica_and_clt_refusals_are_config_errors(tmp_path, capsys):
         ["fk", "family=weibull", "rho=2", "radius=3", "kappa=1", "t=1", "x=9"],
         ["regime", "family=weibull", "rho=2", "mode=lln", "rule=gamma-j", "gamma=0.5", "t_grid=3", "kappa=1",
          "n_replica=100", "d=2"],
+        # H(2t) - 2 H(t) is rounding noise of the quadrature at these t
+        ["exponents", "family=frechet", "rho=1", "t_grid=1e-20"],
+        ["exponents", "family=frechet", "rho=1", "t_grid=1e-300"],
+        ["regime", "family=double_exp", "rho=1", "mode=clt", "rule=explicit", "L_table=1e-9:50", "t_grid=1e-9",
+         "n_replica=100"],
     ],
 )
 def test_library_refusals_are_config_errors(tmp_path, capsys, argv):

@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from pamlab.environments import (
-    Environment,
     TailFamily,
     effective_potential,
-    load_environment,
     quantile_array,
     sample_environment,
     sample_potentials,
-    save_environment,
     survival_from_potential,
-    tail_quantile,
     window_coords,
     with_branch_cap,
 )
@@ -50,26 +46,30 @@ def test_family_parameter_validation():
     TailFamily.hard_core(0.999)
 
 
+def _quantile(family, u):
+    return float(quantile_array(family, [u])[0])
+
+
 def test_quantile_pinned_values():
     # solving exp(-e^(x/rho)) = 1-u by hand at u = 1-exp(-1) gives x = 0
-    assert np.isclose(tail_quantile(TailFamily.double_exp(1.0), 1 - np.exp(-1)), 0.0, atol=1e-14)
+    assert np.isclose(_quantile(TailFamily.double_exp(1.0), 1 - np.exp(-1)), 0.0, atol=1e-14)
     # e^(-x^2) = e^(-1) gives x = 1
-    assert np.isclose(tail_quantile(TailFamily.weibull(2.0), 1 - np.exp(-1)), 1.0)
+    assert np.isclose(_quantile(TailFamily.weibull(2.0), 1 - np.exp(-1)), 1.0)
     # hard-core atom sits at the lower quantiles
-    assert tail_quantile(TailFamily.hard_core(0.3), 0.2) == -np.inf
-    assert tail_quantile(TailFamily.hard_core(0.3), 0.31) == 0.0
+    assert _quantile(TailFamily.hard_core(0.3), 0.2) == -np.inf
+    assert _quantile(TailFamily.hard_core(0.3), 0.31) == 0.0
     # frechet is supported on the negatives, squared double exp on [0, inf)
-    assert tail_quantile(TailFamily.frechet(1.0), 0.5) < 0
+    assert _quantile(TailFamily.frechet(1.0), 0.5) < 0
     sq = TailFamily.squared_double_exp()
-    assert tail_quantile(sq, 0.5) == 0.0  # below the atom boundary 1 - 1/e
-    assert tail_quantile(sq, 0.9) > 0.0
+    assert _quantile(sq, 0.5) == 0.0  # below the atom boundary 1 - 1/e
+    assert _quantile(sq, 0.9) > 0.0
 
 
 def test_quantile_out_of_range():
     fam = TailFamily.weibull(2.0)
     for u in (0.0, 1.0, -0.1, 1.1):
         with pytest.raises(ValueError):
-            tail_quantile(fam, u)
+            quantile_array(fam, u)
 
 
 def test_quantile_cdf_roundtrip():
@@ -260,18 +260,3 @@ def test_window_coords_shape():
     # C order: last axis fastest
     np.testing.assert_array_equal(c[0], [-2, -2, -2])
     np.testing.assert_array_equal(c[1], [-2, -2, -1])
-
-
-def test_serialization_roundtrip(tmp_path):
-    for fam in (TailFamily.weibull(2.0), TailFamily.hard_core(0.25)):
-        env = sample_environment(fam, 1, 40, 77, baseline_death=0.1)
-        stem = str(tmp_path / f"env_{fam.kind}")
-        save_environment(env, stem)
-        back = load_environment(stem)
-        assert isinstance(back, Environment)
-        assert back.family == env.family
-        assert (back.dim, back.radius, back.seed) == (env.dim, env.radius, env.seed)
-        assert back.baseline_death == env.baseline_death
-        np.testing.assert_array_equal(back.v_plus, env.v_plus)
-        np.testing.assert_array_equal(back.v_minus, env.v_minus)
-        np.testing.assert_array_equal(back.hardcore, env.hardcore)

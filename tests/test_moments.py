@@ -7,15 +7,11 @@ from pamlab import environments, solver
 from pamlab.analytics import cumulant_H, cumulant_exponent_G
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.moments import (
-    PartitionError,
     _replica_log_moments,
     block_variance,
-    build_partitions,
     correlation_profile,
     estimate_F_theta,
     estimate_H1,
-    strip_fraction,
-    strip_fraction_bound,
 )
 from pamlab.seeding import derive_seed
 from pamlab.solver import BoxDomain, required_radius, solve_truncated
@@ -142,56 +138,6 @@ def test_kappa_zero_sites_are_independent():
     bound = 3.0 / math.sqrt(1600)
     assert prof.dependence_radius == 0
     assert np.all(np.abs(prof.r) <= bound)
-
-
-def test_partition_pinned_examples():
-    plan = build_partitions(5, 3)
-    assert plan.q == 3 and plan.qbar == 2
-    assert plan.sizes == (4, 4, 3)
-    assert plan.starts == (-5, -1, 3)
-    with pytest.raises(PartitionError):
-        build_partitions(5, 4)
-    # block length equal to L still needs two blocks
-    plan = build_partitions(7, 7)
-    assert plan.q == 2
-    assert sorted(plan.sizes) == [7, 8]
-
-
-def test_partition_sweep_covers_the_box_exactly():
-    rng = np.random.default_rng(13)
-    checked = 0
-    while checked < 200:
-        L = int(rng.integers(1, 300))
-        Lp = int(rng.integers(1, 2 * L + 2))
-        try:
-            plan = build_partitions(L, Lp)
-        except PartitionError:
-            continue
-        checked += 1
-        assert sum(plan.sizes) == 2 * L + 1
-        assert plan.sizes.count(Lp + 1) == plan.qbar
-        assert set(plan.sizes) <= {Lp, Lp + 1}
-        pos = -L
-        for start, size in zip(plan.starts, plan.sizes):
-            assert start == pos
-            pos += size
-        assert pos == L + 1
-
-
-def test_strip_fraction_respects_bound():
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        L = int(rng.integers(5, 400))
-        Lp = int(rng.integers(2, max(3, L)))
-        r = int(rng.integers(0, Lp))
-        try:
-            plan = build_partitions(L, Lp)
-        except PartitionError:
-            continue
-        for dim in (1, 2, 3):
-            frac = strip_fraction(plan, r, dim=dim)
-            assert 0.0 <= frac <= 1.0
-            assert frac <= strip_fraction_bound(Lp, r, dim=dim) + 1e-12
 
 
 def test_block_variance_time_zero_is_degenerate():

@@ -179,6 +179,29 @@ def test_annealed_reference_weibull():
     assert np.isclose(sd, 289.161, rtol=1e-4)
 
 
+def test_annealed_reference_refuses_an_unresolved_gap():
+    # e^H(2t) - e^2H(t) is rounding noise of H at these t: a variance read
+    # from it gives 0.0 or 2.1e-8 where the true sd is about 1e-13 to 1e-9
+    for fam, t in ((WEIBULL2, 1e-8), (WEIBULL2, 1e-12), (DEXP1, 1e-9)):
+        with pytest.raises(ValueError, match=r"annealed reference at t = .*G_1\(s\) = "):
+            annealed_reference(fam, t)
+    # a resolved gap gives sd = t sd(v) (1 + O(t)), with Var v = 1 - pi/4 for weibull(2)
+    assert annealed_reference(WEIBULL2, 1e-3)[1] == pytest.approx(1e-3 * math.sqrt(1 - math.pi / 4), rel=5e-3)
+    # H(0) and the hard-core H are exact, so their sd stands at any t
+    assert annealed_reference(WEIBULL2, 0.0) == (1.0, 0.0)
+    assert annealed_reference(TailFamily.hard_core(0.3), 1e-12)[1] == pytest.approx(math.sqrt(0.21), rel=1e-12)
+
+
+def test_clt_refuses_an_unresolved_reference_before_any_draw():
+    def no_draw(rng, n):
+        raise AssertionError("drew a site")
+
+    rule = ScheduleRule(kind="explicit", table=((1.0, 4), (1e-9, 50)))
+    config = RegimeConfig(family=DEXP1, rule=rule, t_grid=(1.0, 1e-9), n_replica=100, seed=5)
+    with pytest.raises(ValueError, match="annealed reference at t = 1e-09"):
+        clt_experiment(config, draw_fn=no_draw)
+
+
 def test_lln_monotone_in_dyadic_sweep():
     # Weibull rho = 2 at t = 3: growing L pushes the box average into the
     # annealed band, and the verdict flips once and stays flipped.
