@@ -284,7 +284,12 @@ def _cumulant_smooth(family, t):
     Gpeak = float(G(zpeak))
     lo = _lower_cut(G, zpeak, Gpeak, floor)
     hi = _window_cut(G, zpeak, Gpeak, 1.0)
-    total, _ = _adaptive_log_integral(G, lo, hi)
+    total = _adaptive_log_integral(G, lo, hi)[0] if lo < hi else math.nan
+    if not math.isfinite(total):
+        # at a peak this high, Gpeak - _LOG_WINDOW rounds to Gpeak and both cuts land on the peak
+        raise QuadratureError(
+            f"H({t:g}) for {family.kind}: no finite integral over [{lo!r}, {hi!r}] at G_peak = {Gpeak:.6g}"
+        )
     if family.kind == "sq_double_exp":
         # atom at 0 plus the flat quantile below s = 1: int_0^1 e^{-s} ds
         total = float(np.logaddexp(total, math.log(-math.expm1(-1.0))))

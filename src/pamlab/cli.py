@@ -4,8 +4,9 @@ Every subcommand takes flat KEY=VALUE arguments, writes CSV tables plus
 a summary.json into --out, and exits 0 when all of its checks passed and
 1 when one failed.  A configuration refused by the schema here or by the
 library (any ValueError it raises) exits 2 with "config error: ..." and
-writes no file; a regime box overflow or a SolverError exits 2 the same
-way with "refused: ...".  A run uses no worker pool and draws its
+writes no file, and so does a float that is not finite; a regime box
+overflow, a SolverError, a QuadratureError or a RootBracketError exits 2
+the same way with "refused: ...".  A run uses no worker pool and draws its
 randomness from the seed key alone; float cells are printed with %.17g,
 so a repeated run is byte identical.  Wall-clock timings are confined to
 summary.json, whose timings also record the package start-up (import_s)
@@ -30,7 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, _import_start
-from .analytics import critical_a, cumulant_H, cumulant_exponent_G, growth_J, transition_exponents
+from .analytics import (
+    QuadratureError,
+    RootBracketError,
+    critical_a,
+    cumulant_H,
+    cumulant_exponent_G,
+    growth_J,
+    transition_exponents,
+)
 from .environments import TailFamily, effective_potential, sample_environment
 from .feynman_kac import fk_estimate
 from .moments import estimate_F_theta, estimate_H1
@@ -147,13 +156,20 @@ _RANGE_CHECKS = [
 ]
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")  # build_config reports the key and its raw value
+    return value
+
+
 def _parse_scalar(kind, raw):
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     if kind == "floats":
-        return tuple(float(tok) for tok in raw.split(",") if tok != "")
+        return tuple(_finite(tok) for tok in raw.split(",") if tok != "")
     if kind == "ints":
         return tuple(int(tok) for tok in raw.split(",") if tok != "")
     return raw
@@ -466,7 +482,7 @@ def main(argv=None):
     try:
         cfg = build_config(args.command, args.pairs)
         tables, passed, extra = COMMANDS[args.command](cfg)
-    except (ScheduleOverflowError, SolverError) as err:
+    except (ScheduleOverflowError, SolverError, QuadratureError, RootBracketError) as err:
         print(f"refused: {err}", file=sys.stderr)
         return 2
     except ValueError as err:  # a ConfigError, or a configuration the library refuses

@@ -30,7 +30,7 @@ import numpy as np
 
 from .analytics import rate_I
 from .seeding import derive_seed, generator
-from .solver import BoxDomain, _box_of
+from .solver import BoxDomain, _box_of, _check_walk
 
 _CHUNK = 8192
 
@@ -101,9 +101,7 @@ def fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
         raise ValueError(f"x must have {env.dim} coordinates, got {x.size}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    for name, value in (("t", t), ("kappa", kappa)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    _check_walk(kappa, t)
     box = BoxDomain(env, (0,) * env.dim, env.radius) if box is None else _box_of(env, box)
     if np.abs(x - box.center).max() > box.radius:
         raise ValueError("start point outside the killing box")

@@ -3,12 +3,12 @@
 Everything here averages over independent environment replicas: the
 annealed growth estimate, the intermittency gap at tilt theta, spatial
 correlation profiles, and the variance of a box sum with its
-lag-covariance reconstruction.  Every site moment m(x, t) is
-read by one reader, solver.site_log_moments, from replicas sampled a
-stack at a time: one environments.sample_potentials call hashes the
-windows of as many replicas as one batched solve takes.  At kappa = 0
-the windows are single sites and the reader returns t v(x) exactly, so
-no statistic keeps a kappa = 0 branch of its own.
+lag-covariance reconstruction.  Every site moment m(x, t) is read by
+one reader, solver.site_log_moments, from replicas that
+solver._replica_site_logs samples a stack at a time, as many as one
+batched solve of their windows takes.  At kappa = 0 the windows are
+single sites and the reader returns t v(x) exactly, so no statistic
+keeps a kappa = 0 branch of its own.
 """
 
 import math
@@ -16,10 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._special import logsumexp
-from .environments import sample_potentials
 from .seeding import derive_seed, generator
-from .solver import required_radius, site_log_moments, windows_per_call
+from .solver import _log_mean, _replica_site_logs, required_radius
 
 _BOOTSTRAP = 1000
 _CI = 99.0
@@ -52,28 +50,6 @@ class FThetaEstimate:
 
 def _env_seeds(seed, n_replica):
     return [derive_seed(seed, "env", i) for i in range(n_replica)]
-
-
-def _replica_site_logs(family, seeds, radius, sites, kappa, t, R):
-    """site_log_moments at `sites` of the replicas of `seeds`, sampled on [-radius, radius]^d.
-
-    Replicas are sampled a stack at a time: as many as one batched solve
-    of their windows of radius R takes, and no more sites than such a
-    stack, so at most one stack of replicas and one of windows are held.
-    """
-    sites = np.asarray(sites, dtype=np.int64)
-    sites = sites.reshape(len(sites), -1)
-    dim = sites.shape[1]
-    shape = (2 * radius + 1,) * dim
-    per_stack = min(windows_per_call((2 * R + 1) ** dim) // len(sites), windows_per_call(math.prod(shape)))
-    per_stack = max(1, per_stack)
-
-    def stacks():
-        for s in range(0, len(seeds), per_stack):
-            v, hardcore = sample_potentials(family, dim, radius, seeds[s : s + per_stack])
-            yield v.reshape((-1,) + shape), hardcore.reshape((-1,) + shape)
-
-    return site_log_moments(stacks(), sites, kappa, t, R)
 
 
 def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
@@ -117,8 +93,7 @@ def estimate_H1(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     logs, _, lo, hi = _replica_bootstrap(
         family, kappa, t, n_replica, seed, dim, tol, (1.0,), lambda peak, mean_w: np.log(mean_w) + peak
     )
-    value = float(logsumexp(logs)) - math.log(n_replica)  # summed in log space, not through the peak
-    return H1Estimate(value, lo, hi, n_replica, float(t), float(kappa))
+    return H1Estimate(float(_log_mean(logs)), lo, hi, n_replica, float(t), float(kappa))
 
 
 def estimate_F_theta(family, theta, kappa, t, n_replica, seed, dim=1, tol=1e-6):
@@ -177,11 +152,14 @@ def correlation_profile(family, kappa, t, lags, n_replica, seed, tol=1e-4):
 
 @dataclass(frozen=True)
 class BlockVarianceReport:
+    """Variances in units of e^log_scale: var_direct * e^log_scale is the variance of the box sum."""
+
     var_direct: float
     var_reconstructed: float
     ratio: float
     dependence_radius: int
     n_replica: int
+    log_scale: float
 
 
 def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
@@ -192,9 +170,11 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
     c(y) over positions (symmetrized in the sign of y), keeps only lags
     within twice the truncation radius where dependence can live, and
     sums c(y) times the number of site pairs at lag y.  The ratio of the
-    two sits near 1 whenever L dominates the dependence radius.  Fewer
-    than two replicas and hard cores are refused before any replica is
-    sampled.
+    two sits near 1 whenever L dominates the dependence radius.  Both
+    variances are in units of e^log_scale, log_scale = 2 log m_peak with
+    m_peak the largest m(x, t) over the replicas, so no m overflows.
+    Fewer than two replicas and hard cores are refused before any
+    replica is sampled.
     """
     if n_replica < 2:
         raise ValueError(f"block variance needs n_replica >= 2, got {n_replica}")
@@ -222,4 +202,5 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
         ratio=ratio,
         dependence_radius=R,
         n_replica=n_replica,
+        log_scale=2.0 * peak,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .seeding import derive_seed, generator
-from .solver import BoxDomain
+from .solver import BoxDomain, _check_walk
 
 
 def kill_adjacency(env):
@@ -79,8 +79,7 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     cap (it is then flagged truncated).
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    if t < 0 or kappa < 0:
-        raise ValueError("t and kappa must be >= 0")
+    _check_walk(kappa, t)
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     start = env.flat_index(x)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._special import logsumexp, ndtr, smirnov
+from ._special import ndtr, smirnov
 from .analytics import (
     _cumulant_pair,
     critical_a,
@@ -30,9 +30,9 @@ from .analytics import (
     transition_exponents,
 )
 from .environments import exp_quantile_array
-from .moments import _replica_site_logs, estimate_F_theta
+from .moments import estimate_F_theta
 from .seeding import derive_seed, generator
-from .solver import required_radius
+from .solver import _log_mean, _replica_site_logs, required_radius
 
 _DRAW_CHUNK = 1 << 20
 
@@ -215,11 +215,14 @@ def annealed_reference(family, t):
     """Exact kappa = 0 single-site reference (mean, sd) of m(0, t).
 
     Refuses, with ValueError, a t at which H(2t) - 2 H(t) lies within the
-    quadrature error of H, since e^H(2t) - e^2H(t) is then noise.
+    quadrature error of H, since e^H(2t) - e^2H(t) is then noise, and a
+    t at which e^H(2t) overflows a double.
     """
     H1, H2 = _cumulant_pair(family, t, f"annealed reference at t = {t:g}")
-    mu = math.exp(H1)
-    var = math.exp(H2) - math.exp(2.0 * H1)
+    try:
+        mu, var = math.exp(H1), math.exp(H2) - math.exp(2.0 * H1)
+    except OverflowError:
+        raise ValueError(f"annealed reference at t = {t:g} overflows: e^H(2t) with H(2t) = {H2:.6g}") from None
     return mu, math.sqrt(var)
 
 
@@ -228,7 +231,8 @@ def _block_log_means_exact(config, t, L, label, draw_fn):
 
     Sampling standard exponentials and mapping through the exp-quantile
     transform is equal in law to the per-site uniform route the
-    environment sampler uses, and much faster at large L.
+    environment sampler uses, and much faster at large L.  A draw whose
+    e^(t v) overflows a double raises ValueError.
     """
     n_sites = (2 * L + 1) ** config.d
     draw = draw_fn or (lambda rng, n: exp_quantile_array(config.family, rng.exponential(size=n)))
@@ -241,7 +245,11 @@ def _block_log_means_exact(config, t, L, label, draw_fn):
             while left > 0:
                 n = min(_DRAW_CHUNK, left)
                 v = np.asarray(draw(rng, n), dtype=np.float64)
-                total += float(np.exp(t * v).sum())
+                try:
+                    total += float(np.exp(t * v).sum())
+                except FloatingPointError:
+                    peak = float((t * v).max())
+                    raise ValueError(f"e^(t v) overflows at t = {t:g}: t v reaches {peak:.6g}") from None
                 left -= n
             out[i] = math.log(total / n_sites) if total > 0 else -math.inf
     return out
@@ -258,7 +266,7 @@ def _block_log_means_solver(config, t, L, label):
     R = required_radius(config.kappa, t, config.tol, 1)
     seeds = [derive_seed(config.seed, label, i) for i in range(config.n_replica)]
     logs = _replica_site_logs(config.family, seeds, L + R, np.arange(-L, L + 1), config.kappa, t, R)
-    return logsumexp(logs, axis=1) - math.log(2 * L + 1)
+    return _log_mean(logs)
 
 
 def _block_log_means(config, t, L, label, draw_fn=None):

@@ -14,6 +14,10 @@ stacks of at most _STACK_SITES sites that read their centers.  Each
 box is summed by uniformization, or by a batched dense
 eigendecomposition where one fitted cost rule (_dense_route) says that
 is cheaper.
+
+What is built on the reader returns log m, -inf where the walk is
+killed; its window radius comes from required_radius, which refuses a
+kappa or t that is not finite and >= 0 before any site is hashed.
 """
 
 import math
@@ -24,7 +28,7 @@ import numpy as np
 
 from ._special import log_factorial, logsumexp
 from .analytics import rate_I
-from .environments import window_coords
+from .environments import sample_potentials, window_coords
 
 # Per-site |error in log m| that a dense solve must keep; see _dense_fields.
 _SITE_LOG_TOL = 1e-8
@@ -38,6 +42,8 @@ _STEP_FIXED = 3e4
 _DENSE_ENTRIES = 2**22
 # Sites per stack of windows, which bounds the uniformization work arrays.
 _STACK_SITES = 2**17
+# Largest truncation radius that required_radius returns.
+_MAX_RADIUS = 10**6
 
 
 class SolverError(RuntimeError):
@@ -187,6 +193,13 @@ def _box_of(env, box):
     return box
 
 
+def _check_walk(kappa, t):
+    """Refuses, naming the value, a t or kappa that is not finite and >= 0."""
+    for name, value in (("t", t), ("kappa", kappa)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def solve_truncated(env, box, kappa, t):
     """Truncated moment field on a box with Dirichlet zero outside.
 
@@ -194,10 +207,7 @@ def solve_truncated(env, box, kappa, t):
     reads every site; the route follows the estimated cost and cannot
     be chosen.  Raises ValueError unless box is a BoxDomain of env.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    _check_walk(kappa, t)
     domain = _box_of(env, box)
     n = domain.n_active
     if n == 0 or t == 0.0:
@@ -217,10 +227,13 @@ def required_radius(kappa, t, tol, d=1):
     Charges the exit-probability bound 4 e^(-2 kappa t I(R/(2 kappa t)))
     against tol^2 (so the walk-confinement error is tol-squared small,
     leaving headroom for the e^(2 d kappa t) mass factor), and never goes
-    below (kappa t)^(3/2).
+    below (kappa t)^(3/2).  The bound is increasing in R, so R is found
+    by bisection.  A radius over _MAX_RADIUS raises SolverError, and a
+    kappa or t that is not finite and >= 0 raises ValueError.
     """
+    _check_walk(kappa, t)
     kt = float(kappa) * float(t)
-    if kt <= 0.0:
+    if kt == 0.0:
         return 0
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
@@ -229,28 +242,27 @@ def required_radius(kappa, t, tol, d=1):
     def short(R):  # the bound is increasing in R
         return 2.0 * kt * rate_I(R / (2.0 * kt)) - 2.0 * d * kt < target
 
-    if short(10**6):
-        raise SolverError(f"truncation radius exceeds 1e6 for kappa t = {kt:g}, d = {d}, tol = {tol:g}")
-    R = 1
-    while short(R):
-        R += 1
-    return max(math.ceil(kt**1.5), R)
+    if not short(_MAX_RADIUS):
+        lo, hi = 1, _MAX_RADIUS  # the smallest R that is not short lies in [lo, hi]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if short(mid) else (lo, mid)
+        R = max(math.ceil(kt**1.5), hi)
+        if R <= _MAX_RADIUS:
+            return R
+    raise SolverError(f"truncation radius exceeds 1e6 for kappa t = {kt:g}, d = {d}, tol = {tol:g}")
 
 
 def solve_untruncated(env, x, kappa, t, tol=1e-8):
-    """(mantissa, log_offset, radius_used) of m(x, t) on the full lattice.
+    """(log m(x, t), radius_used) on the full lattice; log m is -inf on a hard core.
 
     Picks the radius from required_radius and reads x through
     site_log_moments, whose window around x reads only x, so sites
     elsewhere in the window may lie far below it.  For kappa = 0 the
-    window is the one site x and the answer e^{v(x) t} is exact.
+    window is the one site x and the answer t v(x) is exact.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     R = required_radius(kappa, t, tol, env.dim)
-    log_m = float(site_log_moments([env.stack()], x[None, :], kappa, t, R)[0, 0])
-    if log_m == -math.inf:
-        return 0.0, 0.0, R
-    return 1.0, log_m, R
+    return float(site_log_moments([env.stack()], [x], kappa, t, R)[0, 0]), R
 
 
 def windows_per_call(n_sites):
@@ -452,34 +464,6 @@ def _solve_stack(v, active, kappa, t, every_site):
     return vals, off, np.where(dense, 0, degree), dense
 
 
-def log_center_moment_windows(v_windows, kappa, t, hardcore=None):
-    """log m(center, t) for a stack of Dirichlet windows in any dimension.
-
-    v_windows has shape (B, S, ..., S) with S odd, and d = v_windows.ndim
-    - 1; hardcore, if given, is a boolean mask of the same shape whose
-    sites are killed (their potentials are ignored).  A window whose
-    center is a hard core gives -inf.  The windows are solved by
-    _solve_stack in stacks of windows_per_call.  Returns shape (B,) of
-    log values.
-    """
-    v = np.asarray(v_windows, dtype=np.float64)
-    if v.ndim < 2 or any(s != v.shape[1] or s % 2 == 0 for s in v.shape[1:]):
-        raise ValueError("windows must be cubes of odd side, stacked along axis 0")
-    active = np.ones(v.shape, dtype=bool) if hardcore is None else ~np.asarray(hardcore, dtype=bool)
-    if active.shape != v.shape:
-        raise ValueError("hardcore mask must have the shape of the potentials")
-    if not np.all(np.isfinite(v[active])):
-        raise SolverError("windows need finite potentials on active sites")
-    out = np.full(len(v), -np.inf)
-    rows = np.nonzero(active[(slice(None),) + tuple(s // 2 for s in v.shape[1:])])[0]
-    step = windows_per_call(v[0].size)
-    for s in range(0, len(rows), step):
-        part = rows[s : s + step]
-        vals, off, _, _ = _solve_stack(v[part], active[part], kappa, t, every_site=False)
-        out[part] = np.log(vals[:, 0]) + off
-    return out
-
-
 def site_log_moments(stacks, sites, kappa, t, R):
     """(n_env, n_sites) array of log m(x, t) at fixed lattice sites of each environment.
 
@@ -490,24 +474,30 @@ def site_log_moments(stacks, sites, kappa, t, R):
     coordinates, one row per site (a 1-d array is taken as 1-d sites).
     Each value comes from the site's Dirichlet window of radius R, hard
     cores masked, and is -inf where the site is a hard core.  The
-    (env, site) windows, in env-major order, are gathered into one stack
-    that log_center_moment_windows solves each time windows_per_call of
-    them are in; stacks is consumed lazily, so at most one pair and one
-    stack of windows are held.  At kappa = 0, R = 0 and a window is its
-    site, whose value is t v(x) exactly.
+    (env, site) windows, in env-major order, fill a buffer of
+    windows_per_call windows, and each buffer but its hard-core centered
+    windows is one _solve_stack call; stacks is consumed lazily, so at
+    most one pair and one buffer are held.  At kappa = 0, R = 0 and a
+    window is its site, whose value is t v(x) exactly.
     """
-    sites = np.asarray(sites, dtype=np.int64)
-    sites = sites.reshape(len(sites), -1)
+    sites = np.asarray(sites, dtype=np.int64).reshape(len(sites), -1)
     d = sites.shape[1]
     side = (2 * R + 1,) * d
-    step = windows_per_call(math.prod(side))
-    stack_v = np.empty((step,) + side)
-    stack_hard = np.empty((step,) + side, dtype=bool)
-    flat_v, flat_hard = stack_v.reshape(step, -1), stack_hard.reshape(step, -1)
+    n_win = math.prod(side)
+    step = windows_per_call(n_win)
+    flat_v, flat_hard = np.empty((step, n_win)), np.empty((step, n_win), dtype=bool)
     logs, filled, frame = [], 0, None
 
     def solve(n):
-        logs.append(log_center_moment_windows(stack_v[:n], kappa, t, hardcore=stack_hard[:n]))
+        v, active = flat_v[:n].reshape((n,) + side), ~flat_hard[:n].reshape((n,) + side)
+        if not np.all(np.isfinite(v[active])):
+            raise SolverError("windows need finite potentials on active sites")
+        out = np.full(n, -np.inf)
+        rows = np.flatnonzero(~flat_hard[:n, n_win // 2])
+        if rows.size:
+            vals, off, _, _ = _solve_stack(v[rows], active[rows], kappa, t, every_site=False)
+            out[rows] = np.log(vals[:, 0]) + off
+        logs.append(out)
 
     for v, hard in stacks:
         if frame is None:
@@ -544,8 +534,33 @@ def site_log_moments(stacks, sites, kappa, t, R):
     return np.concatenate(logs or [np.empty(0)]).reshape(-1, len(sites))
 
 
+def _replica_site_logs(family, seeds, radius, sites, kappa, t, R):
+    """site_log_moments at `sites` of the replicas of `seeds`, sampled on [-radius, radius]^d.
+
+    Replicas are sampled a stack at a time: as many as one batched solve
+    of their windows of radius R takes, and no more sites than such a
+    stack, so at most one stack of replicas and one of windows are held.
+    """
+    sites = np.asarray(sites, dtype=np.int64).reshape(len(sites), -1)
+    dim = sites.shape[1]
+    shape = (2 * radius + 1,) * dim
+    per_stack = max(1, min(windows_per_call((2 * R + 1) ** dim) // len(sites), windows_per_call(math.prod(shape))))
+
+    def stacks():
+        for s in range(0, len(seeds), per_stack):
+            v, hardcore = sample_potentials(family, dim, radius, seeds[s : s + per_stack])
+            yield v.reshape((-1,) + shape), hardcore.reshape((-1,) + shape)
+
+    return site_log_moments(stacks(), sites, kappa, t, R)
+
+
+def _log_mean(logs):
+    """log mean of e^logs over the last axis, summed in log space; log m^L from a box's site logs."""
+    return logsumexp(logs, axis=-1) - math.log(logs.shape[-1])
+
+
 def empirical_average(env, L, kappa, t, tol=1e-8):
-    """Box average m^L = |Λ_L|^-1 Σ_{|x| <= L} m(x, t) as (mantissa, log_offset).
+    """log m^L, m^L = |Λ_L|^-1 Σ_{|x| <= L} m(x, t); -inf if every site is killed.
 
     Hard-core sites contribute zero.  Every site of the box is read by
     site_log_moments, with windows of radius required_radius.
@@ -554,7 +569,4 @@ def empirical_average(env, L, kappa, t, tol=1e-8):
     if L < 0:
         raise ValueError("L must be >= 0")
     R = required_radius(kappa, t, tol, env.dim)
-    total = float(logsumexp(site_log_moments([env.stack()], window_coords(env.dim, L), kappa, t, R)))
-    if total == -math.inf:
-        return 0.0, 0.0
-    return 1.0, total - math.log((2 * L + 1) ** env.dim)
+    return float(_log_mean(site_log_moments([env.stack()], window_coords(env.dim, L), kappa, t, R))[0])

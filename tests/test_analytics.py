@@ -171,6 +171,16 @@ def test_H_at_zero_and_validation():
         cumulant_H(WEIBULL2, -1.0)
 
 
+def test_H_refuses_a_window_that_rounds_to_a_point():
+    # H(100) of weibull(1.1) is about 3.50e20 (mpmath); at that peak
+    # G_peak - 60 rounds to G_peak, both window cuts land on the peak, and
+    # the quadrature over a zero-width range used to return -inf
+    for t in (100.0, 150.0):
+        with pytest.raises(analytics.QuadratureError, match=r"G_peak = 3\.\d+e\+(20|22)"):
+            cumulant_H(TailFamily.weibull(1.1), t)
+    assert cumulant_H(TailFamily.weibull(1.1), 3.0) == pytest.approx(6216.530322322008, rel=1e-12)
+
+
 def test_H_nondecreasing_for_nonnegative_support():
     # families whose potential is >= 0; the double-exponential family has
     # negative mean potential, so its H dips below 0 first and is excluded

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pamlab
-from pamlab.cli import ConfigError, build_config, main
+from pamlab.cli import COMMANDS, ConfigError, build_config, main
 from pamlab.seeding import derive_seed
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "seed_fixture.json")
@@ -302,6 +302,37 @@ def test_solver_refusal_is_quick(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "family=weibull", "rho=2", "radius=3", "box_radius=3", "kappa=1", "t=inf"],
+        ["exponents", "family=weibull", "rho=2", "t_grid=1,inf"],
+        ["particles", "family=weibull", "rho=2", "radius=3", "kappa=1", "t=inf", "n_runs=2"],
+        ["particles", "family=weibull", "rho=2", "radius=3", "kappa=nan", "t=1", "n_runs=2"],
+    ],
+)
+def test_non_finite_values_are_config_errors(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "config error: " in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_quadrature_and_bracket_failures_are_refusals(tmp_path, capsys, monkeypatch):
+    # H(100) of weibull(1.1) has a peak so high that its window rounds to a point
+    assert main(["exponents", "family=weibull", "rho=1.1", "t_grid=100", "--out", str(tmp_path)]) == 2
+    assert "refused: H(100) for weibull" in capsys.readouterr().err
+
+    def no_bracket(cfg):
+        raise pamlab.RootBracketError("no bracket")
+
+    monkeypatch.setitem(COMMANDS, "exponents", no_bracket)
+    assert main(["exponents", "family=weibull", "rho=2", "--out", str(tmp_path)]) == 2
+    assert "refused: no bracket" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_regime_critical_exit_reflects_checks(tmp_path):
     rc = main(
         [
@@ -369,6 +400,11 @@ def test_replica_and_clt_refusals_are_config_errors(tmp_path, capsys):
         ["exponents", "family=frechet", "rho=1", "t_grid=1e-20"],
         ["exponents", "family=frechet", "rho=1", "t_grid=1e-300"],
         ["regime", "family=double_exp", "rho=1", "mode=clt", "rule=explicit", "L_table=1e-9:50", "t_grid=1e-9",
+         "n_replica=100"],
+        # kappa = 0 at t = 400: e^(t v) of a box site, and e^H(2t), overflow a double
+        ["regime", "family=weibull", "rho=2", "mode=lln", "rule=explicit", "L_table=400:5", "t_grid=400",
+         "n_replica=100"],
+        ["regime", "family=double_exp", "rho=1", "mode=clt", "rule=explicit", "L_table=400:5", "t_grid=400",
          "n_replica=100"],
     ],
 )

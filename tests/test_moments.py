@@ -14,7 +14,7 @@ from pamlab.moments import (
     estimate_H1,
 )
 from pamlab.seeding import derive_seed
-from pamlab.solver import BoxDomain, required_radius, solve_truncated
+from pamlab.solver import BoxDomain, empirical_average, required_radius, solve_truncated
 
 
 @pytest.mark.parametrize("family", [TailFamily.weibull(2.0), TailFamily.hard_core(0.3)])
@@ -176,14 +176,14 @@ def test_replica_statistics_split_stacks_match_one_stack(monkeypatch, statistic,
     whole = statistic(*args)
     width = 2 * whole.dependence_radius + 1
     sizes = []
-    solve = solver.log_center_moment_windows
+    solve = solver._solve_stack
 
-    def spy(windows, kappa, t, hardcore=None):
-        sizes.append(windows.shape)
-        return solve(windows, kappa, t, hardcore=hardcore)
+    def spy(v, active, kappa, t, every_site):
+        sizes.append(v.shape)
+        return solve(v, active, kappa, t, every_site)
 
     monkeypatch.setattr(solver, "_STACK_SITES", 40 * width)
-    monkeypatch.setattr(solver, "log_center_moment_windows", spy)
+    monkeypatch.setattr(solver, "_solve_stack", spy)
     assert fields(statistic(*args)) == fields(whole)
     assert sizes == [(40, width)] * n_full + [(n_last, width)]
 
@@ -209,6 +209,21 @@ def test_block_variance_refuses_one_replica_before_sampling(monkeypatch):
 def test_correlation_profile_all_killed_raises():
     with pytest.raises(ValueError, match="all replicas were killed"):
         correlation_profile(TailFamily.hard_core(0.999), 1.0, 1.0, [1], 2, 3)
+
+
+def test_block_variance_log_scale_restores_the_box_sum_variance():
+    # each replica's box sum (2L + 1) m^L from its own environment, read
+    # by empirical_average
+    fam, kappa, t, L, n_replica, seed = TailFamily.weibull(2.0), 1.0, 1.0, 20, 40, 36
+    rep = block_variance(fam, kappa, t, L, n_replica, seed)
+    R = rep.dependence_radius
+    sums = [
+        (2 * L + 1) * math.exp(empirical_average(sample_environment(fam, 1, L + R, derive_seed(seed, "env", i)),
+                                                 L, kappa, t, tol=1e-4))
+        for i in range(n_replica)
+    ]
+    assert rep.var_direct == pytest.approx(0.675, abs=1e-3)
+    assert rep.var_direct * math.exp(rep.log_scale) == pytest.approx(np.var(sums, ddof=1), rel=1e-9)
 
 
 def test_block_variance_reconstruction_band():

@@ -155,6 +155,14 @@ def test_negative_time_rejected():
         population_ensemble(env, (0,), 1.0, -1.0, n_runs=1, seed=1)
 
 
+def test_non_finite_kappa_and_t_rejected():
+    # a NaN t once stopped every run at once and read mean 1.0
+    env = make_env_1d(np.zeros(3))
+    for kappa, t, bad in ((math.nan, 1.0, "kappa"), (1.0, math.nan, "t"), (1.0, math.inf, "t")):
+        with pytest.raises(ValueError, match=f"{bad} must be finite and >= 0, got"):
+            population_ensemble(env, (0,), kappa, t, n_runs=2, seed=1)
+
+
 def test_start_of_wrong_dimension_rejected():
     env = make_env_1d(np.zeros(5))
     with pytest.raises(ValueError, match="coordinate dimension must be 1, got 2"):

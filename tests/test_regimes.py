@@ -192,6 +192,21 @@ def test_annealed_reference_refuses_an_unresolved_gap():
     assert annealed_reference(TailFamily.hard_core(0.3), 1e-12)[1] == pytest.approx(math.sqrt(0.21), rel=1e-12)
 
 
+def test_kappa_zero_overflow_is_refused_naming_t_and_exponent():
+    # at t = 400 some e^(t v) of a weibull(2) box, and e^H(800) of
+    # double_exp(1), overflow a double
+    rule = ScheduleRule(kind="explicit", table=((400.0, 5),))
+    config = RegimeConfig(family=WEIBULL2, rule=rule, t_grid=(400.0,), n_replica=100, seed=5)
+    with pytest.raises(ValueError, match=r"e\^\(t v\) overflows at t = 400: t v reaches \d+"):
+        lln_experiment(config)
+
+    def no_draw(rng, n):
+        raise AssertionError("drew a site")
+
+    with pytest.raises(ValueError, match=r"annealed reference at t = 400 overflows: .*H\(2t\) = 4551\.95"):
+        clt_experiment(dataclasses.replace(config, family=DEXP1), draw_fn=no_draw)
+
+
 def test_clt_refuses_an_unresolved_reference_before_any_draw():
     def no_draw(rng, n):
         raise AssertionError("drew a site")

@@ -96,6 +96,11 @@ def test_h1_hashes_sites_once_per_stack(monkeypatch):
         (block_variance, (WEIBULL2, 0.0, 1.0, 3, 1, 1), "n_replica >= 2, got 1"),
         (estimate_H1, (WEIBULL2, 0.0, 1.0, 10, 1), "at least 50 replicas"),
         (estimate_F_theta, (WEIBULL2, math.nan, 0.0, 1.0, 60, 1), "theta must be"),
+        (estimate_H1, (WEIBULL2, -1.0, 1.0, 60, 1), "kappa must be finite and >= 0, got -1.0"),
+        (estimate_H1, (WEIBULL2, 1.0, math.nan, 60, 1), "t must be finite and >= 0, got nan"),
+        (estimate_F_theta, (WEIBULL2, 0.5, math.nan, 1.0, 60, 1), "kappa must be finite and >= 0, got nan"),
+        (correlation_profile, (WEIBULL2, 1.0, -1.0, [1], 60, 1), "t must be finite and >= 0, got -1.0"),
+        (block_variance, (WEIBULL2, 0.0, math.nan, 3, 60, 1), "t must be finite and >= 0, got nan"),
     ],
 )
 def test_refusals_come_before_any_site_is_hashed(monkeypatch, statistic, args, match):

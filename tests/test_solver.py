@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -7,6 +9,7 @@ import scipy.linalg
 
 from helpers import make_env, make_env_1d, padded_with_hardcore
 from pamlab import solver
+from pamlab.analytics import rate_I
 from pamlab.environments import TailFamily, sample_environment, window_coords
 from pamlab.particles import kill_adjacency
 from pamlab.solver import (
@@ -18,7 +21,6 @@ from pamlab.solver import (
     _poisson_degree,
     _uniformized_sums,
     empirical_average,
-    log_center_moment_windows,
     required_radius,
     site_log_moments,
     solve_truncated,
@@ -250,6 +252,41 @@ def test_required_radius_degenerate_and_bad_tol():
         required_radius(1.0, 1.0, 2.0)
 
 
+def test_required_radius_bisection_matches_linear_search():
+    # the smallest R whose exit bound is below tol^2, searched one site at
+    # a time as required_radius did, with the (kappa t)^(3/2) floor
+    def linear(kappa, t, tol, d):
+        kt = kappa * t
+        R = 1
+        while 2.0 * kt * rate_I(R / (2.0 * kt)) - 2.0 * d * kt < -2.0 * math.log(tol):
+            R += 1
+        return max(math.ceil(kt**1.5), R)
+
+    grid = itertools.product((0.05, 0.5, 1.0, 3.0), (0.01, 0.3, 1.0, 4.0, 20.0), (1e-2, 1e-6, 1e-12), (1, 2, 3))
+    for kappa, t, tol, d in grid:
+        assert required_radius(kappa, t, tol, d) == linear(kappa, t, tol, d), (kappa, t, tol, d)
+
+
+def test_required_radius_refuses_a_radius_over_1e6_at_once():
+    # the first two return the (kappa t)^(3/2) floor, 58,094,751 and
+    # 41,569,220; the third needs an exit radius over 1e6
+    for kappa, t, tol, d in ((1.0, 1.5e5, 1e-6, 1), (1.0, 1.2e5, 1e-4, 3), (50.0, 2e4, 1e-6, 1)):
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="truncation radius exceeds 1e6"):
+            required_radius(kappa, t, tol, d)
+        assert time.perf_counter() - start < 0.1
+    assert required_radius(1.0, 1e4, 1e-6, 1) == 10**6
+
+
+@pytest.mark.parametrize("kappa, t, bad", [(-1.0, 1.0, "kappa"), (1.0, -1.0, "t"), (math.nan, 1.0, "kappa"),
+                                           (1.0, math.nan, "t"), (1.0, math.inf, "t")])
+def test_reader_refuses_bad_kappa_and_t(kappa, t, bad):
+    env = make_env_1d(np.zeros(41))
+    for read in (lambda: solve_untruncated(env, (0,), kappa, t), lambda: empirical_average(env, 1, kappa, t)):
+        with pytest.raises(ValueError, match=f"^{bad} must be finite and >= 0, got"):
+            read()
+
+
 def test_untruncated_value_grows_with_radius():
     rng = np.random.default_rng(17)
     env = make_env_1d(rng.normal(0, 1, size=81))
@@ -266,10 +303,9 @@ def test_untruncated_matches_next_radius_within_tol():
     rng = np.random.default_rng(23)
     env = make_env_1d(rng.normal(0, 1, size=121))
     tol = 1e-6
-    man, off, used = solve_untruncated(env, (0,), 1.0, 1.0, tol=tol)
+    a, used = solve_untruncated(env, (0,), 1.0, 1.0, tol=tol)
     bigger = solve_truncated(env, BoxDomain(env, (0,), used + 4), 1.0, 1.0)
     man2, off2 = bigger.value_at((0,))
-    a = math.log(man) + off
     b = math.log(man2) + off2
     assert abs(a - b) < tol
 
@@ -280,9 +316,9 @@ def test_untruncated_reports_radius_and_window_shortfall():
         solve_untruncated(env, (0,), 1.0, 2.0, tol=1e-8)
     assert "25" in str(err.value)
     env2 = make_env_1d(np.zeros(61))
-    man, off, used = solve_untruncated(env2, (0,), 1.0, 2.0, tol=1e-8)
+    log_m, used = solve_untruncated(env2, (0,), 1.0, 2.0, tol=1e-8)
     assert used == 25
-    assert man > 0
+    assert log_m > -math.inf
 
 
 def test_untruncated_reads_only_its_site():
@@ -294,24 +330,24 @@ def test_untruncated_reads_only_its_site():
     env = make_env_1d(v)
     with pytest.raises(SolverError):
         solve_truncated(env, BoxDomain(env, (0,), 49), 1.0, 8.0)
-    man, off, used = solve_untruncated(env, (0,), 1.0, 8.0)
-    assert used == 49 and man > 0
+    log_m, used = solve_untruncated(env, (0,), 1.0, 8.0)
+    assert used == 49 and log_m > -math.inf
     # a box [-21, 49] drops the far end; paths from 0 that reach -21 and
     # come back to the peak weigh about e^-300 of m(0), so m(0) agrees
     near = solve_truncated(env, BoxDomain(env, (14,), 35), 1.0, 8.0)
     m2, o2 = near.value_at((0,))
-    assert abs(math.log(man) + off - (math.log(m2) + o2)) < 1e-10
-    assert math.log(man) + off < 16000.0 - 300.0
+    assert abs(log_m - (math.log(m2) + o2)) < 1e-10
+    assert log_m < 16000.0 - 300.0
 
 
 def test_untruncated_kappa_zero_and_hardcore():
     hard = np.zeros(5, dtype=bool)
     hard[2] = True
     env = make_env_1d([0.3, 0.4, 0.0, -0.2, 0.9], hardcore=hard)
-    man, off, used = solve_untruncated(env, (0,), 0.0, 3.0)
-    assert man == 0.0 and used == 0
-    man, off, used = solve_untruncated(env, (1,), 0.0, 3.0)
-    assert np.isclose(man * math.exp(off), math.exp(-0.6), rtol=1e-12)
+    log_m, used = solve_untruncated(env, (0,), 0.0, 3.0)
+    assert log_m == -math.inf and used == 0
+    log_m, used = solve_untruncated(env, (1,), 0.0, 3.0)
+    assert np.isclose(math.exp(log_m), math.exp(-0.6), rtol=1e-12)
 
 
 def test_dirichlet_padding_leaves_solution_unchanged():
@@ -398,8 +434,9 @@ def test_batched_windows_match_per_site_solves():
     rng = np.random.default_rng(41)
     for dim, side in ((1, 11), (2, 5)):
         windows = rng.normal(0, 1, size=(60,) + (side,) * dim)
-        got = log_center_moment_windows(windows, 0.8, 1.4)
-        assert not _dense_routed(windows, np.zeros(windows.shape, dtype=bool), 0.8, 1.4).all()
+        no_hard = np.zeros(windows.shape, dtype=bool)
+        got = _center_logs(windows, no_hard, 0.8, 1.4)
+        assert not _dense_routed(windows, no_hard, 0.8, 1.4).all()
         for i in range(len(windows)):
             box = BoxDomain(make_env(windows[i]), (0,) * dim, side // 2)
             m = scipy.linalg.expm(1.4 * box.operator_dense(0.8)) @ np.ones(box.n_active)
@@ -410,12 +447,17 @@ def test_split_stack_matches_one_stack(monkeypatch):
     # a stack split into many calls gives the logs of one call, bit for bit
     for dim, radius in ((1, 30), (2, 4)):
         v, hard = _window_stack(TailFamily.hard_core(0.3), range(40), radius=radius, dim=dim)
-        whole = log_center_moment_windows(v, 1.0, 1.0, hardcore=hard)
+        whole = _center_logs(v, hard, 1.0, 1.0)
         monkeypatch.setattr(solver, "_STACK_SITES", 3 * v[0].size)
         assert windows_per_call(v[0].size) == 3
-        np.testing.assert_array_equal(log_center_moment_windows(v, 1.0, 1.0, hardcore=hard), whole)
+        np.testing.assert_array_equal(_center_logs(v, hard, 1.0, 1.0), whole)
         monkeypatch.undo()
         assert np.isinf(whole).any() and np.isfinite(whole).sum() > 20
+
+
+def _center_logs(v, hard, kappa, t):
+    """log m at the center of each window of a stack, read with the windows as environments."""
+    return site_log_moments([(v, hard)], [[0] * (v.ndim - 1)], kappa, t, v.shape[1] // 2)[:, 0]
 
 
 def _window_stack(family, seeds, radius=5, dim=1):
@@ -464,7 +506,7 @@ def test_window_kernel_matches_mpmath_oracle():
     checked = {"weibull": range(6), "hard_core": [*range(8), -1], "weibull_2d": range(3), "hard_core_2d": range(4)}
     checked["weibull_3d"] = range(1)
     for name, (v, hard, kappa, t) in cases.items():
-        got = log_center_moment_windows(v, kappa, t, hardcore=hard)
+        got = _center_logs(v, hard, kappa, t)
         flat = hard.reshape(len(v), -1)
         c = flat.shape[1] // 2
         for row in checked.get(name, range(len(v))):
@@ -490,16 +532,16 @@ def test_window_kernel_matches_mpmath_oracle():
 def test_empirical_average_kappa_zero():
     v = np.array([0.1, -0.5, 2.0, 0.3, -1.0])
     env = make_env_1d(v)
-    man, off = empirical_average(env, 2, kappa=0.0, t=2.0)
+    log_mL = empirical_average(env, 2, kappa=0.0, t=2.0)
     expected = math.log(np.mean(np.exp(v * 2.0)))
-    assert np.isclose(math.log(man) + off, expected, rtol=1e-12)
+    assert np.isclose(log_mL, expected, rtol=1e-12)
 
 
 def test_empirical_average_batched_matches_loop():
     # the d = 2 environment has hard cores inside the averaged box
     for family, dim, radius, L in ((TailFamily.weibull(2.0), 1, 40, 3), (TailFamily.hard_core(0.3), 2, 19, 2)):
         env = sample_environment(family, dim, radius, seed=99)
-        man, off = empirical_average(env, L, kappa=1.0, t=1.0, tol=1e-6)
+        log_mL = empirical_average(env, L, kappa=1.0, t=1.0, tol=1e-6)
         coords = window_coords(dim, L)
         hard = env.hardcore[env.flat_index(coords)]
         assert hard.any() == (dim == 2)
@@ -509,20 +551,19 @@ def test_empirical_average_batched_matches_loop():
             m, o = solve_truncated(env, BoxDomain(env, x, R), 1.0, 1.0).value_at(x)
             logs.append(math.log(m) + o)
         expected = math.log(np.exp(np.array(logs) - max(logs)).sum() / len(coords)) + max(logs)
-        assert np.isclose(math.log(man) + off, expected, atol=1e-10), dim
+        assert np.isclose(log_mL, expected, atol=1e-10), dim
 
 
 def test_empirical_average_with_hardcore_sites():
     fam = TailFamily.hard_core(0.4)
     env = sample_environment(fam, 1, 30, seed=5)
-    man, off = empirical_average(env, 2, kappa=0.5, t=1.0, tol=1e-4)
-    assert man > 0
-    assert math.isfinite(off)
+    log_mL = empirical_average(env, 2, kappa=0.5, t=1.0, tol=1e-4)
+    assert math.isfinite(log_mL)
     # survival costs mass, so the averaged moment sits below 1
-    assert math.log(man) + off < 0.0
+    assert log_mL < 0.0
     # a box that is one hard-core site leaves no window to solve
     lone = make_env_1d(np.zeros(41), hardcore=np.arange(41) == 20)
-    assert empirical_average(lone, 0, kappa=0.5, t=1.0, tol=1e-4) == (0.0, 0.0)
+    assert empirical_average(lone, 0, kappa=0.5, t=1.0, tol=1e-4) == -math.inf
 
 
 def test_site_log_moments_reads_given_sites_of_each_env():
