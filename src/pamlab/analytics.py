@@ -255,6 +255,10 @@ def _adaptive_log_integral(g, a, b):
         pa, pb, depth = stack.pop()
         whole = _panel_log(g, pa, pb)
         mid = 0.5 * (pa + pb)
+        if not pa < mid < pb:
+            # too narrow to split: its halves would be a point and itself
+            leaf_logs.append(whole)
+            continue
         halves = np.logaddexp(_panel_log(g, pa, mid), _panel_log(g, mid, pb))
         if whole == -np.inf and halves == -np.inf:
             err = 0.0
@@ -284,12 +288,14 @@ def _cumulant_smooth(family, t):
     Gpeak = float(G(zpeak))
     lo = _lower_cut(G, zpeak, Gpeak, floor)
     hi = _window_cut(G, zpeak, Gpeak, 1.0)
-    total = _adaptive_log_integral(G, lo, hi)[0] if lo < hi else math.nan
+    where = f"H({t:g}) for {family.label()}"
+    try:
+        total = _adaptive_log_integral(G, lo, hi)[0] if lo < hi else math.nan
+    except QuadratureError as err:
+        raise QuadratureError(f"{where}: {err} at G_peak = {Gpeak:.6g}", achieved=err.achieved) from None
     if not math.isfinite(total):
         # at a peak this high, Gpeak - _LOG_WINDOW rounds to Gpeak and both cuts land on the peak
-        raise QuadratureError(
-            f"H({t:g}) for {family.kind}: no finite integral over [{lo!r}, {hi!r}] at G_peak = {Gpeak:.6g}"
-        )
+        raise QuadratureError(f"{where}: no finite integral over [{lo!r}, {hi!r}] at G_peak = {Gpeak:.6g}")
     if family.kind == "sq_double_exp":
         # atom at 0 plus the flat quantile below s = 1: int_0^1 e^{-s} ds
         total = float(np.logaddexp(total, math.log(-math.expm1(-1.0))))
@@ -344,28 +350,23 @@ def _cumulant_pair(family, s, where):
 
 @dataclass(frozen=True)
 class ExponentTable:
-    """Transition exponents and the growth-scale descriptor of a family.
+    """Transition exponents of a family.
 
-    j_kind names the time scale J(t) that box exponents are measured
-    against: "cumulant" (H(t)), "linear" (t), "almost_bounded"
-    (t/(2 sqrt(log t))), "frechet_scaled" (t/alpha_t^2 up to an unknown
-    positive constant), "hardcore_shape" (t^(d/(d+2)) up to an unknown
-    positive constant).  empirical_only marks families whose exponents
-    are not backed by a closed-form J, so experiments must calibrate the
-    scale from data.
+    Box exponents are measured against the time scale J(t) of growth_J.
+    empirical_only marks families whose exponents are not backed by a
+    closed-form J, so experiments must calibrate the scale from data.
     """
 
     family: TailFamily
     dim: int
     gamma1: float
     gamma2: float
-    j_kind: str
     empirical_only: bool = False
     nu: float | None = None
 
 
 def transition_exponents(family, d=1):
-    """gamma1, gamma2 and the J descriptor for a family in dimension d."""
+    """gamma1 and gamma2 (and nu for frechet) for a family in dimension d."""
     if d < 1:
         raise ValueError("d must be >= 1")
     k = family.kind
@@ -376,22 +377,22 @@ def transition_exponents(family, d=1):
         # a circulating summary-table shorthand 2^(1-gamma1)*gamma1
         # disagrees for every rho and is not used (see tests).
         g2 = 2.0 ** (rho / (rho - 1.0)) * g1
-        return ExponentTable(family, d, g1, g2, "cumulant")
+        return ExponentTable(family, d, g1, g2)
     if k == "double_exp":
         rho = family.rho
-        return ExponentTable(family, d, rho, 2.0 * rho, "linear")
+        return ExponentTable(family, d, rho, 2.0 * rho)
     if k == "sq_double_exp":
         # regular-variation index 1 for this example, hence gamma1 = 1
-        return ExponentTable(family, d, 1.0, 2.0, "almost_bounded")
+        return ExponentTable(family, d, 1.0, 2.0)
     if k == "frechet":
         nu = 1.0 / (d + 2 + 2.0 * family.rho)
         g1 = nu * nu
         g2 = 2.0 ** (1.0 - nu * nu) * g1
-        return ExponentTable(family, d, g1, g2, "frechet_scaled", nu=nu)
+        return ExponentTable(family, d, g1, g2, nu=nu)
     # hard core: only the shape of the scale is known
     g1 = 2.0 / (d + 2.0)
     g2 = 2.0 ** (1.0 - g1) * g1
-    return ExponentTable(family, d, g1, g2, "hardcore_shape", empirical_only=True)
+    return ExponentTable(family, d, g1, g2, empirical_only=True)
 
 
 def frechet_alpha(family, d, t):

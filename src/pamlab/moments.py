@@ -173,11 +173,13 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
     two sits near 1 whenever L dominates the dependence radius.  Both
     variances are in units of e^log_scale, log_scale = 2 log m_peak with
     m_peak the largest m(x, t) over the replicas, so no m overflows.
-    Fewer than two replicas and hard cores are refused before any
-    replica is sampled.
+    Fewer than two replicas, L < 0 and hard cores are refused before
+    any replica is sampled.
     """
     if n_replica < 2:
         raise ValueError(f"block variance needs n_replica >= 2, got {n_replica}")
+    if L < 0:
+        raise ValueError(f"block variance needs L >= 0, got {L}")
     if family.has_hardcore_atom:
         raise ValueError("block variance path expects no hard cores")
     R = required_radius(kappa, t, tol, 1)

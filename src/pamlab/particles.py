@@ -82,6 +82,8 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     _check_walk(kappa, t)
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     start = env.flat_index(x)
     final, branch, death, kill = (np.zeros(n_runs, dtype=np.int64) for _ in range(4))
     trunc = np.zeros(n_runs, dtype=bool)

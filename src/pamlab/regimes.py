@@ -128,10 +128,11 @@ class RegimeThresholds:
 class ScheduleRule:
     """Box-size schedule: explicit table, gamma * J(t), or estimated F table.
 
-    kind "explicit": table maps t to L directly.
+    kind "explicit": table maps t to L directly (integers >= 1).
     kind "gamma-j": d log L = gamma * J(t) with the family's growth scale.
     kind "f-hat": d log L = table value at t (an externally estimated
     growth scale), for families whose J carries unknown constants.
+    A table that names one t twice (as lookup compares them) is refused.
     """
 
     kind: str
@@ -146,12 +147,25 @@ class ScheduleRule:
                 raise ValueError("gamma-j rule needs gamma >= 0")
         if self.kind in ("explicit", "f-hat") and not self.table:
             raise ValueError(f"{self.kind} rule needs a (t, value) table")
+        times = [key for key, _ in self.table]
+        for i, key in enumerate(times):
+            if any(_same_t(key, earlier) for earlier in times[:i]):
+                raise ValueError(f"schedule table names t = {key:g} twice")
+        if self.kind == "explicit":
+            for _, L in self.table:
+                if not (L >= 1 and float(L).is_integer()):
+                    raise ValueError(f"explicit schedule needs integer L >= 1, got L = {L:g}")
 
     def lookup(self, t):
         for key, value in self.table:
-            if math.isclose(key, t, rel_tol=1e-12, abs_tol=1e-12):
+            if _same_t(key, t):
                 return value
         raise ValueError(f"schedule table has no entry for t = {t}")
+
+
+def _same_t(a, b):
+    """Whether two schedule times name one t."""
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -197,8 +211,6 @@ def schedule_L(rule, t, family=None, d=1, max_log_L=math.log(2_000_000)):
     """
     if rule.kind == "explicit":
         L = int(rule.lookup(t))
-        if L < 1:
-            raise ValueError("explicit schedule must give L >= 1")
         _box_size(math.log(L), max_log_L)  # only the budget refusal; L stays as given
     elif rule.kind == "gamma-j":
         L = _box_size(rule.gamma * growth_J(family, d, t) / d if rule.gamma else 0.0, max_log_L)

@@ -1,18 +1,18 @@
-"""Principal Dirichlet eigenpairs and eigenvalue sandwich checks.
+"""The principal Dirichlet eigenpair and eigenvalue sandwich checks.
 
 The operator is kappa*Delta + v on the active set of a box with zero
 boundary conditions.  Its top eigenvalue lambda0 pins the growth of the
 truncated moment field: e^{t lambda0} <= sum over the box of m, and no
 single site exceeds sqrt(|U|) e^{t lambda0}.
 
-Above DENSE_LIMIT active sites the top of the spectrum comes from
-Lanczos without reorthogonalisation, restarted only when it converges
-slowly.  The spurious Ritz values that loss of orthogonality brings are
-filtered out by the test of Cullum & Willoughby, Lanczos Algorithms for
-Large Symmetric Eigenvalue Computations (1985): a simple eigenvalue of
-the Lanczos matrix T that is also one of T with its first row and
-column deleted is spurious, and copies of a converged eigenvalue count
-once.
+Only the principal pair (lambda0, psi0) is computed.  Above DENSE_LIMIT
+active sites it comes from Lanczos without reorthogonalisation,
+restarted only when it converges slowly.  The spurious Ritz values that
+loss of orthogonality brings are filtered out by the test of Cullum &
+Willoughby, Lanczos Algorithms for Large Symmetric Eigenvalue
+Computations (1985): a simple eigenvalue of the Lanczos matrix T that
+is also one of T with its first row and column deleted is spurious, and
+copies of a converged eigenvalue count once.
 """
 
 import math
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import BoxDomain, SolverError, _box_of, solve_truncated
+from .solver import SolverError, _box_of, _check_walk, solve_truncated
 
 # Here the spectrum is the output, so the route follows size alone.
 DENSE_LIMIT = 4000
@@ -37,45 +37,30 @@ _SAME = 1e-12
 
 @dataclass(frozen=True)
 class SpectrumSlice:
-    """Top of the spectrum on one box.
+    """Principal eigenpair on one box.
 
-    eigenvalues is descending and holds min(n_top, n_active) entries;
     psi0 is the unit principal vector embedded in box order (zeros on
     inactive sites) and normalized so its sum is positive.  method is
     "dense-eig" or "lanczos".
     """
 
-    domain: BoxDomain
-    kappa: float
-    eigenvalues: np.ndarray = field(repr=False)
+    lambda0: float
     psi0: np.ndarray = field(repr=False)
-    method: str = "dense-eig"
-    residual: float = 0.0
-
-    @property
-    def lambda0(self):
-        return float(self.eigenvalues[0])
-
-    @property
-    def n_active(self):
-        return self.domain.n_active
+    method: str
+    residual: float
 
 
-def principal_eigen(env, box, kappa, n_top=2, tol=1e-10):
-    """Top n_top eigenvalues and the principal vector on a box.
+def principal_eigen(env, box, kappa, tol=1e-10):
+    """Principal eigenvalue lambda0 and unit vector psi0 on a box.
 
     Dense symmetric eigendecomposition up to DENSE_LIMIT active sites;
     above that Lanczos (_lanczos) from the fixed start vector
-    n^-1/2 (1, ..., 1), so reruns agree bit for bit.  Lanczos sees only
-    eigenvectors that overlap the start vector: the principal one always
-    does, but on a box whose potential is symmetric the eigenvalues past
-    the first skip the modes that are odd under the symmetry.  Raises
-    SolverError if Lanczos does not converge or its principal residual
-    exceeds tol, and ValueError if n_top < 1 or unless box is a
-    BoxDomain of env.
+    n^-1/2 (1, ..., 1), so reruns agree bit for bit.  Raises SolverError
+    if Lanczos does not converge or its residual exceeds tol, and
+    ValueError unless kappa is finite and >= 0 and box is a BoxDomain
+    of env.
     """
-    if n_top < 1:
-        raise ValueError(f"n_top must be >= 1, got {n_top}")
+    _check_walk(kappa, 0.0)  # kappa alone: the spectrum has no t
     domain = _box_of(env, box)
     n = domain.n_active
     if n == 0:
@@ -83,14 +68,13 @@ def principal_eigen(env, box, kappa, n_top=2, tol=1e-10):
     if n <= DENSE_LIMIT:
         A = domain.operator_dense(kappa)
         w, Q = np.linalg.eigh(A)
-        order = np.argsort(w)[::-1][:n_top]
-        eigs = np.array(w[order], dtype=np.float64)
-        psi = Q[:, order[0]]
-        res = float(np.linalg.norm(A @ psi - eigs[0] * psi))
+        top = np.argsort(w)[-1]
+        lam, psi = float(w[top]), Q[:, top]
+        res = float(np.linalg.norm(A @ psi - lam * psi))
         method = "dense-eig"
     else:
         # Ritz bounds at tol/100 leave room for the rounding in the summed vector
-        eigs, psi, res = _lanczos(domain, kappa, n_top, 1e-2 * tol)
+        lam, psi, res = _lanczos(domain, kappa, 1e-2 * tol)
         if res > tol:
             raise SolverError(f"Lanczos residual {res:.3e} exceeds tol {tol:.1e}")
         method = "lanczos"
@@ -98,24 +82,18 @@ def principal_eigen(env, box, kappa, n_top=2, tol=1e-10):
         psi = -psi
     full = np.zeros(domain.n_box)
     full[domain.active_mask()] = psi
-    return SpectrumSlice(
-        domain=domain,
-        kappa=float(kappa),
-        eigenvalues=eigs,
-        psi0=full,
-        method=method,
-        residual=res,
-    )
+    return SpectrumSlice(lambda0=lam, psi0=full, method=method, residual=res)
 
 
-def _top_ritz(alphas, betas, k):
-    """(values, bounds, vectors) of the top k good Ritz values of the Lanczos matrix T.
+def _top_ritz(alphas, betas):
+    """(value, bound, s) of the top good Ritz value of the Lanczos matrix T.
 
     Ritz values within _SAME of each other (relative to the spectrum's
     scale) are copies of one; a copy-free value that T without its first
-    row and column shares is spurious and skipped.  bounds are
-    beta_m |s_m|, each value's best residual bound over its copies, and
-    the columns of vectors are the eigenvectors s of T that give them.
+    row and column shares is spurious and skipped.  bound is
+    beta_m |s_m|, the value's best residual bound over its copies, and s
+    is the eigenvector of T that gives it; (nan, inf, None) when T has
+    no good value.
     """
     m = len(alphas)
     T = np.diag(alphas)
@@ -125,34 +103,34 @@ def _top_ritz(alphas, betas, k):
     nu = np.linalg.eigvalsh(T[1:, 1:])
     same = _SAME * max(abs(mu[0]), abs(mu[-1]))
     bounds = abs(betas[-1] * S[-1])
-    values, best = [], []
     i = m - 1
-    while i >= 0 and len(values) < k:
+    while i >= 0:
         j = i
         while j > 0 and mu[i] - mu[j - 1] <= same:
             j -= 1
         if i > j or not np.any(abs(nu - mu[i]) <= same):
-            values.append(mu[i])
-            best.append(j + int(np.argmin(bounds[j : i + 1])))
+            best = j + int(np.argmin(bounds[j : i + 1]))
+            return mu[i], bounds[best], S[:, best]
         i = j - 1
-    return np.array(values), bounds[best], S[:, best]
+    return math.nan, math.inf, None
 
 
-def _lanczos(domain, kappa, k, target):
-    """(top k eigenvalues, unit principal vector, its residual) on the active set.
+def _lanczos(domain, kappa, target):
+    """(lambda0, unit principal vector, its residual) on the active set.
 
     Lanczos from q_1 = n^-1/2 (1, ..., 1), with the operator applied as
     the stencil of BoxDomain.killing_grid, in cycles of at most _CYCLE
     steps, doubling up to _LONGEST_CYCLE.  In each cycle T is
-    diagonalised first at step _FIRST_CHECK, then where the slowest
-    wanted bound, extrapolated at its rate since the last look, meets
-    target (no sooner than 10 steps on, no later than twice the steps so
-    far).  A cycle ends when k good Ritz values (_top_ritz) have bounds
-    <= target; the Ritz vectors are then summed in a second pass that
+    diagonalised first at step _FIRST_CHECK, then where the bound of
+    the top good Ritz value (_top_ritz), extrapolated at its rate since
+    the last look, meets target (no sooner than 10 steps on, no later
+    than twice the steps so far).  A cycle ends when that bound is
+    <= target; its Ritz vector is then summed in a second pass that
     regenerates the q_i, so memory stays a few vectors.  A cycle that
-    ends short of that restarts from the sum of its Ritz vectors, which
-    keeps the cost of diagonalising T bounded.  Raises SolverError at an
-    invariant subspace short of k values, or after _MAX_STEPS steps.
+    ends short of that restarts from its Ritz vector, which keeps the
+    cost of diagonalising T bounded.  Raises SolverError at an
+    invariant subspace or a T with no good value short of target, or
+    after _MAX_STEPS steps.
     """
     pot, ok, steps = domain.killing_grid()
     diag = np.where(ok, pot - 2.0 * domain.dim * kappa, 0.0)
@@ -182,44 +160,41 @@ def _lanczos(domain, kappa, k, target):
             betas.append(beta)
             m = len(alphas)
             if m == check or beta == 0.0 or m == limit:
-                values, bounds, S = _top_ritz(alphas, betas, k)
-                worst = bounds.max() if len(values) == k else math.inf
-                if worst <= target or beta == 0.0 or m == limit:
-                    return alphas, betas, values, worst, S
+                value, bound, s = _top_ritz(alphas, betas)
+                if bound <= target or beta == 0.0 or m == limit:
+                    return alphas, betas, value, bound, s
                 ahead = 2 * m
-                if last is not None and math.isfinite(worst) and worst < last[1]:
-                    rate = math.log(worst / last[1]) / (m - last[0])
-                    ahead = m + math.ceil(math.log(target / worst) / rate)
-                last = (m, worst)
+                if last is not None and math.isfinite(bound) and bound < last[1]:
+                    rate = math.log(bound / last[1]) / (m - last[0])
+                    ahead = m + math.ceil(math.log(target / bound) / rate)
+                last = (m, bound)
                 check = min(max(ahead, m + 10), 2 * m, limit)
             q_prev, q = q, w / beta
 
-    def ritz_vectors(q0, alphas, betas, S):
-        Y = S[0][:, None] * q0
+    def ritz_vector(q0, alphas, betas, s):
+        y = s[0] * q0
         q_prev, q = np.zeros_like(q0), q0
-        for i in range(1, len(S)):
+        for i in range(1, len(s)):
             w = apply(q)
             w -= alphas[i - 1] * q
             w -= betas[i - 2] * q_prev if i > 1 else 0.0
             q_prev, q = q, w / betas[i - 1]
-            Y += S[i][:, None] * q
-        return Y
+            y += s[i] * q
+        return y
 
     q0 = np.where(ok, domain.n_active**-0.5, 0.0)
     spent, limit = 0, _CYCLE
     while True:
-        alphas, betas, values, worst, S = cycle(q0, min(limit, _MAX_STEPS - spent))
+        alphas, betas, value, bound, s = cycle(q0, min(limit, _MAX_STEPS - spent))
         spent, limit = spent + len(alphas), min(2 * limit, _LONGEST_CYCLE)
-        Y = ritz_vectors(q0, alphas, betas, S)
-        if worst <= target:
-            break
-        if betas[-1] == 0.0 or spent == _MAX_STEPS:
-            raise SolverError(f"Lanczos found {len(values)} of {k} eigenvalues in {spent} steps")
-        q0 = Y.sum(axis=0)
+        if bound > target and (s is None or betas[-1] == 0.0 or spent == _MAX_STEPS):
+            raise SolverError(f"Lanczos reached no Ritz bound <= {target:.1e} in {spent} steps")
+        q0 = ritz_vector(q0, alphas, betas, s)
         q0 /= math.sqrt(float(q0 @ q0))
-    y = Y[0] / math.sqrt(float(Y[0] @ Y[0]))
-    r = apply(y) - values[0] * y
-    return values, y[ok], math.sqrt(float(r @ r))
+        if bound <= target:
+            break
+    r = apply(q0) - value * q0
+    return float(value), q0[ok], math.sqrt(float(r @ r))
 
 
 @dataclass(frozen=True)
@@ -245,7 +220,7 @@ class SandwichReport:
 
 def verify_sandwich(env, box, kappa, t):
     """Check e^{t lambda0} <= sum m and max m <= sqrt(|U|) e^{t lambda0}."""
-    slice_ = principal_eigen(env, box, kappa, n_top=1)
+    slice_ = principal_eigen(env, box, kappa)
     fld = solve_truncated(env, box, kappa, t)
     lam0 = slice_.lambda0
     logs = fld.log_values()[box.active_mask()]

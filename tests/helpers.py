@@ -1,6 +1,9 @@
 """Hand-built environments and reference loops shared across test modules."""
 
+import json
 import math
+import os
+import sys
 
 import numpy as np
 
@@ -163,3 +166,16 @@ def reference_fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
         rng = generator(derive_seed(seed, "fk", ci))
         out[done : done + n] = reference_chunk_log_weights(env, x, kappa, t, n, rng, center, radius)
     return out
+
+
+def record_fixture(path, values):
+    """Write values() to the fixture at path; exit nonzero, naming it, if it exists.
+
+    A fixture is recorded once: re-recording it from the code under test
+    would make the test that reads it vacuous.
+    """
+    if os.path.exists(path):
+        sys.exit(f"{path} exists; remove it first to record it again")
+    with open(path, "w") as fh:
+        json.dump(values(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -7,6 +7,7 @@ for the double-exponential family, and saddle-point asymptotics.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,19 @@ def test_H_refuses_a_window_that_rounds_to_a_point():
         with pytest.raises(analytics.QuadratureError, match=r"G_peak = 3\.\d+e\+(20|22)"):
             cumulant_H(TailFamily.weibull(1.1), t)
     assert cumulant_H(TailFamily.weibull(1.1), 3.0) == pytest.approx(6216.530322322008, rel=1e-12)
+
+
+def test_H_panel_budget_refusal_names_t_family_and_peak():
+    # at weibull(1.1), t = 5 no panel ever agrees with its halves, so the
+    # tree splits down to panels too narrow to halve until the budget ends;
+    # those once raised a divide-by-zero RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            analytics.QuadratureError,
+            match=r"H\(5\) for weibull\(rho=1\.1\): panel budget 20000 exhausted at G_peak = 1\.71141e\+06",
+        ):
+            cumulant_H(TailFamily.weibull(1.1), 5.0)
 
 
 def test_H_nondecreasing_for_nonnegative_support():

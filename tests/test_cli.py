@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import record_fixture
 import pamlab
 from pamlab.cli import COMMANDS, ConfigError, build_config, main
 from pamlab.seeding import derive_seed
@@ -361,6 +362,24 @@ def test_regime_config_errors(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "rule, table, match",
+    [
+        # once an OverflowError traceback with exit 1
+        ("explicit", "L_table=1:inf", "L_table expects a table value, got '1:inf'"),
+        ("f-hat", "f_table=1:nan", "f_table expects a table value, got '1:nan'"),
+        ("explicit", "L_table=1:2.7", "explicit schedule needs integer L >= 1, got L = 2.7"),  # ran with L = 2
+        ("explicit", "L_table=1:5,1:7", "schedule table names t = 1 twice"),  # ran with L = 5
+        ("f-hat", "f_table=1:2.5,1.0000000000001:3", "schedule table names t = 1 twice"),
+    ],
+)
+def test_schedule_tables_are_refused_before_any_run(tmp_path, capsys, rule, table, match):
+    argv = ["regime", "family=weibull", "rho=2", "t_grid=1", f"rule={rule}", table, "n_replica=100"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert match in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_replica_and_clt_refusals_are_config_errors(tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
         build_config(
@@ -499,6 +518,4 @@ if __name__ == "__main__":
     # returned column tables; re-recording it would make the test vacuous.
     if "--record" not in sys.argv:
         sys.exit("usage: python tests/test_cli.py --record")
-    with open(CLI_FIXTURE, "w") as fh:
-        json.dump(cli_values(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    record_fixture(CLI_FIXTURE, cli_values)

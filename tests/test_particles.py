@@ -163,6 +163,14 @@ def test_non_finite_kappa_and_t_rejected():
             population_ensemble(env, (0,), kappa, t, n_runs=2, seed=1)
 
 
+def test_cap_below_one_rejected():
+    # cap = 0 once flagged every run truncated with count 1
+    env = make_env_1d(np.zeros(3))
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+            population_ensemble(env, (0,), 1.0, 1.0, n_runs=2, seed=1, cap=cap)
+
+
 def test_start_of_wrong_dimension_rejected():
     env = make_env_1d(np.zeros(5))
     with pytest.raises(ValueError, match="coordinate dimension must be 1, got 2"):

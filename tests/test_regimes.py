@@ -10,6 +10,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from helpers import record_fixture
 import pamlab.environments
 from pamlab import regimes
 from pamlab.analytics import critical_a, cumulant_H, growth_J
@@ -156,9 +157,11 @@ def test_schedule_rule_validation():
     rule = ScheduleRule(kind="explicit", table=((1.0, 4),))
     with pytest.raises(ValueError):
         schedule_L(rule, 2.0, WEIBULL2, d=1)
-    rule = ScheduleRule(kind="explicit", table=((1.0, 0),))
-    with pytest.raises(ValueError):
-        schedule_L(rule, 1.0, WEIBULL2, d=1)
+    for L in (0, 2.7, math.inf):
+        with pytest.raises(ValueError, match="explicit schedule needs integer L >= 1"):
+            ScheduleRule(kind="explicit", table=((1.0, L),))
+    with pytest.raises(ValueError, match="names t = 2 twice"):
+        ScheduleRule(kind="f-hat", table=((2.0, 5.0), (1.0, 4.0), (2.0 + 1e-13, 6.0)))
 
 
 def test_config_validation():
@@ -561,6 +564,4 @@ if __name__ == "__main__":
     # shared one verdict builder; re-recording it would make the test vacuous.
     if "--record" not in sys.argv:
         sys.exit("usage: python tests/test_regimes.py --record")
-    with open(FIXTURE, "w") as fh:
-        json.dump(regime_values(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    record_fixture(FIXTURE, regime_values)

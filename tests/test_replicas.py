@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import record_fixture
 import pamlab.environments
 from pamlab import solver
 from pamlab.environments import TailFamily
@@ -94,6 +95,7 @@ def test_h1_hashes_sites_once_per_stack(monkeypatch):
     [
         (block_variance, (HARD02, 1.0, 1.0, 10, 60, 1), "expects no hard cores"),
         (block_variance, (WEIBULL2, 0.0, 1.0, 3, 1, 1), "n_replica >= 2, got 1"),
+        (block_variance, (WEIBULL2, 1.0, 1.0, -1, 60, 1), "L >= 0, got -1"),
         (estimate_H1, (WEIBULL2, 0.0, 1.0, 10, 1), "at least 50 replicas"),
         (estimate_F_theta, (WEIBULL2, math.nan, 0.0, 1.0, 60, 1), "theta must be"),
         (estimate_H1, (WEIBULL2, -1.0, 1.0, 60, 1), "kappa must be finite and >= 0, got -1.0"),
@@ -117,6 +119,4 @@ if __name__ == "__main__":
     # sampled in stacks; re-recording it would make the test vacuous.
     if "--record" not in sys.argv:
         sys.exit("usage: python tests/test_replicas.py --record")
-    with open(FIXTURE, "w") as fh:
-        json.dump(replica_values(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    record_fixture(FIXTURE, replica_values)

@@ -155,24 +155,33 @@ def test_lanczos_matches_eigsh(dim, radius, seed):
     box = BoxDomain(env, (0,) * dim, radius)
     A = _csr_operator(box, 1.0)
     n = box.n_active
-    for k in (1, 2):
-        want = scipy.sparse.linalg.eigsh(A, k=k, which="LA", v0=np.full(n, n**-0.5), return_eigenvectors=False)
-        got = principal_eigen(env, box, 1.0, n_top=k)
-        assert got.method == "lanczos"
-        assert np.abs(got.eigenvalues - np.sort(want)[::-1]).max() <= 1e-13
-        psi = got.psi0[box.active_mask()]
-        assert np.linalg.norm(A @ psi - got.lambda0 * psi) <= 1e-10
+    want = scipy.sparse.linalg.eigsh(A, k=1, which="LA", v0=np.full(n, n**-0.5), return_eigenvectors=False)
+    got = principal_eigen(env, box, 1.0)
+    assert got.method == "lanczos"
+    assert abs(got.lambda0 - want[0]) <= 1e-13
+    psi = got.psi0[box.active_mask()]
+    assert np.linalg.norm(A @ psi - got.lambda0 * psi) <= 1e-10
 
 
 def test_restarted_lanczos_matches_eigsh(monkeypatch):
     # every box above converges within its first cycle; cycles of 30
     # steps (doubling) force restarts on the near-degenerate seed-57 box
     monkeypatch.setattr(pamlab.spectral, "_CYCLE", 30)
+    sizes = []
+    top_ritz = pamlab.spectral._top_ritz
+
+    def spy(alphas, betas):
+        sizes.append(len(alphas))
+        return top_ritz(alphas, betas)
+
+    monkeypatch.setattr(pamlab.spectral, "_top_ritz", spy)
     env = sample_environment(TailFamily.weibull(2.0), 2, 32, seed=57)
     box = BoxDomain(env, (0, 0), 32)
     A = _csr_operator(box, 1.0)
     n = box.n_active
-    want = scipy.sparse.linalg.eigsh(A, k=2, which="LA", v0=np.full(n, n**-0.5), return_eigenvectors=False)
-    got = principal_eigen(env, box, 1.0, n_top=2)
-    assert np.abs(got.eigenvalues - np.sort(want)[::-1]).max() <= 1e-13
+    want = scipy.sparse.linalg.eigsh(A, k=1, which="LA", v0=np.full(n, n**-0.5), return_eigenvectors=False)
+    got = principal_eigen(env, box, 1.0)
+    # each cycle first looks at T after _FIRST_CHECK steps
+    assert sizes.count(pamlab.spectral._FIRST_CHECK) > 1
+    assert abs(got.lambda0 - want[0]) <= 1e-13
     assert got.residual <= 1e-10

@@ -15,29 +15,12 @@ def test_singleton_eigenvalue_is_potential_minus_two_d_kappa():
     assert np.isclose(slice_.lambda0, 0.7 - 2.0, atol=1e-12)
 
 
-def test_n_top_below_one_is_refused():
-    env = make_env_1d([0.0, 0.7, 0.0])
-    for n_top in (0, -3):
-        with pytest.raises(ValueError, match=f"n_top must be >= 1, got {n_top}"):
-            principal_eigen(env, BoxDomain(env, (0,), 1), kappa=1.0, n_top=n_top)
-
-
-def test_eigenvalues_hold_at_most_n_active_entries():
-    env = make_env_1d([0.0, 0.7, 0.0])
-    assert len(principal_eigen(env, BoxDomain(env, (0,), 0), kappa=1.0).eigenvalues) == 1
-    assert len(principal_eigen(env, BoxDomain(env, (0,), 1), kappa=1.0, n_top=5).eigenvalues) == 3
-    assert len(principal_eigen(env, BoxDomain(env, (0,), 1), kappa=1.0, n_top=2).eigenvalues) == 2
-
-
 def test_path_graph_spectrum_closed_form():
     n = 15
     env = make_env_1d(np.zeros(n))
     slice_ = principal_eigen(env, BoxDomain(env, (0,), (n - 1) // 2), kappa=1.0)
     expected = -2.0 + 2.0 * math.cos(math.pi / (n + 1))
     assert np.isclose(slice_.lambda0, expected, atol=1e-10)
-    # second eigenvalue too, since the dense route reports the top pair
-    second = -2.0 + 2.0 * math.cos(2.0 * math.pi / (n + 1))
-    assert np.isclose(slice_.eigenvalues[1], second, atol=1e-10)
 
 
 def test_constant_potential_shifts_spectrum():
@@ -87,10 +70,10 @@ def test_large_box_with_near_degenerate_top_pair():
     env = sample_environment(TailFamily.weibull(2.0), 2, 32, seed=57)
     box = BoxDomain(env, (0, 0), 32)
     assert box.n_active > 4000
-    slice_ = principal_eigen(env, box, kappa=1.0, n_top=2)
+    slice_ = principal_eigen(env, box, kappa=1.0)
     assert slice_.method == "lanczos"
-    assert len(slice_.eigenvalues) == 2
-    assert 0.0 < slice_.eigenvalues[0] - slice_.eigenvalues[1] < 1e-3
+    vmax = (env.v_plus - env.v_minus).max()
+    assert vmax - 4.0 - 1e-9 <= slice_.lambda0 <= vmax + 1e-9
     assert slice_.residual <= 1e-10
     assert slice_.psi0.min() >= 0.0
 
@@ -135,9 +118,8 @@ def test_growth_rate_approaches_lambda0():
     for seed in range(10):
         env = sample_environment(TailFamily.weibull(1.2), 1, 10, seed=seed)
         box = BoxDomain(env, (0,), 10)
-        slice_ = principal_eigen(env, box, kappa=1.0)
-        lam0 = slice_.lambda0
-        gap = lam0 - float(slice_.eigenvalues[1])
+        lam0 = principal_eigen(env, box, kappa=1.0).lambda0
+        gap = lam0 - float(np.linalg.eigvalsh(box.operator_dense(1.0))[-2])
         if lam0 < 0.5 or gap < 0.05:
             continue
         kept += 1
@@ -191,3 +173,15 @@ def test_psi0_zero_on_hardcore_sites():
     env = make_env_1d(np.linspace(-0.5, 0.5, 9), hardcore=hard)
     slice_ = principal_eigen(env, BoxDomain(env, (0,), 4), kappa=0.5)
     assert np.all(slice_.psi0[hard] == 0.0)
+
+
+def test_bad_kappa_is_refused_before_any_matrix(monkeypatch):
+    def no_matrix(self, kappa):
+        raise AssertionError("operator built before the kappa check")
+
+    monkeypatch.setattr(BoxDomain, "operator_dense", no_matrix)
+    env = sample_environment(TailFamily.weibull(2.0), 1, 6, seed=1)
+    box = BoxDomain(env, (0,), 6)
+    for kappa in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"kappa must be finite and >= 0, got {kappa}"):
+            principal_eigen(env, box, kappa)
