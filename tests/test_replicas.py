@@ -95,7 +95,6 @@ def test_h1_hashes_sites_once_per_stack(monkeypatch):
     [
         (block_variance, (HARD02, 1.0, 1.0, 10, 60, 1), "expects no hard cores"),
         (block_variance, (WEIBULL2, 0.0, 1.0, 3, 1, 1), "n_replica >= 2, got 1"),
-        (block_variance, (WEIBULL2, 1.0, 1.0, -1, 60, 1), "L >= 0, got -1"),
         (estimate_H1, (WEIBULL2, 0.0, 1.0, 10, 1), "at least 50 replicas"),
         (estimate_F_theta, (WEIBULL2, math.nan, 0.0, 1.0, 60, 1), "theta must be"),
         (estimate_H1, (WEIBULL2, -1.0, 1.0, 60, 1), "kappa must be finite and >= 0, got -1.0"),
@@ -103,6 +102,7 @@ def test_h1_hashes_sites_once_per_stack(monkeypatch):
         (estimate_F_theta, (WEIBULL2, 0.5, math.nan, 1.0, 60, 1), "kappa must be finite and >= 0, got nan"),
         (correlation_profile, (WEIBULL2, 1.0, -1.0, [1], 60, 1), "t must be finite and >= 0, got -1.0"),
         (block_variance, (WEIBULL2, 0.0, math.nan, 3, 60, 1), "t must be finite and >= 0, got nan"),
+        (block_variance, (WEIBULL2, 1.0, 1.0, -1, 60, 1), "L >= 0, got -1"),
     ],
 )
 def test_refusals_come_before_any_site_is_hashed(monkeypatch, statistic, args, match):
