@@ -6,11 +6,14 @@ a summary.json into --out, and exits 0 when all of its checks passed and
 library (any ValueError it raises) exits 2 with "config error: ..." and
 writes no file, and so does a float that is not finite; a regime box
 overflow, a SolverError, a QuadratureError or a RootBracketError exits 2
-the same way with "refused: ...".  A run uses no worker pool and draws its
-randomness from the seed key alone; float cells are printed with %.17g,
-so a repeated run is byte identical.  Wall-clock timings are confined to
-summary.json, whose timings also record the package start-up (import_s)
-and the process's peak resident memory (peak_rss_mb).
+the same way with "refused: ...".  A run draws its randomness from the
+seed key alone; the kappa = 0 regime draws of a large box run on a fork
+pool of one worker per CPU, and give the same bits on any number of
+workers.  Float cells are printed with %.17g, so a repeated run is byte
+identical.  Wall-clock timings are confined to summary.json, whose
+timings also record the package start-up (import_s), the process's peak
+resident memory (peak_rss_mb) and that of its largest finished child
+process, a pool worker (peak_rss_children_mb).
 
 Each cmd_* returns (tables, passed, extra).  tables maps a CSV file name
 to a column table: a dict from column name to that column's cells, in
@@ -254,22 +257,26 @@ def _check_exponents_mc(values, errors):
 
 
 def _check_regime(values, errors):
+    def absent(key):
+        # a key that failed to parse is not in values; its error is already reported
+        return key in values and values[key] in (None, "")
+
     mode = values.get("mode")
     if mode not in ("lln", "clt", "critical"):
         errors.append(f"mode must be lln, clt, or critical, got {mode!r}")
     rule = values.get("rule")
     if rule not in ("gamma-j", "explicit", "f-hat"):
         errors.append(f"rule must be gamma-j, explicit, or f-hat, got {rule!r}")
-    if rule == "gamma-j" and values.get("gamma") is None:
+    if rule == "gamma-j" and absent("gamma"):
         errors.append("gamma-j rule needs gamma")
-    if rule == "explicit" and not values.get("L_table"):
+    if rule == "explicit" and absent("L_table"):
         errors.append("explicit rule needs L_table, e.g. L_table=1:10,2:40")
-    if rule == "f-hat" and not values.get("f_table"):
+    if rule == "f-hat" and absent("f_table"):
         errors.append("f-hat rule needs f_table, e.g. f_table=1:2.5,2:4.8")
     if mode == "critical":
-        if values.get("gamma") is None:
+        if absent("gamma"):
             errors.append("critical mode needs gamma")
-        if values.get("delta") is None:
+        if absent("delta"):
             errors.append("critical mode needs delta")
     if mode == "clt" and values.get("kappa") not in (None, 0.0):
         errors.append("clt mode needs kappa = 0")
@@ -497,7 +504,9 @@ def main(argv=None):
         "timings": {
             "total_s": elapsed,
             "import_s": _IMPORT_S,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # Linux reports KiB
+            # Linux reports KiB; the children are the kappa = 0 draw pool's workers
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "peak_rss_children_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
         },
     }
     with open(os.path.join(args.out, "summary.json"), "w") as fh:

@@ -88,24 +88,42 @@ class TailFamily:
         return f"{self.kind}({inner})" if inner else self.kind
 
 
-def exp_quantile_array(family, s):
+def exp_quantile_array(family, s, out=None):
     """Potential values from standard exponential draws s > 0.
 
     If s is Exp(1) distributed the result has the family's law, since
-    s = -log(1 - u) maps uniform quantiles to exponential ones.
+    s = -log(1 - u) maps uniform quantiles to exponential ones.  The
+    values are written into `out` when it is given (a float64 array of
+    s's shape, possibly s itself), with the bits of a fresh result.
     """
-    s = np.asarray(s, dtype=np.float64)
+    if out is None:
+        v = np.array(s, dtype=np.float64)
+    else:
+        v = out
+        if v is not s:
+            np.copyto(v, s)
     k = family.kind
     if k == "weibull":
-        return s ** (1.0 / family.rho)
-    if k == "double_exp":
-        return family.rho * np.log(s)
-    if k == "sq_double_exp":
-        return np.where(s >= 1.0, np.sqrt(np.log(np.maximum(s, 1.0))), 0.0)
-    if k == "frechet":
-        return -(s ** (-1.0 / family.rho))
-    # hard core: atom of mass p at -inf on the lower quantiles
-    return np.where(s <= -math.log1p(-family.p), -np.inf, 0.0)
+        v **= 1.0 / family.rho
+    elif k == "double_exp":
+        np.log(v, out=v)
+        v *= family.rho
+    elif k == "sq_double_exp":
+        # s < 1 is the atom at 0: sqrt(log(max(s, 1))) = sqrt(log 1) = 0
+        np.maximum(v, 1.0, out=v)
+        np.log(v, out=v)
+        np.sqrt(v, out=v)
+    elif k == "frechet":
+        v **= -1.0 / family.rho
+        np.negative(v, out=v)
+    else:
+        # hard core: atom of mass p at -inf on the lower quantiles, as
+        # log(1 - 1) = -inf on the atom and log(1 - 0) = 0 off it
+        np.less_equal(v, -math.log1p(-family.p), out=v)
+        np.subtract(1.0, v, out=v)
+        with np.errstate(divide="ignore"):
+            np.log(v, out=v)
+    return v
 
 
 def quantile_array(family, u):

@@ -15,6 +15,7 @@ above it twice the exact one-sided tail of Birnbaum & Tingey (1951).
 """
 
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,6 +36,12 @@ from .seeding import derive_seed, generator
 from .solver import _log_mean, _replica_site_logs, required_radius
 
 _DRAW_CHUNK = 1 << 20
+# Below this many kappa = 0 block sites, n_replica (2L+1)^d, the draws stay
+# in the calling process.  On two cores a fork pool took about 12 ms to
+# start (28 ms on its first use, which imports multiprocessing) and the
+# draws about 8 ns per site, so the two broke even near 3e6 sites.
+_POOL_MIN_SITES = 4_000_000
+_POOL_CHUNKS = 4  # replica chunks per pool worker
 
 
 def _moment_shape(x):
@@ -238,6 +245,52 @@ def annealed_reference(family, t):
     return mu, math.sqrt(var)
 
 
+def _draw_log_means(config, t, L, label, draw_fn, lo, hi):
+    """log m^L of replicas lo, ..., hi - 1 at kappa = 0, from direct i.i.d. draws.
+
+    Replica i draws from its own stream derive_seed(seed, label, i) in
+    _DRAW_CHUNK pieces, so its value does not depend on lo and hi.  Each
+    piece is drawn, transformed and exponentiated in two buffers reused
+    for the whole range.
+    """
+    n_sites = (2 * L + 1) ** config.d
+    tv = np.empty(min(_DRAW_CHUNK, n_sites))
+    etv = np.empty_like(tv)
+    out = np.empty(hi - lo)
+    with np.errstate(over="raise"):
+        for i in range(lo, hi):
+            rng = generator(derive_seed(config.seed, label, i))
+            total = 0.0
+            left = n_sites
+            while left > 0:
+                n = min(_DRAW_CHUNK, left)
+                v = tv[:n]
+                if draw_fn is None:
+                    exp_quantile_array(config.family, rng.standard_exponential(out=v), out=v)
+                else:
+                    v[...] = draw_fn(rng, n)
+                v *= t
+                try:
+                    total += float(np.exp(v, out=etv[:n]).sum())
+                except FloatingPointError:
+                    raise ValueError(f"e^(t v) overflows at t = {t:g}: t v reaches {float(v.max()):.6g}") from None
+                left -= n
+            out[i - lo] = math.log(total / n_sites) if total > 0 else -math.inf
+    return out
+
+
+_pool_job = None  # a pool worker's (config, t, L, label, draw_fn), inherited through fork
+
+
+def _set_pool_job(job):
+    global _pool_job
+    _pool_job = job
+
+
+def _pool_draw_log_means(lo, hi):
+    return _draw_log_means(*_pool_job, lo, hi)
+
+
 def _block_log_means_exact(config, t, L, label, draw_fn):
     """log m^L per replica at kappa = 0 from direct i.i.d. potential draws.
 
@@ -245,26 +298,43 @@ def _block_log_means_exact(config, t, L, label, draw_fn):
     transform is equal in law to the per-site uniform route the
     environment sampler uses, and much faster at large L.  A draw whose
     e^(t v) overflows a double raises ValueError.
+
+    From _POOL_MIN_SITES draws on, when the process may use two or more
+    CPUs and can fork, the replicas run in contiguous chunks on a fork
+    pool of one worker per CPU (at most n_replica), _POOL_CHUNKS chunks
+    per worker.  The job reaches the workers through fork, so draw_fn
+    may be a closure; only chunk bounds and results cross the pipe.
+    Every replica keeps its own stream, so the result has the same bits
+    on any number of workers, and a refusal is the one the calling
+    process would raise.  A refusal cancels the chunks not yet started.
     """
-    n_sites = (2 * L + 1) ** config.d
-    draw = draw_fn or (lambda rng, n: exp_quantile_array(config.family, rng.exponential(size=n)))
-    out = np.empty(config.n_replica)
-    with np.errstate(over="raise"):
-        for i in range(config.n_replica):
-            rng = generator(derive_seed(config.seed, label, i))
-            total = 0.0
-            left = n_sites
-            while left > 0:
-                n = min(_DRAW_CHUNK, left)
-                v = np.asarray(draw(rng, n), dtype=np.float64)
-                try:
-                    total += float(np.exp(t * v).sum())
-                except FloatingPointError:
-                    peak = float((t * v).max())
-                    raise ValueError(f"e^(t v) overflows at t = {t:g}: t v reaches {peak:.6g}") from None
-                left -= n
-            out[i] = math.log(total / n_sites) if total > 0 else -math.inf
-    return out
+    n = config.n_replica
+    job = (config, t, L, label, draw_fn)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, n)
+    if workers < 2 or n * (2 * L + 1) ** config.d < _POOL_MIN_SITES:
+        return _draw_log_means(*job, 0, n)
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return _draw_log_means(*job, 0, n)
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+    edges = np.linspace(0, n, min(n, _POOL_CHUNKS * workers) + 1).astype(int)
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_set_pool_job, initargs=(job,),
+    )
+    try:
+        chunks = [pool.submit(_pool_draw_log_means, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        wait(chunks, return_when=FIRST_EXCEPTION)
+        for chunk in chunks:
+            # after a refusal: stop the chunks not yet started.  Every chunk
+            # before a started one has started, so the first refusal in
+            # replica order, the in-process one, is the one raised below.
+            chunk.cancel()
+        return np.concatenate([chunk.result() for chunk in chunks])
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _block_log_means_solver(config, t, L, label):

@@ -142,12 +142,14 @@ def test_solve_and_fk_smoke(tmp_path):
     assert summary["results"]["kill_fraction"] == n_killed / 2000
     assert "n_killed" not in summary["timings"] and "kill_fraction" not in summary["timings"]
     timings = summary["timings"]
-    assert timings["import_s"] > 0.0 and timings["peak_rss_mb"] > 1.0
+    assert timings["import_s"] > 0.0 and timings["peak_rss_mb"] > 1.0 and timings["peak_rss_children_mb"] >= 0.0
 
 
 NO_SCIPY_RUN = """
 import sys, tempfile
 import pamlab, pamlab.cli
+pool_modules = sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent"))
+assert pool_modules == [], pool_modules
 from pamlab import BoxDomain, TailFamily, sample_environment, solve_truncated
 
 env = sample_environment(TailFamily.weibull(2.0), 1, 60, 3)
@@ -167,7 +169,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 def test_import_and_runs_load_no_scipy():
     # a dense and a uniformization solve, a Lanczos spectral check (17^3
-    # sites) and a kappa = 0 CLT regime run, all without any scipy module
+    # sites) and a kappa = 0 CLT regime run, all without any scipy module;
+    # the import itself loads no multiprocessing or concurrent.futures module
     src = os.path.dirname(os.path.dirname(os.path.abspath(pamlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env, capture_output=True, text=True, check=True)
@@ -360,6 +363,21 @@ def test_regime_config_errors(tmp_path, capsys):
     assert rc == 2
     rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "rule=explicit"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, unparsed, follow_on",
+    [
+        (["rule=explicit", "L_table=1:inf"], "L_table expects a table value", "explicit rule needs L_table"),
+        (["rule=gamma-j", "gamma=abc"], "gamma expects a float value", "gamma-j rule needs gamma"),
+        (["mode=critical", "gamma=abc", "delta=0.1"], "gamma expects a float value", "critical mode needs gamma"),
+    ],
+)
+def test_unparsed_key_is_not_also_reported_missing(argv, unparsed, follow_on):
+    with pytest.raises(ConfigError) as err:
+        build_config("regime", ["family=weibull", "rho=2", "t_grid=1", *argv])
+    assert unparsed in str(err.value)
+    assert follow_on not in str(err.value)
 
 
 @pytest.mark.parametrize(

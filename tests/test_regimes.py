@@ -2,8 +2,11 @@ import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from helpers import record_fixture
 import pamlab.environments
 from pamlab import regimes
 from pamlab.analytics import critical_a, cumulant_H, growth_J
+from pamlab.cli import main as cli_main
 from pamlab.environments import TailFamily
 from pamlab.regimes import (
     RegimeConfig,
@@ -557,6 +561,109 @@ def test_clt_refuses_kappa_positive_without_reference_before_any_site_is_hashed(
     )
     with pytest.raises(ValueError, match="needs kappa = 0 or an explicit reference"):
         clt_experiment(config)
+
+
+def _force_pool(monkeypatch):
+    """Send every later kappa = 0 block draw to the fork pool; returns the chunk futures it submits."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the draw pool needs two or more CPUs")
+    monkeypatch.setattr(regimes, "_POOL_MIN_SITES", 0)
+    chunks = []
+    submit = ProcessPoolExecutor.submit
+
+    def recorded_submit(self, *args, **kwargs):
+        chunks.append(submit(self, *args, **kwargs))
+        return chunks[-1]
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded_submit)
+    return chunks
+
+
+def _pool_comparison_runs():
+    def config(rule, t_grid, seed):
+        # 101 replicas: the pool's chunks differ in size
+        return RegimeConfig(family=WEIBULL2, rule=rule, t_grid=t_grid, n_replica=101, seed=seed)
+
+    shift = 0.25
+
+    def shifted_draw(rng, n):  # a closure, which a pickling pool could not send
+        return rng.random(n) + shift
+
+    t = 1.0
+    mu = (math.exp(t * (1 + shift)) - math.exp(t * shift)) / t
+    second = (math.exp(2 * t * (1 + shift)) - math.exp(2 * t * shift)) / (2 * t)
+    gamma_j = ScheduleRule(kind="gamma-j", gamma=1.5)
+    runs = {
+        "lln": lln_experiment(config(gamma_j, (1.0, 2.0, 3.0), 61)),
+        "critical": critical_experiment(
+            config(ScheduleRule(kind="gamma-j", gamma=0.5), (2.0, 3.0), 62), gamma=0.5, delta=0.1,
+        ),
+        "clt_closure": clt_experiment(
+            config(ScheduleRule(kind="explicit", table=((t, 40),)), (t,), 63), draw_fn=shifted_draw,
+            reference=(mu, math.sqrt(second - mu * mu)),
+        ),
+    }
+    return {key: [_verdict_record(v) for v in verdicts] for key, verdicts in runs.items()}
+
+
+def test_pool_draws_match_in_process_draws(monkeypatch):
+    # pieces of 50 draws: every replica spans several, the last one partial
+    monkeypatch.setattr(regimes, "_DRAW_CHUNK", 50)
+    in_process = _pool_comparison_runs()
+    chunks = _force_pool(monkeypatch)
+    assert _pool_comparison_runs() == in_process
+    assert len(chunks) >= 6 * 2  # six draws (t values), each on two or more chunks
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_regime_csv_is_byte_identical(monkeypatch, tmp_path):
+    argv = [
+        "regime", "family=weibull", "rho=2", "t_grid=2,3", "mode=lln",
+        "rule=gamma-j", "gamma=1.2", "n_replica=150", "seed=77",
+    ]
+    assert cli_main(argv + ["--out", str(tmp_path / "one")]) in (0, 1)
+    chunks = _force_pool(monkeypatch)
+    assert cli_main(argv + ["--out", str(tmp_path / "pool")]) in (0, 1)
+    assert chunks and multiprocessing.active_children() == []
+    assert (tmp_path / "one" / "regime.csv").read_bytes() == (tmp_path / "pool" / "regime.csv").read_bytes()
+    one, pool = (json.loads((tmp_path / run / "summary.json").read_text()) for run in ("one", "pool"))
+    assert pool["timings"]["peak_rss_children_mb"] > 1.0
+    one.pop("timings")
+    pool.pop("timings")
+    assert one == pool
+
+
+def test_pool_overflow_is_the_in_process_refusal(monkeypatch):
+    rule = ScheduleRule(kind="explicit", table=((400.0, 5),))
+    config = RegimeConfig(family=WEIBULL2, rule=rule, t_grid=(400.0,), n_replica=100, seed=5)
+    with pytest.raises(ValueError) as in_process:
+        lln_experiment(config)
+    chunks = _force_pool(monkeypatch)
+    with pytest.raises(ValueError, match=r"e\^\(t v\) overflows at t = 400: t v reaches \d+") as pooled:
+        lln_experiment(config)
+    assert chunks and str(pooled.value) == str(in_process.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_refusal_cancels_the_chunks_not_yet_started(monkeypatch, tmp_path):
+    marker = tmp_path / "refused"
+
+    def draw(rng, n):
+        # the first draw in any worker refuses; every other one takes 20 ms
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            time.sleep(0.02)
+            return np.zeros(n)
+        raise ValueError("refused in a worker")
+
+    chunks = _force_pool(monkeypatch)
+    rule = ScheduleRule(kind="explicit", table=((1.0, 2),))
+    config = RegimeConfig(family=WEIBULL2, rule=rule, t_grid=(1.0,), n_replica=100, seed=5)
+    with pytest.raises(ValueError, match="refused in a worker"):
+        clt_experiment(config, draw_fn=draw, reference=(1.0, 1.0))
+    assert chunks[-1].cancelled()
+    assert multiprocessing.active_children() == []
 
 
 if __name__ == "__main__":
