@@ -154,8 +154,6 @@ _RANGE_CHECKS = [
     ("n_replica", lambda v: v >= 1, "n_replica must be >= 1"),
     ("cap", lambda v: v >= 1, "cap must be >= 1"),
     ("tol", lambda v: v > 0.0, "tol must be > 0"),
-    ("band", lambda v: v > 0.0, "band must be > 0"),
-    ("fraction", lambda v: 0.0 < v <= 1.0, "fraction must be in (0, 1]"),
 ]
 
 
@@ -278,6 +276,11 @@ def _check_regime(values, errors):
             errors.append("critical mode needs gamma")
         if absent("delta"):
             errors.append("critical mode needs delta")
+        # critical_experiment schedules d log L = gamma J(t) itself
+        unused = [f"rule={rule}"] if rule in ("explicit", "f-hat") else []
+        unused += [key for key in ("L_table", "f_table") if values.get(key) not in (None, "")]
+        if unused:
+            errors.append(f"critical mode takes its schedule from gamma, not {', '.join(unused)}")
     if mode == "clt" and values.get("kappa") not in (None, 0.0):
         errors.append("clt mode needs kappa = 0")
     n = values.get("n_replica")

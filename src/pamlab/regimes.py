@@ -130,6 +130,19 @@ class RegimeThresholds:
     ks_p_min: float = 0.01
     degenerate_median: float = 0.1
 
+    def __post_init__(self):
+        for name, ok, bound in (
+            ("band", self.band > 0, "> 0"),
+            ("fraction", 0 < self.fraction <= 1, "in (0, 1]"),
+            ("skew_max", self.skew_max > 0, "> 0"),
+            ("exkurt_max", self.exkurt_max > 0, "> 0"),
+            ("ks_p_min", 0 <= self.ks_p_min <= 1, "in [0, 1]"),
+            ("degenerate_median", self.degenerate_median >= 0, ">= 0"),
+        ):
+            value = getattr(self, name)
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"threshold {name} must be finite and {bound}, got {value:g}")
+
 
 @dataclass(frozen=True)
 class ScheduleRule:
@@ -197,6 +210,8 @@ class RegimeConfig:
             raise ValueError("kappa must be >= 0")
         if not self.t_grid:
             raise ValueError("empty t grid")
+        if not 0 < self.tol < 1:
+            raise ValueError(f"tol must be in (0, 1), got {self.tol:g}")
 
 
 def _box_size(log_L, max_log_L):
@@ -245,7 +260,18 @@ def annealed_reference(family, t):
     return mu, math.sqrt(var)
 
 
-def _draw_log_means(config, t, L, label, draw_fn, lo, hi):
+def _draw_sites(family, rng, v):
+    """Fill v in place with i.i.d. potentials of family drawn from rng.
+
+    Standard exponentials through the exp-quantile transform are equal in
+    law to the environment sampler's per-site uniforms, and much faster at
+    large L.  The kappa = 0 block draws all come from here, so a test can
+    patch this one function; fork carries the patch into pool workers.
+    """
+    exp_quantile_array(family, rng.standard_exponential(out=v), out=v)
+
+
+def _draw_log_means(config, t, L, label, lo, hi):
     """log m^L of replicas lo, ..., hi - 1 at kappa = 0, from direct i.i.d. draws.
 
     Replica i draws from its own stream derive_seed(seed, label, i) in
@@ -265,10 +291,7 @@ def _draw_log_means(config, t, L, label, draw_fn, lo, hi):
             while left > 0:
                 n = min(_DRAW_CHUNK, left)
                 v = tv[:n]
-                if draw_fn is None:
-                    exp_quantile_array(config.family, rng.standard_exponential(out=v), out=v)
-                else:
-                    v[...] = draw_fn(rng, n)
+                _draw_sites(config.family, rng, v)
                 v *= t
                 try:
                     total += float(np.exp(v, out=etv[:n]).sum())
@@ -279,53 +302,34 @@ def _draw_log_means(config, t, L, label, draw_fn, lo, hi):
     return out
 
 
-_pool_job = None  # a pool worker's (config, t, L, label, draw_fn), inherited through fork
-
-
-def _set_pool_job(job):
-    global _pool_job
-    _pool_job = job
-
-
-def _pool_draw_log_means(lo, hi):
-    return _draw_log_means(*_pool_job, lo, hi)
-
-
-def _block_log_means_exact(config, t, L, label, draw_fn):
+def _block_log_means_exact(config, t, L, label):
     """log m^L per replica at kappa = 0 from direct i.i.d. potential draws.
 
-    Sampling standard exponentials and mapping through the exp-quantile
-    transform is equal in law to the per-site uniform route the
-    environment sampler uses, and much faster at large L.  A draw whose
-    e^(t v) overflows a double raises ValueError.
+    A draw whose e^(t v) overflows a double raises ValueError.
 
     From _POOL_MIN_SITES draws on, when the process may use two or more
     CPUs and can fork, the replicas run in contiguous chunks on a fork
     pool of one worker per CPU (at most n_replica), _POOL_CHUNKS chunks
-    per worker.  The job reaches the workers through fork, so draw_fn
-    may be a closure; only chunk bounds and results cross the pipe.
-    Every replica keeps its own stream, so the result has the same bits
-    on any number of workers, and a refusal is the one the calling
+    per worker; a chunk receives plain arguments and returns its log
+    means.  Every replica keeps its own stream, so the result has the same
+    bits on any number of workers, and a refusal is the one the calling
     process would raise.  A refusal cancels the chunks not yet started.
     """
     n = config.n_replica
-    job = (config, t, L, label, draw_fn)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(cpus, n)
     if workers < 2 or n * (2 * L + 1) ** config.d < _POOL_MIN_SITES:
-        return _draw_log_means(*job, 0, n)
+        return _draw_log_means(config, t, L, label, 0, n)
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        return _draw_log_means(*job, 0, n)
+        return _draw_log_means(config, t, L, label, 0, n)
     from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 
     edges = np.linspace(0, n, min(n, _POOL_CHUNKS * workers) + 1).astype(int)
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_set_pool_job, initargs=(job,),
-    )
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        chunks = [pool.submit(_pool_draw_log_means, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        chunks = [pool.submit(_draw_log_means, config, t, L, label, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
         wait(chunks, return_when=FIRST_EXCEPTION)
         for chunk in chunks:
             # after a refusal: stop the chunks not yet started.  Every chunk
@@ -351,9 +355,9 @@ def _block_log_means_solver(config, t, L, label):
     return _log_mean(logs)
 
 
-def _block_log_means(config, t, L, label, draw_fn=None):
+def _block_log_means(config, t, L, label):
     if config.kappa == 0.0:
-        return _block_log_means_exact(config, t, L, label, draw_fn)
+        return _block_log_means_exact(config, t, L, label)
     return _block_log_means_solver(config, t, L, label)
 
 
@@ -427,7 +431,7 @@ def _classify(verdict, thresholds):
     return "inconclusive"
 
 
-def _regime_verdicts(config, kind, own_stats, draw_fn=None):
+def _regime_verdicts(config, kind, own_stats):
     """One verdict per t of the grid, shared by the lln and clt experiments.
 
     own_stats(t, L, logs) returns the reference log mu and the fields only
@@ -439,7 +443,7 @@ def _regime_verdicts(config, kind, own_stats, draw_fn=None):
     verdicts = []
     for ti, t in enumerate(config.t_grid):
         L, gamma_eq = schedule_L(config.rule, t, config.family, config.d, config.max_log_L)
-        logs = _block_log_means(config, t, L, f"{kind}-{ti}", draw_fn)
+        logs = _block_log_means(config, t, L, f"{kind}-{ti}")
         log_mu, own = own_stats(t, L, logs)
         ratio = np.exp(logs - log_mu)
         q10, q50, q90 = np.quantile(ratio, [0.1, 0.5, 0.9])
@@ -478,7 +482,7 @@ def lln_experiment(config):
     return _regime_verdicts(config, "lln", own_stats)
 
 
-def clt_experiment(config, draw_fn=None, reference=None):
+def clt_experiment(config, reference=None):
     """Normality gates on the standardized block average.
 
     The gate statistic is (m^L - mu) (2L+1)^{d/2} / sigma with the exact
@@ -489,11 +493,8 @@ def clt_experiment(config, draw_fn=None, reference=None):
     (m^L - mu)/sigma has median size below the threshold the
     fluctuations have collapsed and the verdict is "non-gaussian".
     """
-    if config.kappa != 0.0:
-        if draw_fn is not None:
-            raise ValueError("draw_fn injection requires kappa = 0")
-        if reference is None:
-            raise ValueError("clt_experiment needs kappa = 0 or an explicit reference")
+    if config.kappa != 0.0 and reference is None:
+        raise ValueError("clt_experiment needs kappa = 0 or an explicit reference")
     # every reference is computed, or refused, before the first draw
     refs = {t: reference if reference is not None else annealed_reference(config.family, t) for t in config.t_grid}
 
@@ -518,7 +519,7 @@ def clt_experiment(config, draw_fn=None, reference=None):
             "max_abs_statistic": float(np.max(np.abs(single))),
         }
 
-    return _regime_verdicts(config, "clt", own_stats, draw_fn)
+    return _regime_verdicts(config, "clt", own_stats)
 
 
 def verdict_consistent(verdict, thresholds=RegimeThresholds()):

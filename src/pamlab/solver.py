@@ -228,15 +228,16 @@ def required_radius(kappa, t, tol, d=1):
     against tol^2 (so the walk-confinement error is tol-squared small,
     leaving headroom for the e^(2 d kappa t) mass factor), and never goes
     below (kappa t)^(3/2).  The bound is increasing in R, so R is found
-    by bisection.  A radius over _MAX_RADIUS raises SolverError, and a
-    kappa or t that is not finite and >= 0 raises ValueError.
+    by bisection.  A radius over _MAX_RADIUS raises SolverError; a kappa
+    or t that is not finite and >= 0, or a tol outside (0, 1), raises
+    ValueError, even where kappa t = 0 needs no radius.
     """
     _check_walk(kappa, t)
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol:g}")
     kt = float(kappa) * float(t)
     if kt == 0.0:
         return 0
-    if not 0 < tol < 1:
-        raise ValueError("tol must be in (0, 1)")
     target = -2.0 * math.log(tol)
 
     def short(R):  # the bound is increasing in R

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -175,6 +176,17 @@ def test_import_and_runs_load_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_library_rebinds_no_module_global():
+    # module state that library code rebinds is shared by every caller in the process
+    root = os.path.dirname(os.path.abspath(pamlab.__file__))
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+            assert lines == [], f"{name}: global statement on lines {lines}"
 
 
 def test_spectral_check_all_pass(tmp_path):
@@ -363,6 +375,17 @@ def test_regime_config_errors(tmp_path, capsys):
     assert rc == 2
     rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "rule=explicit"])
     assert rc == 2
+    # critical mode schedules L by gamma J(t); a table it would ignore is refused
+    critical = ["regime", "family=weibull", "rho=2", "mode=critical", "gamma=0.5", "delta=0.1", "t_grid=3",
+                "n_replica=100", "seed=1"]
+    for schedule, named in (
+        (["rule=explicit", "L_table=3:5"], "not rule=explicit, L_table"),
+        (["rule=f-hat", "f_table=3:5"], "not rule=f-hat, f_table"),
+        (["L_table=3:5"], "not L_table"),
+    ):
+        assert main(critical + schedule + ["--out", str(tmp_path)]) == 2
+        assert f"config error: critical mode takes its schedule from gamma, {named}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -443,6 +466,13 @@ def test_replica_and_clt_refusals_are_config_errors(tmp_path, capsys):
          "n_replica=100"],
         ["regime", "family=double_exp", "rho=1", "mode=clt", "rule=explicit", "L_table=400:5", "t_grid=400",
          "n_replica=100"],
+        # gates that can never pass
+        ["regime", "family=double_exp", "rho=1", "mode=clt", "rule=gamma-j", "gamma=2.5", "t_grid=2",
+         "n_replica=100", "seed=1", "skew_max=-1", "exkurt_max=-1", "ks_p_min=2"],
+        # a tol outside (0, 1) at kappa t = 0, where no truncation radius is needed
+        ["exponents-mc", "family=weibull", "rho=2", "kappa=0", "t=1", "n_replica=50", "tol=5", "seed=1"],
+        ["regime", "family=weibull", "rho=2", "mode=lln", "rule=gamma-j", "gamma=0.5", "t_grid=3",
+         "n_replica=100", "tol=7"],
     ],
 )
 def test_library_refusals_are_config_errors(tmp_path, capsys, argv):

@@ -7,6 +7,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ import scipy.stats
 from helpers import record_fixture
 import pamlab.environments
 from pamlab import regimes
-from pamlab.analytics import critical_a, cumulant_H, growth_J
+from pamlab.analytics import critical_a, cumulant_H, growth_J, intermittency_shape_f1
 from pamlab.cli import main as cli_main
 from pamlab.environments import TailFamily
+from pamlab.moments import estimate_F_theta
 from pamlab.regimes import (
     RegimeConfig,
     RegimeThresholds,
@@ -32,6 +34,7 @@ from pamlab.regimes import (
     schedule_L,
     verdict_consistent,
 )
+from pamlab.seeding import derive_seed
 
 WEIBULL2 = TailFamily.weibull(2.0)
 DEXP1 = TailFamily.double_exp(1.0)
@@ -45,6 +48,20 @@ def _two_point_draw(rng, n):
 def _constant_draw(rng, n):
     rng.random(n)
     return np.full(n, 0.6)
+
+
+def clt_with_draws(config, draw, **kw):
+    """clt_experiment with every kappa = 0 site piece v set to draw(rng, len(v)).
+
+    The patch reaches the draw pool's workers through fork, so draw may be
+    a closure.
+    """
+
+    def fill(family, rng, v):
+        v[...] = draw(rng, len(v))
+
+    with mock.patch.object(regimes, "_draw_sites", fill):
+        return clt_experiment(config, **kw)
 
 
 def _verdict_record(v):
@@ -78,12 +95,12 @@ def regime_values():
         "clt_dexp_k0": clt_experiment(config(DEXP1, ScheduleRule(kind="gamma-j", gamma=6.0), (1.0,), 47)),
         "clt_dexp_k0_small_L": clt_experiment(config(DEXP1, ScheduleRule(kind="gamma-j", gamma=1.0), (2.0,), 46)),
         "clt_hard_core": clt_experiment(config(TailFamily.hard_core(0.3), explicit((1.7, 1),), (1.7,), 47)),
-        "clt_two_point_draw_fn": clt_experiment(
-            config(WEIBULL2, explicit((1.3, 1),), (1.3,), 48), draw_fn=_two_point_draw,
+        "clt_two_point_draw_fn": clt_with_draws(
+            config(WEIBULL2, explicit((1.3, 1),), (1.3,), 48), _two_point_draw,
             reference=(two_point_mu, two_point_sd),
         ),
-        "clt_constant_draw_fn": clt_experiment(
-            config(WEIBULL2, explicit((1.0, 4),), (1.0,), 49), draw_fn=_constant_draw,
+        "clt_constant_draw_fn": clt_with_draws(
+            config(WEIBULL2, explicit((1.0, 4),), (1.0,), 49), _constant_draw,
             reference=(math.exp(0.6), 0.0),
         ),
         "clt_k1_reference": clt_experiment(
@@ -178,6 +195,34 @@ def test_config_validation():
         RegimeConfig(family=WEIBULL2, rule=rule, t_grid=(1.0,), kappa=-0.5)
     with pytest.raises(ValueError):
         RegimeConfig(family=WEIBULL2, rule=rule, t_grid=(1.0,), d=0)
+    for tol in (0.0, 1.0, 7.0):  # refused at kappa = 0 too, which never reaches required_radius
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
+            RegimeConfig(family=WEIBULL2, rule=rule, t_grid=(1.0,), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "fields, refusal",
+    [
+        ({"band": -1, "fraction": 3, "degenerate_median": -5}, "band must be finite and > 0, got -1"),
+        ({"band": 0.0}, "band must be finite and > 0, got 0"),
+        ({"band": math.inf}, "band must be finite and > 0, got inf"),
+        ({"fraction": 0.0}, r"fraction must be finite and in \(0, 1\], got 0"),
+        ({"fraction": 3}, r"fraction must be finite and in \(0, 1\], got 3"),
+        ({"skew_max": -1}, "skew_max must be finite and > 0, got -1"),
+        ({"exkurt_max": math.nan}, "exkurt_max must be finite and > 0, got nan"),
+        ({"ks_p_min": 2}, r"ks_p_min must be finite and in \[0, 1\], got 2"),
+        ({"ks_p_min": -0.01}, r"ks_p_min must be finite and in \[0, 1\], got -0.01"),
+        ({"degenerate_median": -5}, "degenerate_median must be finite and >= 0, got -5"),
+    ],
+)
+def test_thresholds_refuse_gates_that_cannot_pass(fields, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        RegimeThresholds(**fields)
+
+
+def test_thresholds_accept_their_closed_ends():
+    RegimeThresholds(fraction=1.0, ks_p_min=0.0, degenerate_median=0.0)
+    RegimeThresholds(ks_p_min=1.0)
 
 
 def test_annealed_reference_weibull():
@@ -211,7 +256,7 @@ def test_kappa_zero_overflow_is_refused_naming_t_and_exponent():
         raise AssertionError("drew a site")
 
     with pytest.raises(ValueError, match=r"annealed reference at t = 400 overflows: .*H\(2t\) = 4551\.95"):
-        clt_experiment(dataclasses.replace(config, family=DEXP1), draw_fn=no_draw)
+        clt_with_draws(dataclasses.replace(config, family=DEXP1), no_draw)
 
 
 def test_clt_refuses_an_unresolved_reference_before_any_draw():
@@ -221,7 +266,7 @@ def test_clt_refuses_an_unresolved_reference_before_any_draw():
     rule = ScheduleRule(kind="explicit", table=((1.0, 4), (1e-9, 50)))
     config = RegimeConfig(family=DEXP1, rule=rule, t_grid=(1.0, 1e-9), n_replica=100, seed=5)
     with pytest.raises(ValueError, match="annealed reference at t = 1e-09"):
-        clt_experiment(config, draw_fn=no_draw)
+        clt_with_draws(config, no_draw)
 
 
 def test_lln_monotone_in_dyadic_sweep():
@@ -275,7 +320,7 @@ def test_two_point_enumeration_reference():
     config = RegimeConfig(
         family=WEIBULL2, rule=rule, t_grid=(t,), n_replica=2000, seed=7
     )
-    v = clt_experiment(config, draw_fn=draw, reference=(mu_site, sd_site))[0]
+    v = clt_with_draws(config, draw, reference=(mu_site, sd_site))[0]
     assert verdict_consistent(v)
     # mean and sd of the scaled statistic against the exact standardization
     scale = mu_site * math.sqrt(3) / sd_site
@@ -304,7 +349,7 @@ def test_constant_potential_statistic_is_zero():
     config = RegimeConfig(
         family=WEIBULL2, rule=rule, t_grid=(t,), n_replica=150, seed=3
     )
-    v = clt_experiment(config, draw_fn=draw, reference=(math.exp(c * t), 0.0))[0]
+    v = clt_with_draws(config, draw, reference=(math.exp(c * t), 0.0))[0]
     assert v.max_abs_statistic == 0.0
     assert v.median_abs_statistic == 0.0
     assert math.isnan(v.skew)
@@ -463,6 +508,22 @@ def test_critical_frechet_calibrated_scale():
     assert 0.0 <= v.frac_below <= 1.0
 
 
+def test_critical_frechet_diffusive_scale_is_the_estimated_gap():
+    # at kappa > 0 the Frechet J is calibrated as F_theta(t) / f1(theta),
+    # with F_theta from estimate_F_theta on the critical-scale stream
+    fam = TailFamily.frechet(1.0)
+    config = RegimeConfig(
+        family=fam, rule=ScheduleRule(kind="gamma-j", gamma=0.02), t_grid=(1.0, 2.0), kappa=1.0,
+        n_replica=100, seed=29,
+    )
+    verdicts = critical_experiment(config, gamma=0.02, delta=0.005)
+    f1 = intermittency_shape_f1(fam, 0.5, 1)
+    for ti, (t, v) in enumerate(zip(config.t_grid, verdicts)):
+        F = estimate_F_theta(fam, 0.5, 1.0, t, 100, derive_seed(29, "critical-scale", ti)).value
+        assert v.L == 2
+        assert v.log_normalizer == -(v.a_gamma - 0.005) * F / f1
+
+
 def test_diffusive_run_limits():
     rule = ScheduleRule(kind="explicit", table=((2.0, 12),))
     config = RegimeConfig(
@@ -495,8 +556,6 @@ def test_diffusive_run_limits():
     )
     with pytest.raises(ValueError):
         lln_experiment(big_L)
-    with pytest.raises(ValueError, match="draw_fn injection requires kappa = 0"):
-        clt_experiment(config, draw_fn=lambda rng, n: np.zeros(n))
 
 
 
@@ -598,8 +657,8 @@ def _pool_comparison_runs():
         "critical": critical_experiment(
             config(ScheduleRule(kind="gamma-j", gamma=0.5), (2.0, 3.0), 62), gamma=0.5, delta=0.1,
         ),
-        "clt_closure": clt_experiment(
-            config(ScheduleRule(kind="explicit", table=((t, 40),)), (t,), 63), draw_fn=shifted_draw,
+        "clt_closure": clt_with_draws(
+            config(ScheduleRule(kind="explicit", table=((t, 40),)), (t,), 63), shifted_draw,
             reference=(mu, math.sqrt(second - mu * mu)),
         ),
     }
@@ -661,7 +720,7 @@ def test_pool_refusal_cancels_the_chunks_not_yet_started(monkeypatch, tmp_path):
     rule = ScheduleRule(kind="explicit", table=((1.0, 2),))
     config = RegimeConfig(family=WEIBULL2, rule=rule, t_grid=(1.0,), n_replica=100, seed=5)
     with pytest.raises(ValueError, match="refused in a worker"):
-        clt_experiment(config, draw_fn=draw, reference=(1.0, 1.0))
+        clt_with_draws(config, draw, reference=(1.0, 1.0))
     assert chunks[-1].cancelled()
     assert multiprocessing.active_children() == []
 

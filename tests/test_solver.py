@@ -248,8 +248,9 @@ def test_required_radius_kappa_t_floor():
 def test_required_radius_degenerate_and_bad_tol():
     assert required_radius(0.0, 5.0, 1e-8) == 0
     assert required_radius(1.0, 0.0, 1e-8) == 0
-    with pytest.raises(ValueError):
-        required_radius(1.0, 1.0, 2.0)
+    for kappa in (1.0, 0.0):  # kappa t = 0 needs no radius, but a bad tol is refused there too
+        with pytest.raises(ValueError, match=r"tol must be in \(0, 1\), got 2"):
+            required_radius(kappa, 1.0, 2.0)
 
 
 def test_required_radius_bisection_matches_linear_search():
