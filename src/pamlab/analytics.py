@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._special import logsumexp
-from .environments import TailFamily
+from .environments import TailFamily, _lattice_int
 
 _LOG_WINDOW = 60.0  # integrand kept down to exp(-60) relative to its peak
 _PANEL_TOL = 1e-10
@@ -318,15 +318,21 @@ def cumulant_H(family, t):
     return _cumulant_smooth(family, t)
 
 
+def _check_theta(theta):
+    """theta as a float, refused, naming it, unless finite, > -1 and nonzero."""
+    theta = float(theta)
+    if not (math.isfinite(theta) and theta > -1.0 and theta != 0.0):
+        raise ValueError(f"theta must be > -1 and nonzero, and finite, got {theta:g}")
+    return theta
+
+
 def cumulant_exponent_G(family, theta, t):
     """G_theta(t) = (H((1+theta)t) - (1+theta)H(t)) / theta.
 
     Defined for theta in (-1, 0) and (0, inf); nonnegative for
     0 < theta <= 1 by Jensen.
     """
-    theta = float(theta)
-    if theta == 0.0 or theta <= -1.0:
-        raise ValueError("theta must be nonzero and > -1")
+    theta = _check_theta(theta)
     return (cumulant_H(family, (1.0 + theta) * t) - (1.0 + theta) * cumulant_H(family, t)) / theta
 
 
@@ -367,8 +373,7 @@ class ExponentTable:
 
 def transition_exponents(family, d=1):
     """gamma1 and gamma2 (and nu for frechet) for a family in dimension d."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    d = _lattice_int("d", d, 1)
     k = family.kind
     if k == "weibull":
         rho = family.rho
@@ -494,9 +499,7 @@ def intermittency_shape_f1(family, theta, d=1):
     calibrate the unknown multiplicative constant in J from measured
     F_theta values.
     """
-    theta = float(theta)
-    if theta == 0.0 or theta <= -1.0:
-        raise ValueError("theta must be nonzero and > -1")
+    theta = _check_theta(theta)
     k = family.kind
     u = 1.0 + theta
     if k == "weibull":

@@ -2,18 +2,20 @@
 
 Every subcommand takes flat KEY=VALUE arguments, writes CSV tables plus
 a summary.json into --out, and exits 0 when all of its checks passed and
-1 when one failed.  A configuration refused by the schema here or by the
-library (any ValueError it raises) exits 2 with "config error: ..." and
-writes no file, and so does a float that is not finite; a regime box
-overflow, a SolverError, a QuadratureError or a RootBracketError exits 2
-the same way with "refused: ...".  A run draws its randomness from the
-seed key alone; the kappa = 0 regime draws of a large box run on a fork
-pool of one worker per CPU, and give the same bits on any number of
-workers.  Float cells are printed with %.17g, so a repeated run is byte
-identical.  Wall-clock timings are confined to summary.json, whose
-timings also record the package start-up (import_s), the process's peak
-resident memory (peak_rss_mb) and that of its largest finished child
-process, a pool worker (peak_rss_children_mb).
+1 when one failed.  The key schema here reports every key problem at
+once; the values are the library's to check, and it refuses them one at
+a time, naming the value (any ValueError it raises).  Either exits 2
+with "config error: ..." and writes no file, and so does a float that
+is not finite; a regime box overflow, a SolverError, a QuadratureError
+or a RootBracketError exits 2 the same way with "refused: ...".  A run
+draws its randomness from the seed key alone; the kappa = 0 regime draws
+of a large box run on a fork pool of one worker per CPU, and give the
+same bits on any number of workers.  Float cells are printed with
+%.17g, so a repeated run is byte identical.  Wall-clock timings are
+confined to summary.json, whose timings also record the package
+start-up (import_s), the process's peak resident memory (peak_rss_mb)
+and that of its largest finished child process, a pool worker
+(peak_rss_children_mb).
 
 Each cmd_* returns (tables, passed, extra).  tables maps a CSV file name
 to a column table: a dict from column name to that column's cells, in
@@ -96,6 +98,9 @@ _WALK_KEYS = {
     "t": ("float", True, None),
 }
 
+# the regime gates the CLI exposes; degenerate_median keeps its library default
+_GATE_KEYS = ("band", "fraction", "skew_max", "exkurt_max", "ks_p_min")
+
 SCHEMAS = {
     "sample-env": {**_WINDOW_KEYS, "baseline_death": ("float", False, 0.0)},
     "solve": {**_WINDOW_KEYS, "box_radius": ("int", True, None), **_WALK_KEYS},
@@ -120,41 +125,22 @@ SCHEMAS = {
     "regime": {
         **_FAMILY_KEYS,
         "d": ("int", False, 1),
-        "kappa": ("float", False, 0.0),
+        "kappa": ("float", False, RegimeConfig.kappa),
         "t_grid": ("floats", True, None),
         "mode": ("str", False, "lln"),
         "rule": ("str", False, "gamma-j"),
         "gamma": ("float", False, None),
         "L_table": ("table", False, None),
         "f_table": ("table", False, None),
-        "n_replica": ("int", False, 200),
+        "n_replica": ("int", False, RegimeConfig.n_replica),
         "seed": ("int", False, 0),
-        "band": ("float", False, 0.05),
-        "fraction": ("float", False, 0.95),
-        "skew_max": ("float", False, 0.2),
-        "exkurt_max": ("float", False, 0.5),
-        "ks_p_min": ("float", False, 0.01),
+        **{key: ("float", False, getattr(RegimeThresholds, key)) for key in _GATE_KEYS},
         "delta": ("float", False, None),
         "theta": ("float", False, 0.5),
-        "max_log_L": ("float", False, math.log(2_000_000)),
-        "tol": ("float", False, 1e-4),
+        "max_log_L": ("float", False, RegimeConfig.max_log_L),
+        "tol": ("float", False, RegimeConfig.tol),
     },
 }
-
-_RANGE_CHECKS = [
-    ("radius", lambda v: v >= 0, "radius must be >= 0"),
-    ("box_radius", lambda v: v >= 0, "box_radius must be >= 0"),
-    ("dim", lambda v: v >= 1, "dim must be >= 1"),
-    ("d", lambda v: v >= 1, "d must be >= 1"),
-    ("kappa", lambda v: v >= 0.0, "kappa must be >= 0"),
-    ("t", lambda v: v >= 0.0, "t must be >= 0"),
-    ("n_paths", lambda v: v >= 1, "n_paths must be >= 1"),
-    ("n_runs", lambda v: v >= 1, "n_runs must be >= 1"),
-    ("n_instances", lambda v: v >= 1, "n_instances must be >= 1"),
-    ("n_replica", lambda v: v >= 1, "n_replica must be >= 1"),
-    ("cap", lambda v: v >= 1, "cap must be >= 1"),
-    ("tol", lambda v: v > 0.0, "tol must be > 0"),
-]
 
 
 def _finite(raw):
@@ -197,8 +183,11 @@ def _build_family(values, errors):
 def build_config(command, pairs):
     """Parse KEY=VALUE tokens against the command schema.
 
-    Every problem is collected before raising, so one failed run reports
-    the full list instead of the first offence.
+    Every key problem (syntax, an unknown, duplicate, missing or
+    unparsable key, the family, the regime mode and the keys its rule
+    needs) is collected before raising, so one failed run reports the
+    full list.  Value ranges are left to the library, which refuses a
+    bad value when the command runs, one at a time, naming it.
     """
     schema = SCHEMAS[command]
     raw = {}
@@ -226,32 +215,14 @@ def build_config(command, pairs):
             errors.append(f"missing required key {key!r}")
         else:
             values[key] = default
-    for key, ok, message in _RANGE_CHECKS:
-        if key in values and values[key] is not None and not ok(values[key]):
-            errors.append(message)
     family = _build_family(values, errors) if "family" in schema else None
-    if command == "solve" and None not in (values.get("box_radius"), values.get("radius")):
-        if values["box_radius"] > values["radius"]:
-            errors.append("box_radius must not exceed radius")
-    if command == "fk" and values.get("x") is not None:
-        if len(values["x"]) != values.get("dim", 1):
-            errors.append("x must have one coordinate per dimension")
-    if command == "exponents-mc":
-        _check_exponents_mc(values, errors)
+    if values.get("n_instances", 1) < 1:  # a loop count of this CLI, which no library call sees
+        errors.append(f"n_instances must be >= 1, got {values['n_instances']}")
     if command == "regime":
         _check_regime(values, errors)
     if errors:
         raise ConfigError("; ".join(errors))
     return RunConfig(command=command, values=values, family=family)
-
-
-def _check_exponents_mc(values, errors):
-    n = values.get("n_replica")
-    if n is not None and n < 50:
-        errors.append("exponents-mc needs n_replica >= 50")
-    theta = values.get("theta")
-    if theta is not None and not (theta > -1.0 and theta != 0.0):
-        errors.append("theta must be > -1 and nonzero")
 
 
 def _check_regime(values, errors):
@@ -281,11 +252,6 @@ def _check_regime(values, errors):
         unused += [key for key in ("L_table", "f_table") if values.get(key) not in (None, "")]
         if unused:
             errors.append(f"critical mode takes its schedule from gamma, not {', '.join(unused)}")
-    if mode == "clt" and values.get("kappa") not in (None, 0.0):
-        errors.append("clt mode needs kappa = 0")
-    n = values.get("n_replica")
-    if n is not None and n < 100:
-        errors.append("regime runs need n_replica >= 100")
 
 
 def _fmt_cell(value):
@@ -411,13 +377,15 @@ def cmd_exponents(cfg):
 def cmd_exponents_mc(cfg):
     family, kappa, t, theta = cfg.family, cfg["kappa"], cfg["t"], cfg["theta"]
     n, kw = cfg["n_replica"], {"dim": cfg["dim"], "tol": cfg["tol"]}
+    if theta is not None:  # F_theta first, so a bad theta is refused before any replica is sampled
+        f_theta = estimate_F_theta(family, theta, kappa, t, n, derive_seed(cfg["seed"], "ftheta"), **kw)
     stats, thetas = ["H1"], [math.nan]
     ests = [estimate_H1(family, kappa, t, n, derive_seed(cfg["seed"], "h1"), **kw)]
     exact = [cumulant_H(family, t) if kappa == 0.0 else math.nan]
     if theta is not None:
         stats.append("F_theta")
         thetas.append(theta)
-        ests.append(estimate_F_theta(family, theta, kappa, t, n, derive_seed(cfg["seed"], "ftheta"), **kw))
+        ests.append(f_theta)
         exact.append(cumulant_exponent_G(family, theta, t) if kappa == 0.0 else math.nan)
     in_ci = [not math.isfinite(x) or est.ci_lo - 1e-9 <= x <= est.ci_hi + 1e-9 for est, x in zip(ests, exact)]
     table = {"stat": stats, "theta": thetas, "t": t, "kappa": kappa, "n_replica": n}
@@ -432,10 +400,7 @@ def cmd_regime(cfg):
         rule = ScheduleRule(kind="explicit", table=_table_entries(cfg["L_table"]))
     else:
         rule = ScheduleRule(kind="f-hat", table=_table_entries(cfg["f_table"]))
-    thresholds = RegimeThresholds(
-        band=cfg["band"], fraction=cfg["fraction"], skew_max=cfg["skew_max"],
-        exkurt_max=cfg["exkurt_max"], ks_p_min=cfg["ks_p_min"],
-    )
+    thresholds = RegimeThresholds(**{key: cfg[key] for key in _GATE_KEYS})
     config = RegimeConfig(
         family=cfg.family, rule=rule, t_grid=tuple(cfg["t_grid"]), kappa=cfg["kappa"],
         d=cfg["d"], n_replica=cfg["n_replica"], seed=cfg["seed"],

@@ -230,7 +230,7 @@ def sample_environment(family, dim, radius, seed, baseline_death=0.0):
     leaves the effective potential unchanged.
     """
     if baseline_death < 0:
-        raise ValueError("baseline_death must be >= 0")
+        raise ValueError(f"baseline_death must be >= 0, got {baseline_death}")
     v, hardcore = sample_potentials(family, dim, radius, [seed])
     return Environment(
         family=family,

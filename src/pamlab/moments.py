@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytics import _check_theta
 from .seeding import derive_seed, generator
 from .solver import _log_mean, _replica_site_logs, required_radius
 
@@ -69,7 +70,7 @@ def _replica_bootstrap(family, kappa, t, n_replica, seed, dim, tol, powers, stat
     are refused.
     """
     if n_replica < 50:
-        raise ValueError("need at least 50 replicas")
+        raise ValueError(f"need at least 50 replicas, got n_replica = {n_replica}")
     logs = _replica_log_moments(family, kappa, t, n_replica, seed, dim=dim, tol=tol)
     peak = float(np.max(logs))
     if not math.isfinite(peak):
@@ -103,8 +104,7 @@ def estimate_F_theta(family, theta, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     resample recomputes the pair jointly, so the strong positive
     coupling between them tightens the interval instead of widening it.
     """
-    if not math.isfinite(theta) or theta <= -1 or theta == 0:
-        raise ValueError("theta must be > -1 and nonzero")
+    theta = _check_theta(theta)
 
     def gap(peak, mean_w, mean_wq):
         log_m1 = np.log(mean_w) + peak

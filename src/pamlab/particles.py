@@ -81,7 +81,7 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     _check_walk(kappa, t)
     if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     start = env.flat_index(x)

@@ -30,10 +30,10 @@ from .analytics import (
     intermittency_shape_f1,
     transition_exponents,
 )
-from .environments import exp_quantile_array
+from .environments import _lattice_int, exp_quantile_array
 from .moments import estimate_F_theta
 from .seeding import derive_seed, generator
-from .solver import _log_mean, _replica_site_logs, required_radius
+from .solver import _check_walk, _log_mean, _replica_site_logs, required_radius
 
 _DRAW_CHUNK = 1 << 20
 # Below this many kappa = 0 block sites, n_replica (2L+1)^d, the draws stay
@@ -202,14 +202,12 @@ class RegimeConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
-        if self.n_replica < 100:
-            raise ValueError("need at least 100 replicas")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        _lattice_int("n_replica", self.n_replica, 100)
+        _lattice_int("d", self.d, 1)
         if not self.t_grid:
             raise ValueError("empty t grid")
+        for t in self.t_grid:
+            _check_walk(self.kappa, t)
         if not 0 < self.tol < 1:
             raise ValueError(f"tol must be in (0, 1), got {self.tol:g}")
 
@@ -225,7 +223,7 @@ def _box_size(log_L, max_log_L):
     return max(1, math.ceil(math.exp(log_L) - 1e-9))
 
 
-def schedule_L(rule, t, family=None, d=1, max_log_L=math.log(2_000_000)):
+def schedule_L(rule, t, family, d=1, max_log_L=RegimeConfig.max_log_L):
     """Integer box size L for time t, plus the gamma-equivalent d log L / J.
 
     Raises ScheduleOverflowError rather than building a box beyond the
@@ -240,7 +238,7 @@ def schedule_L(rule, t, family=None, d=1, max_log_L=math.log(2_000_000)):
         L = _box_size(float(rule.lookup(t)) / d, max_log_L)
     try:
         gamma_eq = d * math.log(L) / growth_J(family, d, t) if L > 1 else 0.0
-    except (ValueError, TypeError):
+    except ValueError:
         gamma_eq = math.nan
     return L, gamma_eq
 
@@ -494,7 +492,7 @@ def clt_experiment(config, reference=None):
     fluctuations have collapsed and the verdict is "non-gaussian".
     """
     if config.kappa != 0.0 and reference is None:
-        raise ValueError("clt_experiment needs kappa = 0 or an explicit reference")
+        raise ValueError(f"clt_experiment needs kappa = 0 or an explicit reference, got kappa = {config.kappa:g}")
     # every reference is computed, or refused, before the first draw
     refs = {t: reference if reference is not None else annealed_reference(config.family, t) for t in config.t_grid}
 
@@ -569,7 +567,7 @@ def critical_experiment(config, gamma, delta, theta=0.5):
     """
     exps = transition_exponents(config.family, config.d)
     if not 0.0 < gamma < exps.gamma1:
-        raise ValueError(f"gamma must lie in (0, {exps.gamma1:g}) strictly")
+        raise ValueError(f"gamma must lie in (0, {exps.gamma1:g}) strictly, got {gamma:g}")
     if delta == 0.0:
         raise ValueError("delta must be nonzero")
     a = critical_a(config.family, gamma, config.d)

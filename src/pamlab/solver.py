@@ -68,11 +68,11 @@ class BoxDomain:
         center = tuple(int(c) for c in np.atleast_1d(np.asarray(self.center)))
         object.__setattr__(self, "center", center)
         if len(center) != self.env.dim:
-            raise ValueError("center dimension does not match the environment")
+            raise ValueError(f"box center {center} has {len(center)} coordinates, the environment {self.env.dim}")
         if self.radius < 0:
-            raise ValueError("radius must be >= 0")
+            raise ValueError(f"box radius must be >= 0, got {self.radius}")
         if max(abs(c) for c in center) + self.radius > self.env.radius:
-            raise ValueError("box does not fit inside the sampled window")
+            raise ValueError(f"box of radius {self.radius} at {center} overruns the window of radius {self.env.radius}")
         lo = self.env.radius - self.radius
         cut = (0,) + tuple(slice(lo + c, lo + c + self.side) for c in center)
         v, hard = (a[cut] for a in self.env.stack())

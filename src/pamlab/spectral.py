@@ -220,6 +220,7 @@ class SandwichReport:
 
 def verify_sandwich(env, box, kappa, t):
     """Check e^{t lambda0} <= sum m and max m <= sqrt(|U|) e^{t lambda0}."""
+    _check_walk(kappa, t)  # t too, before the eigenpair that does not read it
     slice_ = principal_eigen(env, box, kappa)
     fld = solve_truncated(env, box, kappa, t)
     lam0 = slice_.lambda0

@@ -240,6 +240,22 @@ def test_G_theta_validation():
     cumulant_exponent_G(WEIBULL2, -0.5, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        # once nan, an OverflowError and a table for d = 1.5
+        (lambda: intermittency_shape_f1(WEIBULL2, math.nan), "theta must be > -1 and nonzero, and finite, got nan"),
+        (lambda: cumulant_exponent_G(WEIBULL2, math.inf, 1.0), "theta must be > -1 and nonzero, and finite, got inf"),
+        (lambda: cumulant_exponent_G(WEIBULL2, -1.0, 1.0), "theta must be > -1 and nonzero, and finite, got -1"),
+        (lambda: transition_exponents(WEIBULL2, 1.5), "d must be an integer >= 1, got 1.5"),
+        (lambda: transition_exponents(WEIBULL2, 0), "d must be an integer >= 1, got 0"),
+    ],
+)
+def test_theta_and_d_refusals_name_the_value(call, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        call()
+
+
 def test_G_small_theta_finite_difference():
     """G_theta approaches t H'(t) - H(t) as theta -> 0.
 

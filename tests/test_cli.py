@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +13,10 @@ import pytest
 
 from helpers import record_fixture
 import pamlab
-from pamlab.cli import COMMANDS, ConfigError, build_config, main
+from pamlab.cli import COMMANDS, SCHEMAS, ConfigError, build_config, main
+from pamlab.moments import estimate_H1
+from pamlab.particles import population_ensemble
+from pamlab.regimes import critical_experiment
 from pamlab.seeding import derive_seed
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "seed_fixture.json")
@@ -44,9 +48,19 @@ def test_build_config_reports_all_errors():
         )
     message = str(err.value)
     assert "rho > 1" in message
-    assert "kappa must be >= 0" in message
-    assert "box_radius must not exceed radius" in message
     assert "unknown key" in message
+    # value ranges are the library's: they pass the schema and are refused, one at a time, when the run starts
+    assert "kappa" not in message and "box" not in message
+
+
+def test_library_reports_one_value_at_a_time(tmp_path, capsys):
+    argv = ["solve", "family=weibull", "rho=2", "kappa=-1", "t=2", "radius=5", "box_radius=9"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: box of radius 9 at (0,) overruns the window of radius 5\n"
+    argv[-1] = "box_radius=5"
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: kappa must be finite and >= 0, got -1.0\n"
+    assert not os.listdir(tmp_path)
 
 
 def test_build_config_rejects_duplicates_and_bad_values():
@@ -366,15 +380,23 @@ def test_regime_critical_exit_reflects_checks(tmp_path):
 
 
 def test_regime_config_errors(tmp_path, capsys):
-    rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "mode=critical"])
+    out = ["--out", str(tmp_path)]
+    rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "mode=critical"] + out)
     assert rc == 2
     err = capsys.readouterr().err
     assert "needs gamma" in err
     assert "needs delta" in err
-    rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "n_replica=50"])
+    rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "n_replica=50"] + out)
     assert rc == 2
-    rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "rule=explicit"])
+    rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "rule=explicit"] + out)
     assert rc == 2
+    for key, message in (
+        ("mode=xyz", "mode must be lln, clt, or critical, got 'xyz'"),
+        ("rule=xyz", "rule must be gamma-j, explicit, or f-hat, got 'xyz'"),
+        ("rule=f-hat", "f-hat rule needs f_table, e.g. f_table=1:2.5,2:4.8"),
+    ):
+        assert main(["regime", "family=weibull", "rho=2", "t_grid=3", "gamma=1", key] + out) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
     # critical mode schedules L by gamma J(t); a table it would ignore is refused
     critical = ["regime", "family=weibull", "rho=2", "mode=critical", "gamma=0.5", "delta=0.1", "t_grid=3",
                 "n_replica=100", "seed=1"]
@@ -422,23 +444,19 @@ def test_schedule_tables_are_refused_before_any_run(tmp_path, capsys, rule, tabl
 
 
 def test_replica_and_clt_refusals_are_config_errors(tmp_path, capsys):
-    with pytest.raises(ConfigError) as err:
-        build_config(
-            "exponents-mc", ["family=weibull", "rho=2", "kappa=0", "t=1", "n_replica=10", "theta=0"]
-        )
-    assert "n_replica >= 50" in str(err.value) and "theta must be > -1 and nonzero" in str(err.value)
-    with pytest.raises(ConfigError, match="theta must be > -1"):
-        build_config("exponents-mc", ["family=weibull", "rho=2", "kappa=0", "t=1", "theta=-1.5"])
-    with pytest.raises(ConfigError, match="clt mode needs kappa = 0"):
-        build_config("regime", ["family=weibull", "rho=2", "t_grid=1", "mode=clt", "gamma=2.5", "kappa=1"])
     base = ["exponents-mc", "family=weibull", "rho=2", "kappa=0", "t=1"]
-    for argv in (
-        base + ["n_replica=10"],
-        base + ["n_replica=100", "theta=0"],
-        ["regime", "family=weibull", "rho=2", "t_grid=1", "mode=clt", "gamma=2.5", "kappa=1"],
+    for argv, refusal in (
+        # the theta estimate runs first, so theta is the one refusal reported
+        (base + ["n_replica=10", "theta=0"], "theta must be > -1 and nonzero, and finite, got 0"),
+        (base + ["theta=-1.5"], "theta must be > -1 and nonzero, and finite, got -1.5"),
+        (base + ["n_replica=10"], "need at least 50 replicas, got n_replica = 10"),
+        (base + ["n_replica=100", "theta=0"], "theta must be > -1 and nonzero, and finite, got 0"),
+        (["regime", "family=weibull", "rho=2", "t_grid=1", "mode=clt", "gamma=2.5", "kappa=1"],
+         "clt_experiment needs kappa = 0 or an explicit reference, got kappa = 1"),
     ):
+        build_config(argv[0], argv[1:])  # the schema accepts them; the library refuses them
         assert main(argv + ["--out", str(tmp_path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: {refusal}" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
     killed = ["exponents-mc", "family=hard_core", "p=0.999", "kappa=1", "t=1", "n_replica=50"]
     assert main(killed + ["--out", str(tmp_path)]) == 2
@@ -481,6 +499,61 @@ def test_library_refusals_are_config_errors(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "config error: " in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+WEIBULL = ["family=weibull", "rho=2"]
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["sample-env", *WEIBULL, "radius=-1"], "radius must be an integer >= 0, got -1"),
+        (["sample-env", *WEIBULL, "radius=3", "dim=0"], "dim must be an integer >= 1, got 0"),
+        (["sample-env", *WEIBULL, "radius=3", "baseline_death=-0.5"], "baseline_death must be >= 0, got -0.5"),
+        (["solve", *WEIBULL, "radius=5", "box_radius=-1", "kappa=1", "t=1"], "box radius must be >= 0, got -1"),
+        (["solve", *WEIBULL, "radius=5", "box_radius=9", "kappa=1", "t=1"],
+         "box of radius 9 at (0,) overruns the window of radius 5"),
+        (["solve", *WEIBULL, "radius=5", "box_radius=3", "kappa=-1", "t=1"], "kappa must be finite and >= 0, got -1"),
+        (["solve", *WEIBULL, "radius=5", "box_radius=3", "kappa=1", "t=-2"], "t must be finite and >= 0, got -2"),
+        (["fk", *WEIBULL, "radius=3", "kappa=1", "t=1", "n_paths=0"], "n_paths must be >= 1, got 0"),
+        (["fk", *WEIBULL, "radius=3", "kappa=1", "t=1", "x=1,2"], "x must have 1 coordinates, got 2"),
+        (["fk", *WEIBULL, "radius=3", "kappa=1", "t=-1"], "t must be finite and >= 0, got -1"),
+        (["particles", *WEIBULL, "radius=3", "kappa=1", "t=1", "n_runs=0"], "n_runs must be >= 1, got 0"),
+        (["particles", *WEIBULL, "radius=3", "kappa=1", "t=1", "cap=0"], "cap must be >= 1, got 0"),
+        # refused before a dense eigendecomposition of 3999 sites
+        (["spectral-check", *WEIBULL, "radius=1999", "kappa=1", "t=-1"], "t must be finite and >= 0, got -1"),
+        (["spectral-check", *WEIBULL, "radius=3", "kappa=-0.5", "t=1"], "kappa must be finite and >= 0, got -0.5"),
+        (["spectral-check", *WEIBULL, "radius=3", "kappa=1", "t=1", "n_instances=0"],
+         "n_instances must be >= 1, got 0"),
+        (["exponents", *WEIBULL, "d=0"], "d must be an integer >= 1, got 0"),
+        (["exponents-mc", *WEIBULL, "kappa=0", "t=1", "dim=0"], "dim must be an integer >= 1, got 0"),
+        (["exponents-mc", *WEIBULL, "kappa=0", "t=1", "tol=0"], "tol must be in (0, 1), got 0"),
+        (["exponents-mc", *WEIBULL, "kappa=1", "t=1", "theta=0"], "theta must be > -1 and nonzero, and finite, got 0"),
+        # refused before any of the 2000 replicas is sampled
+        (["exponents-mc", *WEIBULL, "kappa=0", "t=1", "n_replica=2000", "theta=-3"],
+         "theta must be > -1 and nonzero, and finite, got -3"),
+        (["regime", *WEIBULL, "t_grid=3", "gamma=1", "n_replica=50"], "n_replica must be an integer >= 100, got 50"),
+        (["regime", *WEIBULL, "t_grid=3", "gamma=1", "d=0"], "d must be an integer >= 1, got 0"),
+        (["regime", *WEIBULL, "t_grid=3", "gamma=1", "kappa=-1"], "kappa must be finite and >= 0, got -1"),
+        (["regime", *WEIBULL, "t_grid=3", "gamma=1", "tol=0"], "tol must be in (0, 1), got 0"),
+        (["regime", *WEIBULL, "t_grid=-1", "rule=explicit", "L_table=-1:5"], "t must be finite and >= 0, got -1"),
+    ],
+)
+def test_value_refusals_name_the_value(tmp_path, capsys, argv, value):
+    start = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith(f"config error: {value}")
+    assert not os.listdir(tmp_path)
+
+
+def test_literal_cli_defaults_match_the_library():
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert SCHEMAS["particles"]["cap"][2] == default(population_ensemble, "cap")
+    assert SCHEMAS["exponents-mc"]["tol"][2] == default(estimate_H1, "tol")
+    assert SCHEMAS["regime"]["theta"][2] == default(critical_experiment, "theta")
 
 
 def test_readme_commands_parse():

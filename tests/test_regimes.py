@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -185,6 +186,16 @@ def test_schedule_rule_validation():
         ScheduleRule(kind="f-hat", table=((2.0, 5.0), (1.0, 4.0), (2.0 + 1e-13, 6.0)))
 
 
+def test_schedule_needs_a_family_and_reads_an_undefined_growth_scale_as_nan():
+    rule = ScheduleRule(kind="explicit", table=((1.0, 5),))
+    with pytest.raises(TypeError, match="family"):  # once an AttributeError from growth_J
+        schedule_L(rule, 1.0)
+    # the almost-bounded growth scale J(t) is undefined for t <= e
+    L, gamma_eq = schedule_L(rule, 1.0, TailFamily.squared_double_exp())
+    assert L == 5 and math.isnan(gamma_eq)
+    assert inspect.signature(schedule_L).parameters["max_log_L"].default == RegimeConfig.max_log_L
+
+
 def test_config_validation():
     rule = ScheduleRule(kind="gamma-j", gamma=1.0)
     with pytest.raises(ValueError):
@@ -198,6 +209,24 @@ def test_config_validation():
     for tol in (0.0, 1.0, 7.0):  # refused at kappa = 0 too, which never reaches required_radius
         with pytest.raises(ValueError, match=r"tol must be in \(0, 1\)"):
             RegimeConfig(family=WEIBULL2, rule=rule, t_grid=(1.0,), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "field, value, refusal",
+    [
+        # d = nan once ran an lln verdict with ref_log_mu nan; 1.5 and 150.5 raised a TypeError in the draws
+        ("d", math.nan, "d must be an integer >= 1, got nan"),
+        ("d", 1.5, "d must be an integer >= 1, got 1.5"),
+        ("n_replica", 150.5, "n_replica must be an integer >= 100, got 150.5"),
+        ("n_replica", 50, "n_replica must be an integer >= 100, got 50"),
+        ("kappa", math.nan, "kappa must be finite and >= 0, got nan"),
+        ("t_grid", (1.0, -2.0), "t must be finite and >= 0, got -2.0"),
+    ],
+)
+def test_config_refusals_name_the_value(field, value, refusal):
+    fields = {"family": WEIBULL2, "rule": ScheduleRule(kind="gamma-j", gamma=1.0), "t_grid": (1.0,), field: value}
+    with pytest.raises(ValueError, match=refusal):
+        RegimeConfig(**fields)
 
 
 @pytest.mark.parametrize(
@@ -673,6 +702,14 @@ def test_pool_draws_match_in_process_draws(monkeypatch):
     assert _pool_comparison_runs() == in_process
     assert len(chunks) >= 6 * 2  # six draws (t values), each on two or more chunks
     assert multiprocessing.active_children() == []
+
+
+def test_without_fork_the_draws_stay_in_process(monkeypatch):
+    in_process = _pool_comparison_runs()
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    chunks = _force_pool(monkeypatch)
+    assert _pool_comparison_runs() == in_process
+    assert chunks == []
 
 
 def test_pool_regime_csv_is_byte_identical(monkeypatch, tmp_path):

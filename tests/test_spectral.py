@@ -6,7 +6,7 @@ import pytest
 from helpers import make_env, make_env_1d
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.solver import BoxDomain, SolverError, solve_truncated
-from pamlab.spectral import principal_eigen, verify_sandwich
+from pamlab.spectral import _top_ritz, principal_eigen, verify_sandwich
 
 
 def test_singleton_eigenvalue_is_potential_minus_two_d_kappa():
@@ -185,3 +185,26 @@ def test_bad_kappa_is_refused_before_any_matrix(monkeypatch):
     for kappa in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"kappa must be finite and >= 0, got {kappa}"):
             principal_eigen(env, box, kappa)
+
+
+def test_sandwich_refuses_a_bad_t_before_any_matrix(monkeypatch):
+    # once a dense eigendecomposition of the whole box ran first
+    def no_matrix(self, kappa):
+        raise AssertionError("operator built before the t check")
+
+    monkeypatch.setattr(BoxDomain, "operator_dense", no_matrix)
+    env = sample_environment(TailFamily.weibull(2.0), 1, 6, seed=1)
+    box = BoxDomain(env, (0,), 6)
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=f"t must be finite and >= 0, got {t}"):
+            verify_sandwich(env, box, 1.0, t)
+
+
+def test_top_ritz_counts_copies_once_and_skips_spurious_values():
+    # the top value 2 has two copies, split by rounding; it counts once
+    value, bound, s = _top_ritz([2.0, 0.0, 2.0], [1e-20, 1e-20, 0.5])
+    assert value == pytest.approx(2.0, abs=1e-15)
+    assert bound < 0.5 and s.shape == (3,)
+    # 5 is also an eigenvalue of T without its first row and column: spurious
+    value, _, _ = _top_ritz([0.0, 5.0], [1e-20, 0.1])
+    assert abs(value) < 1e-15
