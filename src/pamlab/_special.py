@@ -1,13 +1,15 @@
 """The few special functions the package needs, in numpy and the standard library.
 
-Each one gives the same floating-point result as the scipy.special
-function of the same name wherever its value reaches an output:
+Each gives scipy.special's bits where its value reaches an output at
+full precision, or is exact:
 
 - logsumexp follows scipy's algorithm for real input step for step;
-- log_factorial is the Cephes lgam (Moshier) at integer arguments;
-- ndtr is 0.5 erfc(-x / sqrt 2) with the Cephes erfc, as scipy has it;
+- log_factorial is the Cephes lgam (Moshier), scipy's gammaln(k + 1);
 - smirnov is the exact one-sided Kolmogorov-Smirnov tail of Birnbaum &
   Tingey (1951), summed at 50 digits and rounded once.
+
+The KS gate's normal CDF reaches its p-value only through the KS
+distance, so regimes takes it from math.erfc.
 """
 
 import math
@@ -77,95 +79,6 @@ def log_factorial(k):
     if x >= 1000.0:
         return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333) / x
     return q + _polevl(p, _LGAM_A) / x
-
-
-# Cephes erfc: rational approximations on [1, 8) (P/Q) and [8, inf) (R/S),
-# and erf on [0, 1] (T/U); the leading 1 of Q, S and U is written out.
-_ERFC_P = (
-    2.46196981473530512524e-10,
-    5.64189564831068821977e-1,
-    7.46321056442269912687e0,
-    4.86371970985681366614e1,
-    1.96520832956077098242e2,
-    5.26445194995477358631e2,
-    9.34528527171957607540e2,
-    1.02755188689515710272e3,
-    5.57535335369399327526e2,
-)
-_ERFC_Q = (
-    1.0,
-    1.32281951154744992508e1,
-    8.67072140885989742329e1,
-    3.54937778887819891062e2,
-    9.75708501743205489753e2,
-    1.82390916687909736289e3,
-    2.24633760818710981792e3,
-    1.65666309194161350182e3,
-    5.57535340817727675546e2,
-)
-_ERFC_R = (
-    5.64189583547755073984e-1,
-    1.27536670759978104416e0,
-    5.01905042251180477414e0,
-    6.16021097993053585195e0,
-    7.40974269950448939160e0,
-    2.97886665372100240670e0,
-)
-_ERFC_S = (
-    1.0,
-    2.26052863220117276590e0,
-    9.39603524938001434673e0,
-    1.20489539808096656605e1,
-    1.70814450747565897222e1,
-    9.60896809063285878198e0,
-    3.36907645100081516050e0,
-)
-_ERF_T = (
-    9.60497373987051638749e0,
-    9.00260197203842689217e1,
-    2.23200534594684319226e3,
-    7.00332514112805075473e3,
-    5.55923013010394962768e4,
-)
-_ERF_U = (
-    1.0,
-    3.35617141647503099647e1,
-    5.21357949780152679795e2,
-    4.59432382970980127987e3,
-    2.26290000613890934246e4,
-    4.92673942608635921086e4,
-)
-_MAXLOG = 7.09782712893383996843e2
-_SQRT1_2 = 0.70710678118654752440
-
-
-def _erfc(a):
-    if math.isnan(a):
-        return a
-    x = abs(a)
-    if x < 1.0:
-        z = a * a
-        return 1.0 - a * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-    z = -a * a
-    if z < -_MAXLOG:
-        return 2.0 if a < 0 else 0.0
-    z = math.exp(z)
-    if x < 8.0:
-        p, q = _polevl(x, _ERFC_P), _polevl(x, _ERFC_Q)
-    else:
-        p, q = _polevl(x, _ERFC_R), _polevl(x, _ERFC_S)
-    y = z * p / q
-    if a < 0:
-        y = 2.0 - y
-    if y == 0.0:
-        return 2.0 if a < 0 else 0.0
-    return y
-
-
-def ndtr(x):
-    """Standard normal CDF 0.5 erfc(-x / sqrt 2), elementwise, as a float array."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.array([0.5 * _erfc(-xi * _SQRT1_2) for xi in x.ravel().tolist()]).reshape(x.shape)
 
 
 def smirnov(n, d):

@@ -243,8 +243,10 @@ def _adaptive_log_integral(g, a, b):
     of its two halves to _PANEL_TOL in log value.  The total log error is
     a convex combination of per-panel log errors (each panel contributes
     proportionally to its mass), so the worst accepted panel bounds it.
+    A split panel pushes each half with its log value, so no panel is
+    evaluated twice.
     """
-    stack = [(a, b, 0)]
+    stack = [(a, b, 0, _panel_log(g, a, b))]
     leaf_logs = []
     worst = 0.0
     while stack:
@@ -252,14 +254,14 @@ def _adaptive_log_integral(g, a, b):
             raise QuadratureError(
                 f"panel budget {_MAX_PANELS} exhausted", achieved=worst
             )
-        pa, pb, depth = stack.pop()
-        whole = _panel_log(g, pa, pb)
+        pa, pb, depth, whole = stack.pop()
         mid = 0.5 * (pa + pb)
         if not pa < mid < pb:
             # too narrow to split: its halves would be a point and itself
             leaf_logs.append(whole)
             continue
-        halves = np.logaddexp(_panel_log(g, pa, mid), _panel_log(g, mid, pb))
+        left, right = _panel_log(g, pa, mid), _panel_log(g, mid, pb)
+        halves = np.logaddexp(left, right)
         if whole == -np.inf and halves == -np.inf:
             err = 0.0
         elif not (np.isfinite(whole) and np.isfinite(halves)):
@@ -270,8 +272,8 @@ def _adaptive_log_integral(g, a, b):
             leaf_logs.append(halves)
             worst = max(worst, 0.0 if err == np.inf else err)
         else:
-            stack.append((pa, mid, depth + 1))
-            stack.append((mid, pb, depth + 1))
+            stack.append((pa, mid, depth + 1, left))
+            stack.append((mid, pb, depth + 1, right))
     total = float(logsumexp(leaf_logs))
     if worst > _LOG_ERROR_LIMIT:
         raise QuadratureError(

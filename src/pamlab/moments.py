@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import _check_theta
+from .environments import _lattice_int
 from .seeding import derive_seed, generator
 from .solver import _log_mean, _replica_site_logs, required_radius
 
@@ -66,11 +67,10 @@ def _replica_bootstrap(family, kappa, t, n_replica, seed, dim, tol, powers, stat
     (m / m_peak)^p, with peak = log m_peak so no power overflows.  Every
     bootstrap resample recomputes all the means jointly, and the interval
     is its 99 percent percentile range, taken in the scale stat returns.
-    Fewer than 50 replicas, and a set in which every replica was killed,
-    are refused.
+    A replica count that is not an integer >= 50, and a set in which
+    every replica was killed, are refused.
     """
-    if n_replica < 50:
-        raise ValueError(f"need at least 50 replicas, got n_replica = {n_replica}")
+    n_replica = _lattice_int("n_replica", n_replica, 50)
     logs = _replica_log_moments(family, kappa, t, n_replica, seed, dim=dim, tol=tol)
     peak = float(np.max(logs))
     if not math.isfinite(peak):
@@ -132,7 +132,7 @@ def correlation_profile(family, kappa, t, lags, n_replica, seed, tol=1e-4):
     """
     lags = np.asarray(lags, dtype=np.int64)
     if np.any(lags < 0):
-        raise ValueError("lags must be >= 0")
+        raise ValueError(f"lags must be >= 0, got {lags.min()}")
     R = required_radius(kappa, t, tol, 1)
     span = int(lags.max(initial=0)) + R
     vals = _replica_site_logs(family, _env_seeds(seed, n_replica), span, np.concatenate([[0], lags]), kappa, t, R)

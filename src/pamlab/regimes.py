@@ -9,9 +9,10 @@ so each run can be placed on the phase diagram.
 
 The CLT gates compute their statistics here rather than through
 scipy.stats: biased sample skewness and excess kurtosis, and a KS
-p-value from the exact Kolmogorov distribution (Durbin's matrix, as
-evaluated by Marsaglia, Tsang & Wang 2003) below n D^2 = 2.2, and
-above it twice the exact one-sided tail of Birnbaum & Tingey (1951).
+p-value against the normal CDF of math.erfc, from the exact Kolmogorov
+distribution (Durbin's matrix, as evaluated by Marsaglia, Tsang & Wang
+2003) below n D^2 = 2.2, and above it twice the exact one-sided tail of
+Birnbaum & Tingey (1951).
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._special import ndtr, smirnov
+from ._special import smirnov
 from .analytics import (
     _cumulant_pair,
     critical_a,
@@ -105,9 +106,9 @@ def _kolmogorov_sf(n, d):
 
 
 def _ks_normal_pvalue(z):
-    """Two-sided KS p-value of the sample z against the standard normal."""
+    """Two-sided KS p-value of the sample z against the normal CDF 0.5 erfc(-x / sqrt 2)."""
     n = len(z)
-    cdf = ndtr(np.sort(z))
+    cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in np.sort(z).tolist()])
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
     return _kolmogorov_sf(n, float(max(d_plus, d_minus)))
@@ -163,8 +164,8 @@ class ScheduleRule:
         if self.kind not in ("explicit", "gamma-j", "f-hat"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "gamma-j":
-            if self.gamma is None or self.gamma < 0:
-                raise ValueError("gamma-j rule needs gamma >= 0")
+            if self.gamma is None or not 0 <= self.gamma < math.inf:
+                raise ValueError(f"gamma-j rule needs a finite gamma >= 0, got {self.gamma}")
         if self.kind in ("explicit", "f-hat") and not self.table:
             raise ValueError(f"{self.kind} rule needs a (t, value) table")
         times = [key for key, _ in self.table]
@@ -568,10 +569,12 @@ def critical_experiment(config, gamma, delta, theta=0.5):
     exps = transition_exponents(config.family, config.d)
     if not 0.0 < gamma < exps.gamma1:
         raise ValueError(f"gamma must lie in (0, {exps.gamma1:g}) strictly, got {gamma:g}")
-    if delta == 0.0:
-        raise ValueError("delta must be nonzero")
+    if delta == 0.0 or not math.isfinite(delta):
+        raise ValueError(f"delta must be finite and nonzero, got {delta:g}")
     a = critical_a(config.family, gamma, config.d)
     kind = config.family.kind
+    if kind in ("double_exp", "sq_double_exp") and a + delta <= 0.0:
+        raise ValueError(f"delta = {delta:g} pushes the normalizer index a(gamma) + delta below zero (a = {a:g})")
     verdicts = []
     for ti, t in enumerate(config.t_grid):
         scale = _critical_scale(
@@ -583,13 +586,9 @@ def critical_experiment(config, gamma, delta, theta=0.5):
         if kind == "weibull":
             log_norm = (a + delta) * cumulant_H(config.family, t)
         elif kind in ("double_exp", "sq_double_exp"):
-            if a + delta <= 0.0:
-                raise ValueError("delta pushes the normalizer index below zero")
             log_norm = cumulant_H(config.family, (a + delta) * t) / (a + delta)
-        elif kind == "frechet":
+        else:  # frechet; critical_a refuses the hard-core family
             log_norm = -(a - delta) * scale
-        else:
-            raise ValueError(f"no critical normalizer for family {kind!r}")
         verdict = CriticalVerdict(
             t=float(t), L=L, gamma=float(gamma), delta=float(delta), a_gamma=a,
             gamma1=exps.gamma1, gamma2=exps.gamma2, n_replica=config.n_replica, log_normalizer=float(log_norm),

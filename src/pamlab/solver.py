@@ -491,8 +491,9 @@ def site_log_moments(stacks, sites, kappa, t, R):
 
     def solve(n):
         v, active = flat_v[:n].reshape((n,) + side), ~flat_hard[:n].reshape((n,) + side)
-        if not np.all(np.isfinite(v[active])):
-            raise SolverError("windows need finite potentials on active sites")
+        live = v[active]
+        if not np.all(np.isfinite(live)):
+            raise SolverError(f"windows need finite potentials on active sites, got {live[~np.isfinite(live)][0]:g}")
         out = np.full(n, -np.inf)
         rows = np.flatnonzero(~flat_hard[:n, n_win // 2])
         if rows.size:
@@ -504,9 +505,11 @@ def site_log_moments(stacks, sites, kappa, t, R):
         if frame is None:
             frame = v.shape[1:]
             if len(frame) != d:
-                raise ValueError("sites must have one coordinate per environment dimension")
+                raise ValueError(
+                    f"sites must have one coordinate per environment dimension, got {d} for dim {len(frame)}"
+                )
             if any(s != frame[0] or s % 2 == 0 for s in frame):
-                raise ValueError("environments must be cubes of odd side")
+                raise ValueError(f"environments must be cubes of odd side, got shape {frame}")
             radius, n_frame = frame[0] // 2, math.prod(frame)
             reach = int(np.abs(sites).max(initial=0)) + R
             if reach > radius:
@@ -517,7 +520,7 @@ def site_log_moments(stacks, sites, kappa, t, R):
         elif v.shape[1:] != frame:
             raise ValueError("environments must share one dim and radius")
         if hard.shape != v.shape:
-            raise ValueError("hardcore mask must have the shape of the potentials")
+            raise ValueError(f"hardcore mask must have the shape of the potentials {v.shape}, got {hard.shape}")
         flat_env_v, flat_env_hard = v.reshape(-1), hard.reshape(-1)
         total, done = len(v) * len(centers), 0
         while done < total:
@@ -568,6 +571,6 @@ def empirical_average(env, L, kappa, t, tol=1e-8):
     """
     L = int(L)
     if L < 0:
-        raise ValueError("L must be >= 0")
+        raise ValueError(f"L must be >= 0, got {L}")
     R = required_radius(kappa, t, tol, env.dim)
     return float(_log_mean(site_log_moments([env.stack()], window_coords(env.dim, L), kappa, t, R))[0])

@@ -195,6 +195,24 @@ def test_H_panel_budget_refusal_names_t_family_and_peak():
             cumulant_H(TailFamily.weibull(1.1), 5.0)
 
 
+def test_H_quadrature_evaluates_each_panel_once(monkeypatch):
+    panels = []
+    panel_log = analytics._panel_log
+
+    def spy(g, a, b):
+        panels.append((a, b))
+        return panel_log(g, a, b)
+
+    monkeypatch.setattr(analytics, "_panel_log", spy)
+    analytics._cumulant_smooth.cache_clear()
+    for fam in CONTINUOUS:
+        for t in (0.01, 1.0, 10.0):
+            panels.clear()
+            cumulant_H(fam, t)
+            assert len(panels) > 1 and len(set(panels)) == len(panels), (fam, t)
+    analytics._cumulant_smooth.cache_clear()
+
+
 def test_H_nondecreasing_for_nonnegative_support():
     # families whose potential is >= 0; the double-exponential family has
     # negative mean potential, so its H dips below 0 first and is excluded

@@ -449,7 +449,7 @@ def test_replica_and_clt_refusals_are_config_errors(tmp_path, capsys):
         # the theta estimate runs first, so theta is the one refusal reported
         (base + ["n_replica=10", "theta=0"], "theta must be > -1 and nonzero, and finite, got 0"),
         (base + ["theta=-1.5"], "theta must be > -1 and nonzero, and finite, got -1.5"),
-        (base + ["n_replica=10"], "need at least 50 replicas, got n_replica = 10"),
+        (base + ["n_replica=10"], "n_replica must be an integer >= 50, got 10"),
         (base + ["n_replica=100", "theta=0"], "theta must be > -1 and nonzero, and finite, got 0"),
         (["regime", "family=weibull", "rho=2", "t_grid=1", "mode=clt", "gamma=2.5", "kappa=1"],
          "clt_experiment needs kappa = 0 or an explicit reference, got kappa = 1"),

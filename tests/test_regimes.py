@@ -184,6 +184,10 @@ def test_schedule_rule_validation():
             ScheduleRule(kind="explicit", table=((1.0, L),))
     with pytest.raises(ValueError, match="names t = 2 twice"):
         ScheduleRule(kind="f-hat", table=((2.0, 5.0), (1.0, 4.0), (2.0 + 1e-13, 6.0)))
+    for gamma in (math.nan, math.inf, -0.5):
+        # nan once passed, and schedule_L failed in numpy's int conversion
+        with pytest.raises(ValueError, match=f"gamma-j rule needs a finite gamma >= 0, got {gamma}"):
+            ScheduleRule(kind="gamma-j", gamma=gamma)
 
 
 def test_schedule_needs_a_family_and_reads_an_undefined_growth_scale_as_nan():
@@ -522,6 +526,25 @@ def test_critical_double_exp_normalizer():
     assert 0.0 <= v.frac_below <= 1.0
     with pytest.raises(ValueError):
         critical_experiment(config, gamma=0.5, delta=-0.4)
+
+
+@pytest.mark.parametrize(
+    "family, delta, refusal",
+    [
+        (WEIBULL2, math.nan, "delta must be finite and nonzero, got nan"),
+        (WEIBULL2, math.inf, "delta must be finite and nonzero, got inf"),
+        (WEIBULL2, -math.inf, "delta must be finite and nonzero, got -inf"),
+        (DEXP1, -0.4, r"delta = -0.4 pushes the normalizer index a\(gamma\) \+ delta below zero"),
+        (TailFamily.squared_double_exp(), -1.0, "delta = -1 pushes the normalizer index"),
+    ],
+)
+def test_critical_delta_refusals_come_before_any_draw(family, delta, refusal):
+    config = RegimeConfig(
+        family=family, rule=ScheduleRule(kind="gamma-j", gamma=0.5), t_grid=(2.0,), n_replica=100, seed=17
+    )
+    with mock.patch.object(regimes, "_block_log_means", side_effect=AssertionError("drew blocks")):
+        with pytest.raises(ValueError, match=refusal):
+            critical_experiment(config, gamma=0.5, delta=delta)
 
 
 def test_critical_frechet_calibrated_scale():

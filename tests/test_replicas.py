@@ -95,7 +95,7 @@ def test_h1_hashes_sites_once_per_stack(monkeypatch):
     [
         (block_variance, (HARD02, 1.0, 1.0, 10, 60, 1), "expects no hard cores"),
         (block_variance, (WEIBULL2, 0.0, 1.0, 3, 1, 1), "n_replica >= 2, got 1"),
-        (estimate_H1, (WEIBULL2, 0.0, 1.0, 10, 1), "at least 50 replicas"),
+        (estimate_H1, (WEIBULL2, 0.0, 1.0, 10, 1), "n_replica must be an integer >= 50, got 10"),
         (estimate_F_theta, (WEIBULL2, math.nan, 0.0, 1.0, 60, 1), "theta must be"),
         (estimate_H1, (WEIBULL2, -1.0, 1.0, 60, 1), "kappa must be finite and >= 0, got -1.0"),
         (estimate_H1, (WEIBULL2, 1.0, math.nan, 60, 1), "t must be finite and >= 0, got nan"),
@@ -103,6 +103,9 @@ def test_h1_hashes_sites_once_per_stack(monkeypatch):
         (correlation_profile, (WEIBULL2, 1.0, -1.0, [1], 60, 1), "t must be finite and >= 0, got -1.0"),
         (block_variance, (WEIBULL2, 0.0, math.nan, 3, 60, 1), "t must be finite and >= 0, got nan"),
         (block_variance, (WEIBULL2, 1.0, 1.0, -1, 60, 1), "L >= 0, got -1"),
+        # once a TypeError from the bootstrap's integer draw
+        (estimate_H1, (WEIBULL2, 0.0, 1.0, 150.5, 1), "n_replica must be an integer >= 50, got 150.5"),
+        (estimate_F_theta, (WEIBULL2, 0.5, 0.0, 1.0, "60", 1), "n_replica must be an integer >= 50, got '60'"),
     ],
 )
 def test_refusals_come_before_any_site_is_hashed(monkeypatch, statistic, args, match):

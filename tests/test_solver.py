@@ -11,6 +11,7 @@ from helpers import make_env, make_env_1d, padded_with_hardcore
 from pamlab import solver
 from pamlab.analytics import rate_I
 from pamlab.environments import TailFamily, sample_environment, window_coords
+from pamlab.moments import correlation_profile
 from pamlab.particles import kill_adjacency
 from pamlab.solver import (
     BoxDomain,
@@ -286,6 +287,36 @@ def test_reader_refuses_bad_kappa_and_t(kappa, t, bad):
     for read in (lambda: solve_untruncated(env, (0,), kappa, t), lambda: empirical_average(env, 1, kappa, t)):
         with pytest.raises(ValueError, match=f"^{bad} must be finite and >= 0, got"):
             read()
+
+
+def _read_windows(v, hard, R=1):
+    """A site_log_moments read at the middle site of one environment (v, hard)."""
+    v = np.asarray(v, dtype=float)
+    return lambda: site_log_moments([(v[None], np.asarray(hard)[None])], [[0] * v.ndim], 1.0, 1.0, R)
+
+
+@pytest.mark.parametrize(
+    "read, refusal",
+    [
+        (lambda: solve_untruncated(make_env_1d(np.zeros(41)), (0, 0), 1.0, 1.0),
+         "sites must have one coordinate per environment dimension, got 2 for dim 1"),
+        (_read_windows(np.zeros(4), np.zeros(4, dtype=bool), R=0), r"cubes of odd side, got shape \(4,\)"),
+        (_read_windows(np.zeros((5, 3)), np.zeros((5, 3), dtype=bool), R=0), r"cubes of odd side, got shape \(5, 3\)"),
+        (_read_windows(np.zeros(5), np.zeros(3, dtype=bool)),
+         r"hardcore mask must have the shape of the potentials \(1, 5\), got \(1, 3\)"),
+        (_read_windows([0.0, 0.0, np.nan, 0.0, 0.0], np.zeros(5, dtype=bool)),
+         "finite potentials on active sites, got nan"),
+        (_read_windows([0.0, np.inf, 0.0], np.zeros(3, dtype=bool)), "finite potentials on active sites, got inf"),
+        (lambda: empirical_average(make_env_1d(np.zeros(41)), -1, 1.0, 1.0), "L must be >= 0, got -1"),
+        (lambda: correlation_profile(TailFamily.weibull(2.0), 1.0, 1.0, [2, -3, -1], 60, 1),
+         "lags must be >= 0, got -3"),
+    ],
+    ids=["site-dim", "even-side", "not-a-cube", "hardcore-shape", "nan-potential", "inf-potential", "negative-L",
+         "negative-lag"],
+)
+def test_reader_refusals_name_their_value(read, refusal):
+    with pytest.raises((ValueError, SolverError), match=refusal):
+        read()
 
 
 def test_untruncated_value_grows_with_radius():

@@ -1,10 +1,12 @@
 """The numpy/standard-library special functions and Lanczos against scipy.
 
-The package loads no scipy; these tests use it as the oracle.  Every
-port must give scipy's bits (the Lanczos eigenvalues agree to 1e-13),
-and smirnov must give the correctly rounded exact Birnbaum-Tingey sum.
+The package loads no scipy; these tests use it as the oracle.  logsumexp
+and log_factorial must give scipy's bits, smirnov the correctly rounded
+exact Birnbaum-Tingey sum, the KS gate's math.erfc normal CDF scipy's
+ndtr to 2.3e-16, and the Lanczos eigenvalue eigsh's to 1e-13.
 """
 
+import ast
 import json
 import math
 import os
@@ -16,9 +18,10 @@ import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
 
-from pamlab._special import log_factorial, logsumexp, ndtr, smirnov
+from pamlab._special import log_factorial, logsumexp, smirnov
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.solver import _POISSON_TAIL, BoxDomain, _grid_pairs, _poisson_degree
+import pamlab.regimes
 import pamlab.spectral
 from pamlab.spectral import principal_eigen
 
@@ -58,14 +61,44 @@ def test_log_factorial_is_scipy_gammaln():
     assert same_bits(got, want)
 
 
-def test_ndtr_matches_scipy_bit_for_bit():
+def test_ks_gate_normal_cdf_is_within_2_3e_16_of_scipy_ndtr(monkeypatch):
     rng = np.random.default_rng(5)
     x = np.concatenate(
         [rng.normal(scale=s, size=20_000) for s in (0.5, 1.0, 3.0, 10.0, 40.0)]
         + [np.linspace(-45.0, 45.0, 20_001), [0.0, -0.0, 1.0, -1.0, -38.5, 38.5, -40.0, np.inf, -np.inf]]
     )
     assert np.count_nonzero(np.abs(x) > 38.0) > 1000
-    assert same_bits(ndtr(x), scipy.special.ndtr(x))
+    phi = np.array([0.5 * math.erfc(-xi / math.sqrt(2.0)) for xi in x.tolist()])
+    assert np.abs(phi - scipy.special.ndtr(x)).max() <= 2.3e-16
+
+    def ks_distance(cdf):
+        n = len(cdf)
+        return max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max())
+
+    # the gate reads that same phi: its KS distance over the grid has the same bits
+    seen = []
+    monkeypatch.setattr(pamlab.regimes, "_kolmogorov_sf", lambda n, d: seen.append(d) or 1.0)
+    pamlab.regimes._ks_normal_pvalue(x)
+    assert seen == [ks_distance(np.sort(phi))]
+    assert abs(seen[0] - ks_distance(scipy.special.ndtr(np.sort(x)))) <= 2.3e-16
+
+
+def test_every_public_port_has_a_caller_in_the_package():
+    package = os.path.join(ROOT, "src", "pamlab")
+    with open(os.path.join(package, "_special.py")) as fh:
+        public = {
+            node.name for node in ast.parse(fh.read()).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        }
+    imported = set()
+    for name in os.listdir(package):
+        if name.endswith(".py") and name != "_special.py":
+            with open(os.path.join(package, name)) as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if isinstance(node, ast.ImportFrom) and node.module in ("_special", "pamlab._special"):
+                        imported.update(alias.name for alias in node.names)
+    assert "logsumexp" in public
+    assert public <= imported, f"ports with no caller: {sorted(public - imported)}"
 
 
 def _degree_by_scipy(lam):
