@@ -311,8 +311,8 @@ def cumulant_H(family, t):
     t = 0); continuous families go through the adaptive quadrature.
     """
     t = float(t)
-    if t < 0:
-        raise ValueError("cumulant_H needs t >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"cumulant_H needs a finite t >= 0, got {t}")
     if family.kind == "hard_core":
         return math.log1p(-family.p)
     if t == 0.0:
@@ -447,8 +447,9 @@ def growth_J(family, d, t):
     empirically.
     """
     t = float(t)
-    if t <= 0:
-        raise ValueError("growth_J needs t > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"growth_J needs a finite t > 0, got {t}")
+    d = _lattice_int("d", d, 1)
     k = family.kind
     if k == "weibull":
         return cumulant_H(family, t)
@@ -502,6 +503,7 @@ def intermittency_shape_f1(family, theta, d=1):
     F_theta values.
     """
     theta = _check_theta(theta)
+    d = _lattice_int("d", d, 1)
     k = family.kind
     u = 1.0 + theta
     if k == "weibull":

@@ -229,8 +229,10 @@ def sample_environment(family, dim, radius, seed, baseline_death=0.0):
     the old sites.  `baseline_death` adds a constant to both rates, which
     leaves the effective potential unchanged.
     """
-    if baseline_death < 0:
+    if not baseline_death >= 0:
         raise ValueError(f"baseline_death must be >= 0, got {baseline_death}")
+    if baseline_death == math.inf:
+        raise ValueError("baseline_death must be finite, got inf")
     v, hardcore = sample_potentials(family, dim, radius, [seed])
     return Environment(
         family=family,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import rate_I
+from .environments import _lattice_int
 from .seeding import derive_seed, generator
 from .solver import BoxDomain, _box_of, _check_walk
 
@@ -93,14 +94,13 @@ def fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
     the module docstring), so runs with the same seed and different
     boxes follow identical walk trajectories.  box is a BoxDomain of env,
     or None for the whole window.  Raises ValueError unless x has env.dim
-    coordinates inside the box, n_paths >= 1, t and kappa are finite and
-    >= 0, and box belongs to env.
+    coordinates inside the box, n_paths is an integer >= 1, t and kappa
+    are finite and >= 0, and box belongs to env.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     if x.shape != (env.dim,):
         raise ValueError(f"x must have {env.dim} coordinates, got {x.size}")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    n_paths = _lattice_int("n_paths", n_paths, 1)
     _check_walk(kappa, t)
     box = BoxDomain(env, (0,) * env.dim, env.radius) if box is None else _box_of(env, box)
     if np.abs(x - box.center).max() > box.radius:
@@ -171,7 +171,12 @@ def exit_tail_mc(kappa, n_paths, seed, radii=(1, 2, 3, 4, 5), times=(0.5, 1.0, 2
     Simulates the 1-d rate-2*kappa walk and compares the Wilson upper
     confidence limit of P(max |X_s| >= R) against
     min(1, 4 exp(-2 kappa t I(R / (2 kappa t)))) on the radius/time grid.
+    kappa and every t must be finite and > 0.
     """
+    for name, value in (("kappa", kappa), *(("t", t) for t in times)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    n_paths = _lattice_int("n_paths", n_paths, 1)
     rows = []
     for ti, t in enumerate(times):
         rng = generator(derive_seed(seed, "exit", ti))

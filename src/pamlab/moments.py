@@ -4,11 +4,11 @@ Everything here averages over independent environment replicas: the
 annealed growth estimate, the intermittency gap at tilt theta, spatial
 correlation profiles, and the variance of a box sum with its
 lag-covariance reconstruction.  Every site moment m(x, t) is read by
-one reader, solver.site_log_moments, from replicas that
-solver._replica_site_logs samples a stack at a time, as many as one
-batched solve of their windows takes.  At kappa = 0 the windows are
-single sites and the reader returns t v(x) exactly, so no statistic
-keeps a kappa = 0 branch of its own.
+one reader, solver.site_log_moments, from stacks of replicas that
+solver._replica_site_logs samples in sizes equal to within one, each
+no larger than one batched solve of their windows takes.  At kappa = 0
+the windows are single sites and the reader returns t v(x) exactly, so
+no statistic keeps a kappa = 0 branch of its own.
 """
 
 import math
@@ -67,10 +67,11 @@ def _replica_bootstrap(family, kappa, t, n_replica, seed, dim, tol, powers, stat
     (m / m_peak)^p, with peak = log m_peak so no power overflows.  Every
     bootstrap resample recomputes all the means jointly, and the interval
     is its 99 percent percentile range, taken in the scale stat returns.
-    A replica count that is not an integer >= 50, and a set in which
-    every replica was killed, are refused.
+    A replica count that is not an integer >= 50, a dim that is not an
+    integer >= 1, and a set in which every replica was killed are refused.
     """
     n_replica = _lattice_int("n_replica", n_replica, 50)
+    dim = _lattice_int("dim", dim, 1)
     logs = _replica_log_moments(family, kappa, t, n_replica, seed, dim=dim, tol=tol)
     peak = float(np.max(logs))
     if not math.isfinite(peak):
@@ -128,11 +129,11 @@ def correlation_profile(family, kappa, t, lags, n_replica, seed, tol=1e-4):
 
     m(x, t) only reads the environment within the truncation radius of
     x, so lags beyond twice that radius compare functions of disjoint
-    site sets and the true correlation is exactly zero.
+    site sets and the true correlation is exactly zero.  Each lag must
+    be an integer >= 0, and n_replica an integer >= 2.
     """
-    lags = np.asarray(lags, dtype=np.int64)
-    if np.any(lags < 0):
-        raise ValueError(f"lags must be >= 0, got {lags.min()}")
+    lags = np.array([_lattice_int("lags", lag, 0) for lag in lags], dtype=np.int64)
+    n_replica = _lattice_int("n_replica", n_replica, 2)
     R = required_radius(kappa, t, tol, 1)
     span = int(lags.max(initial=0)) + R
     vals = _replica_site_logs(family, _env_seeds(seed, n_replica), span, np.concatenate([[0], lags]), kappa, t, R)
@@ -173,13 +174,12 @@ def block_variance(family, kappa, t, L, n_replica, seed, tol=1e-4):
     two sits near 1 whenever L dominates the dependence radius.  Both
     variances are in units of e^log_scale, log_scale = 2 log m_peak with
     m_peak the largest m(x, t) over the replicas, so no m overflows.
-    Fewer than two replicas, L < 0 and hard cores are refused before
-    any replica is sampled.
+    A replica count that is not an integer >= 2, an L that is not an
+    integer >= 0, and hard cores are refused before any replica is
+    sampled.
     """
-    if n_replica < 2:
-        raise ValueError(f"block variance needs n_replica >= 2, got {n_replica}")
-    if L < 0:
-        raise ValueError(f"block variance needs L >= 0, got {L}")
+    n_replica = _lattice_int("n_replica", n_replica, 2)
+    L = _lattice_int("L", L, 0)
     if family.has_hardcore_atom:
         raise ValueError("block variance path expects no hard cores")
     R = required_radius(kappa, t, tol, 1)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .environments import _lattice_int
 from .seeding import derive_seed, generator
 from .solver import BoxDomain, _check_walk
 
@@ -80,10 +81,8 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     _check_walk(kappa, t)
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    n_runs = _lattice_int("n_runs", n_runs, 1)
+    cap = _lattice_int("cap", cap, 1)
     start = env.flat_index(x)
     final, branch, death, kill = (np.zeros(n_runs, dtype=np.int64) for _ in range(4))
     trunc = np.zeros(n_runs, dtype=bool)

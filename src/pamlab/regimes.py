@@ -341,7 +341,7 @@ def _block_log_means_exact(config, t, L, label):
 
 
 def _block_log_means_solver(config, t, L, label):
-    """log m^L per replica for kappa > 0: every replica's box sites in one site_log_moments call."""
+    """log m^L per replica for kappa > 0: every replica's box sites read by _replica_site_logs."""
     if config.d != 1:
         raise ValueError("kappa > 0 regime runs support d = 1 only")
     if t > 3.0:

@@ -9,9 +9,9 @@ Every kappa > 0 solve goes through one kernel, _solve_stack, on a stack
 of d-dimensional boxes given as a (B, S, ..., S) array of potentials
 plus its hard-core mask: a single box is a stack of one that reads every
 site, and site_log_moments, the one reader of site moments at given
-sites, cuts windows from stacks of environments' potentials into
-stacks of at most _STACK_SITES sites that read their centers.  Each
-box is summed by uniformization, or by a batched dense
+sites, cuts the windows of one stack of environments into stacks of at
+most _STACK_SITES sites, equal to within one window, that read their
+centers.  Each box is summed by uniformization, or by a batched dense
 eigendecomposition where one fitted cost rule (_dense_route) says that
 is cheaper.
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from ._special import log_factorial, logsumexp
 from .analytics import rate_I
-from .environments import sample_potentials, window_coords
+from .environments import _lattice_int, sample_potentials, window_coords
 
 # Per-site |error in log m| that a dense solve must keep; see _dense_fields.
 _SITE_LOG_TOL = 1e-8
@@ -69,8 +69,7 @@ class BoxDomain:
         object.__setattr__(self, "center", center)
         if len(center) != self.env.dim:
             raise ValueError(f"box center {center} has {len(center)} coordinates, the environment {self.env.dim}")
-        if self.radius < 0:
-            raise ValueError(f"box radius must be >= 0, got {self.radius}")
+        object.__setattr__(self, "radius", _lattice_int("box radius", self.radius, 0))
         if max(abs(c) for c in center) + self.radius > self.env.radius:
             raise ValueError(f"box of radius {self.radius} at {center} overruns the window of radius {self.env.radius}")
         lo = self.env.radius - self.radius
@@ -230,11 +229,13 @@ def required_radius(kappa, t, tol, d=1):
     below (kappa t)^(3/2).  The bound is increasing in R, so R is found
     by bisection.  A radius over _MAX_RADIUS raises SolverError; a kappa
     or t that is not finite and >= 0, or a tol outside (0, 1), raises
-    ValueError, even where kappa t = 0 needs no radius.
+    ValueError, as does a d that is not an integer >= 1, even where
+    kappa t = 0 needs no radius.
     """
     _check_walk(kappa, t)
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol:g}")
+    d = _lattice_int("d", d, 1)
     kt = float(kappa) * float(t)
     if kt == 0.0:
         return 0
@@ -263,7 +264,7 @@ def solve_untruncated(env, x, kappa, t, tol=1e-8):
     window is the one site x and the answer t v(x) is exact.
     """
     R = required_radius(kappa, t, tol, env.dim)
-    return float(site_log_moments([env.stack()], [x], kappa, t, R)[0, 0]), R
+    return float(site_log_moments(*env.stack(), [x], kappa, t, R)[0, 0]), R
 
 
 def windows_per_call(n_sites):
@@ -465,97 +466,80 @@ def _solve_stack(v, active, kappa, t, every_site):
     return vals, off, np.where(dense, 0, degree), dense
 
 
-def site_log_moments(stacks, sites, kappa, t, R):
-    """(n_env, n_sites) array of log m(x, t) at fixed lattice sites of each environment.
+def _equal_parts(total, most):
+    """(lo, hi) of ceil(total / most) consecutive parts of range(total), sizes differing by at most one."""
+    k = max(1, -(-total // most))
+    return [(i * total // k, (i + 1) * total // k) for i in range(k)]
 
-    stacks yields (v, hardcore) pairs of shape (n, S, ..., S): the
-    potentials and hard-core masks of n environments on one window
-    [-radius, radius]^d, S = 2 radius + 1, shared by every pair; rows
-    follow one another as environments.  sites holds integer
-    coordinates, one row per site (a 1-d array is taken as 1-d sites).
-    Each value comes from the site's Dirichlet window of radius R, hard
-    cores masked, and is -inf where the site is a hard core.  The
-    (env, site) windows, in env-major order, fill a buffer of
-    windows_per_call windows, and each buffer but its hard-core centered
-    windows is one _solve_stack call; stacks is consumed lazily, so at
-    most one pair and one buffer are held.  At kappa = 0, R = 0 and a
-    window is its site, whose value is t v(x) exactly.
+
+def site_log_moments(v, hard, sites, kappa, t, R):
+    """(n, n_sites) array of log m(x, t) at fixed lattice sites of each of n environments.
+
+    v and hard, the potentials and hard-core masks, are one (n, S, ..., S)
+    stack on the window [-radius, radius]^d: env.stack(), or a stack of
+    sample_potentials.  sites holds integer coordinates, one row per
+    site (a 1-d array is taken as 1-d sites).  Each value comes from the
+    site's Dirichlet window of radius R, hard cores masked, and is -inf
+    where the site is a hard core.  The (env, site) windows, in env-major
+    order, are cut into ceil(total / windows_per_call) buffers whose
+    sizes differ by at most one, and each buffer but its hard-core
+    centered windows is one _solve_stack call.  At kappa = 0, R = 0 and
+    a window is its site, whose value is t v(x) exactly.
     """
     sites = np.asarray(sites, dtype=np.int64).reshape(len(sites), -1)
-    d = sites.shape[1]
+    frame, d = v.shape[1:], sites.shape[1]
+    if len(frame) != d:
+        raise ValueError(f"sites must have one coordinate per environment dimension, got {d} for dim {len(frame)}")
+    if any(s != frame[0] or s % 2 == 0 for s in frame):
+        raise ValueError(f"environments must be cubes of odd side, got shape {frame}")
+    if hard.shape != v.shape:
+        raise ValueError(f"hardcore mask must have the shape of the potentials {v.shape}, got {hard.shape}")
+    radius, n_frame = frame[0] // 2, math.prod(frame)
+    reach = int(np.abs(sites).max(initial=0)) + R
+    if reach > radius:
+        raise SolverError(f"window radius {radius} too small: need {reach} for windows of radius {R}")
+    centers = np.ravel_multi_index(tuple((sites + radius).T), frame)
+    # flat offsets of a window's sites from its center, which is the frame's middle site
+    offsets = np.ravel_multi_index(tuple((window_coords(d, R) + radius).T), frame) - n_frame // 2
     side = (2 * R + 1,) * d
     n_win = math.prod(side)
-    step = windows_per_call(n_win)
-    flat_v, flat_hard = np.empty((step, n_win)), np.empty((step, n_win), dtype=bool)
-    logs, filled, frame = [], 0, None
-
-    def solve(n):
-        v, active = flat_v[:n].reshape((n,) + side), ~flat_hard[:n].reshape((n,) + side)
-        live = v[active]
+    total = len(v) * len(centers)
+    parts = _equal_parts(total, windows_per_call(n_win))
+    size = max(hi - lo for lo, hi in parts)
+    flat_v, flat_hard, out = np.empty((size, n_win)), np.empty((size, n_win), dtype=bool), np.full(total, -np.inf)
+    for lo, hi in parts:
+        n = hi - lo
+        row, j = np.divmod(np.arange(lo, hi), len(centers))
+        at = (row * n_frame + centers[j])[:, None] + offsets
+        v.take(at, out=flat_v[:n], mode="clip")
+        hard.take(at, out=flat_hard[:n], mode="clip")
+        win_v, active = flat_v[:n].reshape((n,) + side), ~flat_hard[:n].reshape((n,) + side)
+        live = win_v[active]
         if not np.all(np.isfinite(live)):
             raise SolverError(f"windows need finite potentials on active sites, got {live[~np.isfinite(live)][0]:g}")
-        out = np.full(n, -np.inf)
         rows = np.flatnonzero(~flat_hard[:n, n_win // 2])
         if rows.size:
-            vals, off, _, _ = _solve_stack(v[rows], active[rows], kappa, t, every_site=False)
-            out[rows] = np.log(vals[:, 0]) + off
-        logs.append(out)
-
-    for v, hard in stacks:
-        if frame is None:
-            frame = v.shape[1:]
-            if len(frame) != d:
-                raise ValueError(
-                    f"sites must have one coordinate per environment dimension, got {d} for dim {len(frame)}"
-                )
-            if any(s != frame[0] or s % 2 == 0 for s in frame):
-                raise ValueError(f"environments must be cubes of odd side, got shape {frame}")
-            radius, n_frame = frame[0] // 2, math.prod(frame)
-            reach = int(np.abs(sites).max(initial=0)) + R
-            if reach > radius:
-                raise SolverError(f"window radius {radius} too small: need {reach} for windows of radius {R}")
-            centers = np.ravel_multi_index(tuple((sites + radius).T), frame)
-            # flat offsets of a window's sites from its center, which is the frame's middle site
-            offsets = np.ravel_multi_index(tuple((window_coords(d, R) + radius).T), frame) - n_frame // 2
-        elif v.shape[1:] != frame:
-            raise ValueError("environments must share one dim and radius")
-        if hard.shape != v.shape:
-            raise ValueError(f"hardcore mask must have the shape of the potentials {v.shape}, got {hard.shape}")
-        flat_env_v, flat_env_hard = v.reshape(-1), hard.reshape(-1)
-        total, done = len(v) * len(centers), 0
-        while done < total:
-            n = min(total - done, step - filled)
-            row, j = np.divmod(np.arange(done, done + n), len(centers))
-            at = (row * n_frame + centers[j])[:, None] + offsets
-            flat_env_v.take(at, out=flat_v[filled : filled + n], mode="clip")
-            flat_env_hard.take(at, out=flat_hard[filled : filled + n], mode="clip")
-            done, filled = done + n, filled + n
-            if filled == step:
-                solve(step)
-                filled = 0
-    if filled:
-        solve(filled)
-    return np.concatenate(logs or [np.empty(0)]).reshape(-1, len(sites))
+            vals, off, _, _ = _solve_stack(win_v[rows], active[rows], kappa, t, every_site=False)
+            out[lo + rows] = np.log(vals[:, 0]) + off
+    return out.reshape(len(v), len(sites))
 
 
 def _replica_site_logs(family, seeds, radius, sites, kappa, t, R):
     """site_log_moments at `sites` of the replicas of `seeds`, sampled on [-radius, radius]^d.
 
-    Replicas are sampled a stack at a time: as many as one batched solve
-    of their windows of radius R takes, and no more sites than such a
-    stack, so at most one stack of replicas and one of windows are held.
+    Replicas are sampled in stacks of sizes equal to within one, each at
+    most as many as one batched solve of their windows of radius R takes,
+    with no more sites than such a solve; each is one site_log_moments call.
     """
     sites = np.asarray(sites, dtype=np.int64).reshape(len(sites), -1)
     dim = sites.shape[1]
     shape = (2 * radius + 1,) * dim
     per_stack = max(1, min(windows_per_call((2 * R + 1) ** dim) // len(sites), windows_per_call(math.prod(shape))))
-
-    def stacks():
-        for s in range(0, len(seeds), per_stack):
-            v, hardcore = sample_potentials(family, dim, radius, seeds[s : s + per_stack])
-            yield v.reshape((-1,) + shape), hardcore.reshape((-1,) + shape)
-
-    return site_log_moments(stacks(), sites, kappa, t, R)
+    logs = []
+    for lo, hi in _equal_parts(len(seeds), per_stack):
+        v, hardcore = sample_potentials(family, dim, radius, seeds[lo:hi])
+        logs.append(site_log_moments(v.reshape((-1,) + shape), hardcore.reshape((-1,) + shape), sites, kappa, t, R))
+    return np.concatenate(logs)
 
 
 def _log_mean(logs):
@@ -569,8 +553,6 @@ def empirical_average(env, L, kappa, t, tol=1e-8):
     Hard-core sites contribute zero.  Every site of the box is read by
     site_log_moments, with windows of radius required_radius.
     """
-    L = int(L)
-    if L < 0:
-        raise ValueError(f"L must be >= 0, got {L}")
+    L = _lattice_int("L", L, 0)
     R = required_radius(kappa, t, tol, env.dim)
-    return float(_log_mean(site_log_moments([env.stack()], window_coords(env.dim, L), kappa, t, R))[0])
+    return float(_log_mean(site_log_moments(*env.stack(), window_coords(env.dim, L), kappa, t, R))[0])

@@ -8,6 +8,7 @@ red line documents what was actually observed.
 
 import itertools
 import math
+import os
 import time
 
 import numpy as np
@@ -16,6 +17,7 @@ import scipy.linalg
 import scipy.optimize
 
 from helpers import make_env_1d
+from pamlab import regimes
 from pamlab.analytics import (
     critical_a,
     cumulant_H,
@@ -345,18 +347,23 @@ def test_criterion_09b_critical_sharpness():
 
 
 def test_criterion_10_thread_determinism(tmp_path, monkeypatch):
+    """Outputs do not depend on the worker count.
+
+    The particle engine runs in one process, so its half is a rerun
+    check.  The regime half draws its kappa = 0 blocks once in process
+    and once on the fork pool (regimes._POOL_MIN_SITES patched to 0),
+    which needs two or more CPUs.
+    """
     argv = [
         "particles", "family=weibull", "rho=2", "radius=4", "kappa=1",
         "t=1", "n_runs=300", "seed=12",
     ]
-    monkeypatch.setenv("PAMLAB_THREADS", "1")
     rc1 = cli_main(argv + ["--out", str(tmp_path / "one")])
-    monkeypatch.setenv("PAMLAB_THREADS", "4")
-    rc2 = cli_main(argv + ["--out", str(tmp_path / "four")])
+    rc2 = cli_main(argv + ["--out", str(tmp_path / "two")])
     assert rc1 == 0 and rc2 == 0
     with open(tmp_path / "one" / "particles.csv", "rb") as fh:
         first = fh.read()
-    with open(tmp_path / "four" / "particles.csv", "rb") as fh:
+    with open(tmp_path / "two" / "particles.csv", "rb") as fh:
         second = fh.read()
     assert first == second
 
@@ -364,14 +371,15 @@ def test_criterion_10_thread_determinism(tmp_path, monkeypatch):
         "regime", "family=weibull", "rho=2", "t_grid=2,3", "mode=lln",
         "rule=gamma-j", "gamma=1.2", "n_replica=150", "seed=77",
     ]
-    monkeypatch.setenv("PAMLAB_THREADS", "2")
-    rc3 = cli_main(argv + ["--out", str(tmp_path / "ra")])
-    monkeypatch.setenv("PAMLAB_THREADS", "8")
-    rc4 = cli_main(argv + ["--out", str(tmp_path / "rb")])
+    rc3 = cli_main(argv + ["--out", str(tmp_path / "in_process")])
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the draw pool needs two or more CPUs")
+    monkeypatch.setattr(regimes, "_POOL_MIN_SITES", 0)
+    rc4 = cli_main(argv + ["--out", str(tmp_path / "pool")])
     assert {rc3, rc4} <= {0, 1}
-    with open(tmp_path / "ra" / "regime.csv", "rb") as fh:
+    with open(tmp_path / "in_process" / "regime.csv", "rb") as fh:
         third = fh.read()
-    with open(tmp_path / "rb" / "regime.csv", "rb") as fh:
+    with open(tmp_path / "pool" / "regime.csv", "rb") as fh:
         fourth = fh.read()
     assert third == fourth
     assert rc3 == rc4

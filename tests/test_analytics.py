@@ -7,6 +7,7 @@ for the double-exponential family, and saddle-point asymptotics.
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -26,7 +27,10 @@ from pamlab.analytics import (
     rate_I,
     transition_exponents,
 )
-from pamlab.environments import TailFamily
+from pamlab.environments import TailFamily, sample_environment
+from pamlab.feynman_kac import exit_tail_mc
+from pamlab.regimes import annealed_reference
+from pamlab.solver import required_radius
 
 WEIBULL2 = TailFamily.weibull(2.0)
 DEXP1 = TailFamily.double_exp(1.0)
@@ -271,6 +275,34 @@ def test_G_theta_validation():
 )
 def test_theta_and_d_refusals_name_the_value(call, refusal):
     with pytest.raises(ValueError, match=refusal):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        # once a NaN inside the root finder, an OverflowError, all-NaN rates,
+        # a radius for d = 0 or 1.5, a ZeroDivisionError and numpy's "lam < 0"
+        (lambda: cumulant_H(WEIBULL2, math.nan), "cumulant_H needs a finite t >= 0, got nan"),
+        (lambda: cumulant_H(WEIBULL2, math.inf), "cumulant_H needs a finite t >= 0, got inf"),
+        (lambda: growth_J(WEIBULL2, 1, math.nan), "growth_J needs a finite t > 0, got nan"),
+        (lambda: growth_J(DEXP1, 1, math.inf), "growth_J needs a finite t > 0, got inf"),
+        (lambda: annealed_reference(WEIBULL2, math.nan), "cumulant_H needs a finite t >= 0, got nan"),
+        (lambda: sample_environment(WEIBULL2, 1, 3, 1, baseline_death=math.nan),
+         "baseline_death must be >= 0, got nan"),
+        (lambda: sample_environment(WEIBULL2, 1, 3, 1, baseline_death=math.inf),
+         "baseline_death must be finite, got inf"),
+        (lambda: required_radius(1.0, 1.0, 1e-6, d=0), "d must be an integer >= 1, got 0"),
+        (lambda: required_radius(1.0, 1.0, 1e-6, d=1.5), "d must be an integer >= 1, got 1.5"),
+        (lambda: growth_J(FRECHET1, 1.5, 3.0), "d must be an integer >= 1, got 1.5"),
+        (lambda: intermittency_shape_f1(FRECHET1, 0.5, 1.5), "d must be an integer >= 1, got 1.5"),
+        (lambda: exit_tail_mc(0.0, 100, 1), "kappa must be finite and > 0, got 0.0"),
+        (lambda: exit_tail_mc(-1.0, 100, 1), "kappa must be finite and > 0, got -1.0"),
+        (lambda: exit_tail_mc(1.0, 100, 1, times=(1.0, 0.0)), "t must be finite and > 0, got 0.0"),
+    ],
+)
+def test_non_finite_reals_and_non_lattice_d_are_refused_by_value(call, refusal):
+    with pytest.raises(ValueError, match=re.escape(refusal)):
         call()
 
 

@@ -510,16 +510,17 @@ WEIBULL = ["family=weibull", "rho=2"]
         (["sample-env", *WEIBULL, "radius=-1"], "radius must be an integer >= 0, got -1"),
         (["sample-env", *WEIBULL, "radius=3", "dim=0"], "dim must be an integer >= 1, got 0"),
         (["sample-env", *WEIBULL, "radius=3", "baseline_death=-0.5"], "baseline_death must be >= 0, got -0.5"),
-        (["solve", *WEIBULL, "radius=5", "box_radius=-1", "kappa=1", "t=1"], "box radius must be >= 0, got -1"),
+        (["solve", *WEIBULL, "radius=5", "box_radius=-1", "kappa=1", "t=1"],
+         "box radius must be an integer >= 0, got -1"),
         (["solve", *WEIBULL, "radius=5", "box_radius=9", "kappa=1", "t=1"],
          "box of radius 9 at (0,) overruns the window of radius 5"),
         (["solve", *WEIBULL, "radius=5", "box_radius=3", "kappa=-1", "t=1"], "kappa must be finite and >= 0, got -1"),
         (["solve", *WEIBULL, "radius=5", "box_radius=3", "kappa=1", "t=-2"], "t must be finite and >= 0, got -2"),
-        (["fk", *WEIBULL, "radius=3", "kappa=1", "t=1", "n_paths=0"], "n_paths must be >= 1, got 0"),
+        (["fk", *WEIBULL, "radius=3", "kappa=1", "t=1", "n_paths=0"], "n_paths must be an integer >= 1, got 0"),
         (["fk", *WEIBULL, "radius=3", "kappa=1", "t=1", "x=1,2"], "x must have 1 coordinates, got 2"),
         (["fk", *WEIBULL, "radius=3", "kappa=1", "t=-1"], "t must be finite and >= 0, got -1"),
-        (["particles", *WEIBULL, "radius=3", "kappa=1", "t=1", "n_runs=0"], "n_runs must be >= 1, got 0"),
-        (["particles", *WEIBULL, "radius=3", "kappa=1", "t=1", "cap=0"], "cap must be >= 1, got 0"),
+        (["particles", *WEIBULL, "radius=3", "kappa=1", "t=1", "n_runs=0"], "n_runs must be an integer >= 1, got 0"),
+        (["particles", *WEIBULL, "radius=3", "kappa=1", "t=1", "cap=0"], "cap must be an integer >= 1, got 0"),
         # refused before a dense eigendecomposition of 3999 sites
         (["spectral-check", *WEIBULL, "radius=1999", "kappa=1", "t=-1"], "t must be finite and >= 0, got -1"),
         (["spectral-check", *WEIBULL, "radius=3", "kappa=-0.5", "t=1"], "kappa must be finite and >= 0, got -0.5"),

@@ -15,7 +15,11 @@ from pamlab.environments import (
     window_coords,
     with_branch_cap,
 )
+from pamlab.feynman_kac import fk_estimate
+from pamlab.moments import block_variance, correlation_profile, estimate_H1
+from pamlab.particles import population_ensemble
 from pamlab.seeding import derive_seed, generator, site_uniforms
+from pamlab.solver import BoxDomain, empirical_average
 
 ALL_FAMILIES = [
     TailFamily.weibull(2.0),
@@ -260,3 +264,38 @@ def test_window_coords_shape():
     # C order: last axis fastest
     np.testing.assert_array_equal(c[0], [-2, -2, -2])
     np.testing.assert_array_equal(c[1], [-2, -2, -1])
+
+
+def _env():
+    return sample_environment(TailFamily.weibull(2.0), 1, 5, 1)
+
+
+@pytest.mark.parametrize(
+    "call, refusal",
+    [
+        # once read as L = 2, r = [0, 0], "all replicas were killed", a
+        # TypeError, a message about radius 15.5 and numpy's concatenate error
+        (lambda: empirical_average(_env(), 2.5, 1.0, 1.0), "L must be an integer >= 0, got 2.5"),
+        (lambda: correlation_profile(TailFamily.weibull(2.0), 1.0, 1.0, [1, 5], 1, 1),
+         "n_replica must be an integer >= 2, got 1"),
+        (lambda: correlation_profile(TailFamily.weibull(2.0), 1.0, 1.0, [1, 5], 0, 1),
+         "n_replica must be an integer >= 2, got 0"),
+        (lambda: correlation_profile(TailFamily.weibull(2.0), 1.0, 1.0, [1, 5], 2.5, 1),
+         "n_replica must be an integer >= 2, got 2.5"),
+        (lambda: correlation_profile(TailFamily.weibull(2.0), 1.0, 1.0, [[1, 5]], 60, 1),
+         "lags must be an integer >= 0, got [1, 5]"),
+        (lambda: correlation_profile(TailFamily.weibull(2.0), 1.0, 1.0, [1, 2.5], 60, 1),
+         "lags must be an integer >= 0, got 2.5"),
+        (lambda: block_variance(TailFamily.weibull(2.0), 1.0, 1.0, 3, 2.5, 1),
+         "n_replica must be an integer >= 2, got 2.5"),
+        (lambda: block_variance(TailFamily.weibull(2.0), 1.0, 1.0, 2.5, 60, 1), "L must be an integer >= 0, got 2.5"),
+        (lambda: fk_estimate(_env(), (0,), 1.0, 1.0, 2.5, 1), "n_paths must be an integer >= 1, got 2.5"),
+        (lambda: population_ensemble(_env(), (0,), 1.0, 1.0, 2.5, 1), "n_runs must be an integer >= 1, got 2.5"),
+        (lambda: population_ensemble(_env(), (0,), 1.0, 1.0, 2, 1, cap=0.5), "cap must be an integer >= 1, got 0.5"),
+        (lambda: BoxDomain(_env(), (0,), 2.5), "box radius must be an integer >= 0, got 2.5"),
+        (lambda: estimate_H1(TailFamily.weibull(2.0), 1.0, 1.0, 60, 1, dim=1.5), "dim must be an integer >= 1, got 1.5"),
+    ],
+)
+def test_counts_and_sizes_must_be_lattice_integers(call, refusal):
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        call()

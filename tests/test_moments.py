@@ -156,23 +156,25 @@ def _profile_fields(prof):
 
 
 @pytest.mark.parametrize(
-    "statistic, args, n_full, n_last, fields",
+    "statistic, args, buffers, fields",
     [
         pytest.param(
-            block_variance, (TailFamily.weibull(2.0), 1.0, 1.0, 20, 60, 5), 61, 20, lambda rep: rep,
+            block_variance, (TailFamily.weibull(2.0), 1.0, 1.0, 20, 60, 5), [20, 21] * 60, lambda rep: rep,
             id="block_variance",
         ),
         pytest.param(
-            correlation_profile, (TailFamily.weibull(2.0), 1.0, 1.0, [1, 5, 40], 55, 5), 5, 20, _profile_fields,
-            id="correlation_profile",
+            correlation_profile, (TailFamily.weibull(2.0), 1.0, 1.0, [1, 5, 40], 55, 5), [36] * 5 + [40],
+            _profile_fields, id="correlation_profile",
         ),
     ],
 )
-def test_replica_statistics_split_stacks_match_one_stack(monkeypatch, statistic, args, n_full, n_last, fields):
-    # 60 replicas x 41 sites (55 replicas x 4 sites) fit one stack; patched,
-    # a stack holds 40 windows and splits replicas.  Far fewer windows per
-    # stack would move these 27-site boxes to the dense route, which agrees
-    # only to its 1e-8 bound.
+def test_replica_statistics_split_stacks_match_one_stack(monkeypatch, statistic, args, buffers, fields):
+    # 60 replicas x 41 sites (55 replicas x 4 sites) fit one stack.
+    # Patched, a buffer holds at most 40 windows: block_variance samples one
+    # replica per stack, read in two buffers of 20 and 21 windows, and
+    # correlation_profile six stacks of 9, 9, 9, 9, 9 and 10 replicas, one
+    # buffer each.  Far fewer windows per buffer would move these 27-site
+    # boxes to the dense route, which agrees only to its 1e-8 bound.
     whole = statistic(*args)
     width = 2 * whole.dependence_radius + 1
     sizes = []
@@ -185,7 +187,7 @@ def test_replica_statistics_split_stacks_match_one_stack(monkeypatch, statistic,
     monkeypatch.setattr(solver, "_STACK_SITES", 40 * width)
     monkeypatch.setattr(solver, "_solve_stack", spy)
     assert fields(statistic(*args)) == fields(whole)
-    assert sizes == [(40, width)] * n_full + [(n_last, width)]
+    assert sizes == [(n, width) for n in buffers]
 
 
 def test_block_variance_refuses_hard_cores_before_sampling(monkeypatch):
@@ -202,7 +204,7 @@ def test_block_variance_refuses_one_replica_before_sampling(monkeypatch):
         raise AssertionError("sampled an environment")
 
     monkeypatch.setattr(environments, "site_uniforms", no_sampling)
-    with pytest.raises(ValueError, match="n_replica >= 2, got 1"):
+    with pytest.raises(ValueError, match="n_replica must be an integer >= 2, got 1"):
         block_variance(TailFamily.weibull(2.0), 0.0, 1.0, L=3, n_replica=1, seed=1)
 
 

@@ -167,7 +167,7 @@ def test_cap_below_one_rejected():
     # cap = 0 once flagged every run truncated with count 1
     env = make_env_1d(np.zeros(3))
     for cap in (0, -5):
-        with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+        with pytest.raises(ValueError, match=f"cap must be an integer >= 1, got {cap}"):
             population_ensemble(env, (0,), 1.0, 1.0, n_runs=2, seed=1, cap=cap)
 
 

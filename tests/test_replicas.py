@@ -90,11 +90,21 @@ def test_h1_hashes_sites_once_per_stack(monkeypatch):
     assert sum(calls) == n_replica
 
 
+def test_replica_log_moment_does_not_depend_on_the_replica_count():
+    # at one replica past a full stack, the last replica once sat alone in
+    # the final buffer, where the cost rule sent its window to dense eigh
+    R = solver.required_radius(1.0, 1.0, 1e-6, 1)
+    n = solver.windows_per_call(2 * R + 1) + 1
+    np.testing.assert_array_equal(
+        _replica_log_moments(WEIBULL2, 1.0, 1.0, n, 7), _replica_log_moments(WEIBULL2, 1.0, 1.0, 2 * n, 7)[:n]
+    )
+
+
 @pytest.mark.parametrize(
     "statistic, args, match",
     [
         (block_variance, (HARD02, 1.0, 1.0, 10, 60, 1), "expects no hard cores"),
-        (block_variance, (WEIBULL2, 0.0, 1.0, 3, 1, 1), "n_replica >= 2, got 1"),
+        (block_variance, (WEIBULL2, 0.0, 1.0, 3, 1, 1), "n_replica must be an integer >= 2, got 1"),
         (estimate_H1, (WEIBULL2, 0.0, 1.0, 10, 1), "n_replica must be an integer >= 50, got 10"),
         (estimate_F_theta, (WEIBULL2, math.nan, 0.0, 1.0, 60, 1), "theta must be"),
         (estimate_H1, (WEIBULL2, -1.0, 1.0, 60, 1), "kappa must be finite and >= 0, got -1.0"),
@@ -102,7 +112,7 @@ def test_h1_hashes_sites_once_per_stack(monkeypatch):
         (estimate_F_theta, (WEIBULL2, 0.5, math.nan, 1.0, 60, 1), "kappa must be finite and >= 0, got nan"),
         (correlation_profile, (WEIBULL2, 1.0, -1.0, [1], 60, 1), "t must be finite and >= 0, got -1.0"),
         (block_variance, (WEIBULL2, 0.0, math.nan, 3, 60, 1), "t must be finite and >= 0, got nan"),
-        (block_variance, (WEIBULL2, 1.0, 1.0, -1, 60, 1), "L >= 0, got -1"),
+        (block_variance, (WEIBULL2, 1.0, 1.0, -1, 60, 1), "L must be an integer >= 0, got -1"),
         # once a TypeError from the bootstrap's integer draw
         (estimate_H1, (WEIBULL2, 0.0, 1.0, 150.5, 1), "n_replica must be an integer >= 50, got 150.5"),
         (estimate_F_theta, (WEIBULL2, 0.5, 0.0, 1.0, "60", 1), "n_replica must be an integer >= 50, got '60'"),

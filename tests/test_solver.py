@@ -292,7 +292,7 @@ def test_reader_refuses_bad_kappa_and_t(kappa, t, bad):
 def _read_windows(v, hard, R=1):
     """A site_log_moments read at the middle site of one environment (v, hard)."""
     v = np.asarray(v, dtype=float)
-    return lambda: site_log_moments([(v[None], np.asarray(hard)[None])], [[0] * v.ndim], 1.0, 1.0, R)
+    return lambda: site_log_moments(v[None], np.asarray(hard)[None], [[0] * v.ndim], 1.0, 1.0, R)
 
 
 @pytest.mark.parametrize(
@@ -307,9 +307,9 @@ def _read_windows(v, hard, R=1):
         (_read_windows([0.0, 0.0, np.nan, 0.0, 0.0], np.zeros(5, dtype=bool)),
          "finite potentials on active sites, got nan"),
         (_read_windows([0.0, np.inf, 0.0], np.zeros(3, dtype=bool)), "finite potentials on active sites, got inf"),
-        (lambda: empirical_average(make_env_1d(np.zeros(41)), -1, 1.0, 1.0), "L must be >= 0, got -1"),
+        (lambda: empirical_average(make_env_1d(np.zeros(41)), -1, 1.0, 1.0), "L must be an integer >= 0, got -1"),
         (lambda: correlation_profile(TailFamily.weibull(2.0), 1.0, 1.0, [2, -3, -1], 60, 1),
-         "lags must be >= 0, got -3"),
+         "lags must be an integer >= 0, got -3"),
     ],
     ids=["site-dim", "even-side", "not-a-cube", "hardcore-shape", "nan-potential", "inf-potential", "negative-L",
          "negative-lag"],
@@ -487,9 +487,29 @@ def test_split_stack_matches_one_stack(monkeypatch):
         assert np.isinf(whole).any() and np.isfinite(whole).sum() > 20
 
 
+@pytest.mark.parametrize("n_env, n_sites, per_call", [(7, 9, 10), (3, 5, 4), (40, 1, 7), (5, 3, 14)])
+def test_buffers_of_a_read_differ_by_at_most_one_window(monkeypatch, n_env, n_sites, per_call):
+    # weibull has no hard cores, so every window of a buffer reaches the kernel
+    v, hard = _window_stack(TailFamily.weibull(2.0), range(n_env), radius=6)
+    sizes = []
+    solve = solver._solve_stack
+
+    def spy(v, active, kappa, t, every_site):
+        sizes.append(len(v))
+        return solve(v, active, kappa, t, every_site)
+
+    monkeypatch.setattr(solver, "_STACK_SITES", 3 * per_call)
+    monkeypatch.setattr(solver, "_solve_stack", spy)
+    logs = site_log_moments(v, hard, np.arange(n_sites) - n_sites // 2, 1.0, 1.0, 1)
+    total = n_env * n_sites
+    assert np.isfinite(logs).all() and logs.shape == (n_env, n_sites)
+    assert sum(sizes) == total and len(sizes) == math.ceil(total / per_call) > 1
+    assert max(sizes) - min(sizes) <= 1, sizes
+
+
 def _center_logs(v, hard, kappa, t):
     """log m at the center of each window of a stack, read with the windows as environments."""
-    return site_log_moments([(v, hard)], [[0] * (v.ndim - 1)], kappa, t, v.shape[1] // 2)[:, 0]
+    return site_log_moments(v, hard, [[0] * (v.ndim - 1)], kappa, t, v.shape[1] // 2)[:, 0]
 
 
 def _window_stack(family, seeds, radius=5, dim=1):
@@ -607,12 +627,11 @@ def test_site_log_moments_reads_given_sites_of_each_env():
     hard[3 + 2, 3 - 3] = True
     envs = [make_env(grid, hardcore=hard), make_env(-grid)]
     sites = np.array([[0, 0], [2, -3], [-1, 1], [3, 3]])
-    got = site_log_moments((e.stack() for e in envs), sites, 0.0, 1.5, 0)
+    v, hard = (np.concatenate(a) for a in zip(*(e.stack() for e in envs)))
+    got = site_log_moments(v, hard, sites, 0.0, 1.5, 0)
     idx = envs[0].flat_index(sites)
     want = [np.where(e.hardcore[idx], -np.inf, 1.5 * (e.v_plus - e.v_minus)[idx]) for e in envs]
     np.testing.assert_array_equal(got, want)
     assert got[0, 1] == -np.inf and np.isfinite(got[1]).all()
     with pytest.raises(SolverError, match="need 4"):
-        site_log_moments([e.stack() for e in envs], sites, 1.0, 1.0, 1)
-    with pytest.raises(ValueError, match="share one dim and radius"):
-        site_log_moments([envs[0].stack(), make_env(grid[1:-1, 1:-1]).stack()], [[0, 0]], 1.0, 1.0, 1)
+        site_log_moments(v, hard, sites, 1.0, 1.0, 1)
