@@ -415,8 +415,8 @@ def frechet_alpha(family, d, t):
     if family.kind != "frechet":
         raise ValueError("alpha-scale is defined for the frechet family")
     t = float(t)
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"frechet alpha needs a finite t > 0, got {t:g}")
 
     def phi(a):
         s = t * a ** (-float(d))
@@ -457,7 +457,7 @@ def growth_J(family, d, t):
         return t
     if k == "sq_double_exp":
         if t <= math.e:
-            raise ValueError("almost-bounded growth scale needs t > e")
+            raise ValueError(f"almost-bounded growth scale needs t > e, got {t:g}")
         return t / (2.0 * math.sqrt(math.log(t)))
     if k == "frechet":
         alpha = frechet_alpha(family, d, t)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import site_uniforms
+from .seeding import _lattice_sites, site_uniforms
 
 FAMILIES = ("weibull", "double_exp", "sq_double_exp", "frechet", "hard_core")
 
@@ -179,19 +179,12 @@ class Environment:
         return (self.v_plus - self.v_minus).reshape(shape), self.hardcore.reshape(shape)
 
     def flat_index(self, coords):
-        """Flat array index of integer coordinates inside the window."""
-        coords = np.asarray(coords, dtype=np.int64)
-        single = coords.ndim == 1
-        if single:
-            coords = coords[None, :]
-        if coords.shape[1] != self.dim:
-            raise ValueError(f"coordinate dimension must be {self.dim}, got {coords.shape[1]}")
-        if np.any(np.abs(coords) > self.radius):
+        """Flat array index of sites inside the window: an int for one site, else one per row of coords."""
+        sites = _lattice_sites("coords", coords, self.dim)
+        if np.any(np.abs(sites) > self.radius):
             raise IndexError("coordinates outside the sampled window")
-        idx = np.zeros(len(coords), dtype=np.int64)
-        for k in range(self.dim):
-            idx = idx * self.side + (coords[:, k] + self.radius)
-        return int(idx[0]) if single else idx
+        idx = np.ravel_multi_index(tuple((sites + self.radius).T), (self.side,) * self.dim)
+        return int(idx[0]) if np.ndim(coords) < 2 else idx
 
 
 def _lattice_int(name, value, low):

@@ -15,12 +15,12 @@ left.  So the numbers a path reads do not depend on the box: runs with
 the same seed and different boxes follow the same trajectories, and a
 larger box can only save paths.
 
-Each path's state is one flat index into the killing box's
-BoxDomain.killing_grid: the box padded by one layer, holding v on live
-box sites and 0 elsewhere plus a mask of live sites; no box means the
-whole window.  Direction k adds the stride of axis k >> 1, negated for
-odd k; a path that lands off the mask (a hard core, or the padding just
-outside the box) is killed.
+Each path's state is one flat index, starting at BoxDomain.grid_index(x),
+into the killing box's BoxDomain.killing_grid: the box padded by one
+layer, holding v on live box sites and 0 elsewhere plus a mask of live
+sites; no box means the whole window.  Direction k adds steps[k]; a path
+that lands off the mask (a hard core, or the padding just outside the
+box) is killed.
 """
 
 import math
@@ -93,20 +93,15 @@ def fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
     The random stream consumed per path does not depend on the box (see
     the module docstring), so runs with the same seed and different
     boxes follow identical walk trajectories.  box is a BoxDomain of env,
-    or None for the whole window.  Raises ValueError unless x has env.dim
-    coordinates inside the box, n_paths is an integer >= 1, t and kappa
-    are finite and >= 0, and box belongs to env.
+    or None for the whole window.  Raises ValueError unless n_paths is an
+    integer >= 1, t and kappa are finite and >= 0, box belongs to env,
+    and x is a site of the box (BoxDomain.grid_index).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    if x.shape != (env.dim,):
-        raise ValueError(f"x must have {env.dim} coordinates, got {x.size}")
     n_paths = _lattice_int("n_paths", n_paths, 1)
     _check_walk(kappa, t)
     box = BoxDomain(env, (0,) * env.dim, env.radius) if box is None else _box_of(env, box)
-    if np.abs(x - box.center).max() > box.radius:
-        raise ValueError("start point outside the killing box")
+    start = box.grid_index(x)
     pot, ok, steps = box.killing_grid()
-    start = int((x - box.center + box.radius + 1) @ steps[::2])
     if kappa == 0.0 or t == 0.0:
         return np.full(n_paths, pot[start] * t if ok[start] else -math.inf)
     out = np.empty(n_paths)
@@ -171,12 +166,14 @@ def exit_tail_mc(kappa, n_paths, seed, radii=(1, 2, 3, 4, 5), times=(0.5, 1.0, 2
     Simulates the 1-d rate-2*kappa walk and compares the Wilson upper
     confidence limit of P(max |X_s| >= R) against
     min(1, 4 exp(-2 kappa t I(R / (2 kappa t)))) on the radius/time grid.
-    kappa and every t must be finite and > 0.
+    kappa and every t must be finite and > 0, and every radius an
+    integer >= 1.
     """
     for name, value in (("kappa", kappa), *(("t", t) for t in times)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
     n_paths = _lattice_int("n_paths", n_paths, 1)
+    radii = [_lattice_int("radius", R, 1) for R in radii]
     rows = []
     for ti, t in enumerate(times):
         rng = generator(derive_seed(seed, "exit", ti))
@@ -194,5 +191,5 @@ def exit_tail_mc(kappa, n_paths, seed, radii=(1, 2, 3, 4, 5), times=(0.5, 1.0, 2
             _, hi = wilson_interval(k, n_paths)
             y = R / (2.0 * kappa * t)
             bound = min(1.0, 4.0 * math.exp(-2.0 * kappa * t * float(rate_I(y))))
-            rows.append(ExitTailRow(int(R), float(t), k / n_paths, hi, bound))
+            rows.append(ExitTailRow(R, float(t), k / n_paths, hi, bound))
     return rows

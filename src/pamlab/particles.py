@@ -3,9 +3,10 @@
 One particle starts at x.  Each particle independently jumps to a
 uniform neighbor at rate 2 d kappa, splits in two at rate v_plus at its
 site, and dies at rate v_minus.  Stepping onto a hard-core site or out
-of the window removes the particle.  The population count at time t has
-mean m(x, t), the same quantity the direct solver computes, which makes
-the two routes mutually checkable.
+of the window (off the live mask of its BoxDomain.killing_grid) removes
+the particle.  The population count at time t has mean m(x, t), the same
+quantity the direct solver computes, which makes the two routes
+mutually checkable.
 """
 
 import math
@@ -16,19 +17,6 @@ import numpy as np
 from .environments import _lattice_int
 from .seeding import derive_seed, generator
 from .solver import BoxDomain, _check_walk
-
-
-def kill_adjacency(env):
-    """Neighbor table (n_sites, 2d): target flat index, or -1 if the move kills.
-
-    Read off the whole window's BoxDomain.killing_grid: direction j adds
-    steps[j], so it encodes axis j >> 1 and sign +1 for even j, -1 for
-    odd, and a move that lands off the live mask kills.
-    """
-    _, ok, steps = BoxDomain(env, (0,) * env.dim, env.radius).killing_grid()
-    site = np.pad(np.arange(env.n_sites).reshape((env.side,) * env.dim), 1, constant_values=-1).ravel()
-    target = np.flatnonzero(site >= 0)[:, None] + steps
-    return np.where(ok[target], site[target], -1)
 
 
 @dataclass(frozen=True)
@@ -68,36 +56,38 @@ class PopulationSample:
 def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     """Final populations of n_runs independent runs advanced in lockstep.
 
-    A replica's state is its particle count per site.  Each sweep makes
-    one event in every live replica: the waiting time is exponential in
-    the total rate counts @ r, where r = 2 d kappa + v_plus + v_minus per
-    site; the site is drawn in proportion to counts * r; the channel
-    (jump, branching or death) in proportion to that site's rates, and a
-    jump goes in a uniform direction.  This is the exact Gillespie law.
+    A replica's state is its particle count per window site; it starts
+    at BoxDomain.grid_index(x) as Feynman-Kac paths do.  Each sweep
+    makes one event in every live replica: the waiting time is
+    exponential in the total rate counts @ r, where
+    r = 2 d kappa + v_plus + v_minus per site; the site is drawn in
+    proportion to counts * r; the channel (jump, branching or death) in
+    proportion to that site's rates, and a jump adds a uniform one of the
+    killing grid's steps to the site's grid index.  This is the exact
+    Gillespie law.
     All replicas draw from the stream derive_seed(seed, "particles").
 
     A run stops at time t, at extinction, or once its population exceeds
     cap (it is then flagged truncated).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.int64))
     _check_walk(kappa, t)
     n_runs = _lattice_int("n_runs", n_runs, 1)
     cap = _lattice_int("cap", cap, 1)
-    start = env.flat_index(x)
-    final, branch, death, kill = (np.zeros(n_runs, dtype=np.int64) for _ in range(4))
+    box = BoxDomain(env, (0,) * env.dim, env.radius)
+    start = box.grid_index(x)
+    _, ok, steps = box.killing_grid()
+    # counts stay on the S^d window sites (the padded grid would widen every sweep to (S+2)^d columns)
+    site_at = np.pad(np.arange(env.n_sites).reshape((env.side,) * env.dim), 1, constant_values=-1).ravel()
+    grid_at = np.flatnonzero(site_at >= 0)
+    final, branch, death = (np.zeros(n_runs, dtype=np.int64) for _ in range(3))
+    kill = np.full(n_runs, int(not ok[start]))  # a run that starts on a hard core is killed at once
     trunc = np.zeros(n_runs, dtype=bool)
-    if env.hardcore[start]:
-        kill[:] = 1  # every run starts on a hard core and is killed at once
-        live = np.arange(0)
-    else:
-        live = np.arange(n_runs)  # the replicas still running
-    table = kill_adjacency(env)
-    n_dir = 2 * env.dim
-    jump = n_dir * kappa
+    live = np.arange(n_runs if ok[start] else 0)  # the replicas still running
+    jump = len(steps) * kappa
     rate = jump + env.v_plus + env.v_minus
     rng = generator(derive_seed(seed, "particles"))
     counts = np.zeros((live.size, env.n_sites))
-    counts[:, start] = 1.0
+    counts[:, site_at[start]] = 1.0
     pop = np.ones(live.size, dtype=np.int64)
     clock = np.zeros(live.size)
     while live.size:
@@ -122,9 +112,9 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
         born = ~jumped & (c < jump + env.v_plus[site])
         counts[rows, site] += np.where(born, 1.0, -1.0)
         movers = np.flatnonzero(jumped)
-        target = table[site[movers], rng.integers(0, n_dir, size=movers.size)]
-        moved = target >= 0
-        counts[movers[moved], target[moved]] += 1.0
+        target = grid_at[site[movers]] + steps[rng.integers(0, len(steps), size=movers.size)]
+        moved = ok[target]
+        counts[movers[moved], site_at[target[moved]]] += 1.0
         killed = movers[~moved]
         died = ~(jumped | born)
         branch[live[born]] += 1

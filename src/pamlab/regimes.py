@@ -340,14 +340,25 @@ def _block_log_means_exact(config, t, L, label):
         pool.shutdown(cancel_futures=True)
 
 
+def _check_solver_walk(config):
+    """Refuses, naming the value, a kappa > 0 run past d = 1, or past t <= 3 at any t of its grid."""
+    if config.kappa == 0.0:
+        return
+    if config.d != 1:
+        raise ValueError(f"kappa > 0 regime runs support d = 1 only, got d = {config.d}")
+    for t in config.t_grid:
+        if t > 3.0:
+            raise ValueError(f"kappa > 0 regime runs are limited to t <= 3, got t = {t:g}")
+
+
+def _check_solver_box(config, t, L):
+    """Refuses, naming the value, a kappa > 0 box past L <= 2000."""
+    if config.kappa != 0.0 and L > 2000:
+        raise ValueError(f"kappa > 0 regime runs are limited to L <= 2000, got L = {L} at t = {t:g}")
+
+
 def _block_log_means_solver(config, t, L, label):
     """log m^L per replica for kappa > 0: every replica's box sites read by _replica_site_logs."""
-    if config.d != 1:
-        raise ValueError("kappa > 0 regime runs support d = 1 only")
-    if t > 3.0:
-        raise ValueError("kappa > 0 regime runs are limited to t <= 3")
-    if L > 2000:
-        raise ValueError("kappa > 0 regime runs are limited to L <= 2000")
     R = required_radius(config.kappa, t, config.tol, 1)
     seeds = [derive_seed(config.seed, label, i) for i in range(config.n_replica)]
     logs = _replica_site_logs(config.family, seeds, L + R, np.arange(-L, L + 1), config.kappa, t, R)
@@ -439,9 +450,13 @@ def _regime_verdicts(config, kind, own_stats):
     """
     exps = transition_exponents(config.family, config.d)
     band = config.thresholds.band
+    # every t's box is scheduled, or refused, before the first block draw
+    _check_solver_walk(config)
+    schedule = [schedule_L(config.rule, t, config.family, config.d, config.max_log_L) for t in config.t_grid]
+    for t, (L, _) in zip(config.t_grid, schedule):
+        _check_solver_box(config, t, L)
     verdicts = []
-    for ti, t in enumerate(config.t_grid):
-        L, gamma_eq = schedule_L(config.rule, t, config.family, config.d, config.max_log_L)
+    for ti, (t, (L, gamma_eq)) in enumerate(zip(config.t_grid, schedule)):
         logs = _block_log_means(config, t, L, f"{kind}-{ti}")
         log_mu, own = own_stats(t, L, logs)
         ratio = np.exp(logs - log_mu)
@@ -575,13 +590,15 @@ def critical_experiment(config, gamma, delta, theta=0.5):
     kind = config.family.kind
     if kind in ("double_exp", "sq_double_exp") and a + delta <= 0.0:
         raise ValueError(f"delta = {delta:g} pushes the normalizer index a(gamma) + delta below zero (a = {a:g})")
+    # every t's box is sized, or refused, before the first block draw
+    _check_solver_walk(config)
+    scales = [_critical_scale(config.family, config.d, t, config.kappa, theta, config.n_replica,
+                              derive_seed(config.seed, "critical-scale", ti)) for ti, t in enumerate(config.t_grid)]
+    sizes = [_box_size(gamma * scale / config.d, config.max_log_L) for scale in scales]
+    for t, L in zip(config.t_grid, sizes):
+        _check_solver_box(config, t, L)
     verdicts = []
-    for ti, t in enumerate(config.t_grid):
-        scale = _critical_scale(
-            config.family, config.d, t, config.kappa, theta,
-            config.n_replica, derive_seed(config.seed, "critical-scale", ti),
-        )
-        L = _box_size(gamma * scale / config.d, config.max_log_L)
+    for ti, (t, scale, L) in enumerate(zip(config.t_grid, scales, sizes)):
         logs = _block_log_means(config, t, L, f"critical-{ti}")
         if kind == "weibull":
             log_norm = (a + delta) * cumulant_H(config.family, t)

@@ -45,21 +45,34 @@ def _mix(z):
     return z ^ (z >> _U64(31))
 
 
+def _lattice_sites(name, coords, dim):
+    """coords as (n, dim) int64, one site per row; refuses by value a row not of dim entries or a non-integer."""
+    a = np.atleast_2d(coords)
+    if a.shape[1] != dim:
+        raise ValueError(f"{name} must have {dim} coordinates, got {a.shape[1]}")
+    for c in a.ravel().tolist() if a.dtype.kind not in "ib" else ():  # a signed integer array casts exactly
+        try:
+            ok = np.int64(c) == c
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must have integer coordinates, got {c!r}")
+    return a.astype(np.int64, copy=False)
+
+
 def site_uniforms(seed, coords):
     """Uniform(0,1) variate per lattice site, keyed by (seed, coordinates).
 
-    coords: integer array of shape (n, d).  The value at a site does not
-    depend on the enclosing window, so windows of different radii drawn
-    from the same seed agree on their overlap.  Based on the splitmix64
-    finalizer applied as a stateless counter hash.
+    coords: integer array of shape (n, d), or (d,) for one site.  The
+    value at a site does not depend on the enclosing window, so windows
+    of different radii drawn from the same seed agree on their overlap.
+    Based on the splitmix64 finalizer applied as a stateless counter hash.
 
     seed is one integer, giving shape (n,), or a 1-d sequence of m
     integers, giving shape (m, n) whose row i is what seed[i] alone
     gives: the hash is elementwise, so all rows are mixed in one pass.
     """
-    coords = np.asarray(coords, dtype=np.int64)
-    if coords.ndim == 1:
-        coords = coords[None, :]
+    coords = _lattice_sites("coords", coords, np.shape(coords)[-1])
     n, d = coords.shape
     cu = coords.view(_U64) if coords.flags.c_contiguous else coords.copy().view(_U64)
     if np.ndim(seed) == 0:

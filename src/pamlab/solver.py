@@ -29,6 +29,7 @@ import numpy as np
 from ._special import log_factorial, logsumexp
 from .analytics import rate_I
 from .environments import _lattice_int, sample_potentials, window_coords
+from .seeding import _lattice_sites
 
 # Per-site |error in log m| that a dense solve must keep; see _dense_fields.
 _SITE_LOG_TOL = 1e-8
@@ -65,10 +66,8 @@ class BoxDomain:
     live: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        center = tuple(int(c) for c in np.atleast_1d(np.asarray(self.center)))
+        center = tuple(_lattice_sites("box center", np.ravel(self.center), self.env.dim)[0].tolist())
         object.__setattr__(self, "center", center)
-        if len(center) != self.env.dim:
-            raise ValueError(f"box center {center} has {len(center)} coordinates, the environment {self.env.dim}")
         object.__setattr__(self, "radius", _lattice_int("box radius", self.radius, 0))
         if max(abs(c) for c in center) + self.radius > self.env.radius:
             raise ValueError(f"box of radius {self.radius} at {center} overruns the window of radius {self.env.radius}")
@@ -117,6 +116,13 @@ class BoxDomain:
         steps = np.stack([strides, -strides], axis=1).ravel()
         return np.pad(self.v, 1).ravel(), np.pad(self.live, 1).ravel(), steps
 
+    def grid_index(self, x):
+        """Flat index of the site x in the killing_grid arrays; refuses x outside the box."""
+        x = _lattice_sites("x", np.ravel(x), self.dim)[0]
+        if np.abs(x - self.center).max() > self.radius:
+            raise ValueError(f"x = {tuple(x.tolist())} lies outside the box of radius {self.radius} at {self.center}")
+        return int(np.ravel_multi_index(tuple(x - self.center + self.radius + 1), (self.side + 2,) * self.dim))
+
     def operator_dense(self, kappa):
         """kappa*Delta + v as a dense symmetric matrix on the active set."""
         keep = self.active_mask()
@@ -157,10 +163,7 @@ class MomentField:
 
     def value_at(self, coord):
         """(mantissa, log_offset) at one lattice coordinate."""
-        coord = np.asarray(coord, dtype=np.int64).reshape(-1)
-        if coord.size != self.domain.dim:
-            raise ValueError(f"coordinate dimension must be {self.domain.dim}, got {coord.size}")
-        delta = coord - np.asarray(self.domain.center)
+        delta = _lattice_sites("coord", np.ravel(coord), self.domain.dim)[0] - self.domain.center
         if np.any(np.abs(delta) > self.domain.radius):
             raise IndexError("coordinate outside the box")
         idx = np.ravel_multi_index(tuple(delta + self.domain.radius), (self.domain.side,) * self.domain.dim)
@@ -486,10 +489,9 @@ def site_log_moments(v, hard, sites, kappa, t, R):
     centered windows is one _solve_stack call.  At kappa = 0, R = 0 and
     a window is its site, whose value is t v(x) exactly.
     """
-    sites = np.asarray(sites, dtype=np.int64).reshape(len(sites), -1)
-    frame, d = v.shape[1:], sites.shape[1]
-    if len(frame) != d:
-        raise ValueError(f"sites must have one coordinate per environment dimension, got {d} for dim {len(frame)}")
+    frame = v.shape[1:]
+    d = len(frame)
+    sites = _lattice_sites("sites", np.reshape(sites, (len(sites), -1)), d)
     if any(s != frame[0] or s % 2 == 0 for s in frame):
         raise ValueError(f"environments must be cubes of odd side, got shape {frame}")
     if hard.shape != v.shape:
@@ -531,7 +533,7 @@ def _replica_site_logs(family, seeds, radius, sites, kappa, t, R):
     most as many as one batched solve of their windows of radius R takes,
     with no more sites than such a solve; each is one site_log_moments call.
     """
-    sites = np.asarray(sites, dtype=np.int64).reshape(len(sites), -1)
+    sites = np.reshape(sites, (len(sites), -1))
     dim = sites.shape[1]
     shape = (2 * radius + 1,) * dim
     per_stack = max(1, min(windows_per_call((2 * R + 1) ** dim) // len(sites), windows_per_call(math.prod(shape))))

@@ -57,10 +57,12 @@ def principal_eigen(env, box, kappa, tol=1e-10):
     above that Lanczos (_lanczos) from the fixed start vector
     n^-1/2 (1, ..., 1), so reruns agree bit for bit.  Raises SolverError
     if Lanczos does not converge or its residual exceeds tol, and
-    ValueError unless kappa is finite and >= 0 and box is a BoxDomain
-    of env.
+    ValueError unless kappa is finite and >= 0, tol is finite and > 0,
+    and box is a BoxDomain of env.
     """
     _check_walk(kappa, 0.0)  # kappa alone: the spectrum has no t
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     domain = _box_of(env, box)
     n = domain.n_active
     if n == 0:

@@ -428,6 +428,14 @@ def test_growth_J_values():
         growth_J(DEXP1, 1, 0.0)
 
 
+def test_growth_scales_name_the_t_they_refuse():
+    with pytest.raises(ValueError, match="almost-bounded growth scale needs t > e, got 2$"):
+        growth_J(SQDE, 1, 2.0)
+    for t, shown in ((0.0, "0"), (-1.5, "-1.5"), (math.nan, "nan"), (math.inf, "inf")):
+        with pytest.raises(ValueError, match=f"frechet alpha needs a finite t > 0, got {shown}$"):
+            frechet_alpha(FRECHET1, 1, t)
+
+
 def test_frechet_alpha_solves_implicit_equation():
     for t in (2.0, 10.0, 50.0):
         a = frechet_alpha(FRECHET1, 1, t)

@@ -1,6 +1,8 @@
 """Tests for tail families, quantiles, and environment sampling."""
 
+import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +17,12 @@ from pamlab.environments import (
     window_coords,
     with_branch_cap,
 )
+from pamlab import feynman_kac, particles, solver
 from pamlab.feynman_kac import fk_estimate
 from pamlab.moments import block_variance, correlation_profile, estimate_H1
 from pamlab.particles import population_ensemble
 from pamlab.seeding import derive_seed, generator, site_uniforms
-from pamlab.solver import BoxDomain, empirical_average
+from pamlab.solver import BoxDomain, empirical_average, solve_truncated, solve_untruncated
 
 ALL_FAMILIES = [
     TailFamily.weibull(2.0),
@@ -251,9 +254,9 @@ def test_flat_index_matches_coords_order():
 
 def test_flat_index_refuses_wrong_dimension():
     env = sample_environment(TailFamily.weibull(2.0), 1, 3, 1)
-    with pytest.raises(ValueError, match="coordinate dimension must be 1, got 2"):
+    with pytest.raises(ValueError, match="coords must have 1 coordinates, got 2"):
         env.flat_index([1, 2])
-    with pytest.raises(ValueError, match="coordinate dimension must be 1, got 2"):
+    with pytest.raises(ValueError, match="coords must have 1 coordinates, got 2"):
         env.flat_index(np.zeros((4, 2), dtype=int))
 
 
@@ -299,3 +302,37 @@ def _env():
 def test_counts_and_sizes_must_be_lattice_integers(call, refusal):
     with pytest.raises(ValueError, match=re.escape(refusal)):
         call()
+
+
+def _coordinate_reads():
+    """Each entry point that reads a caller's lattice coordinates, as a function of one 1-d coordinate."""
+    env = _env()
+    field = solve_truncated(env, BoxDomain(env, (0,), 2), 1.0, 0.5)
+    return {
+        "flat_index": lambda c: env.flat_index([c]),
+        "BoxDomain": lambda c: BoxDomain(env, (c,), 1),
+        "value_at": lambda c: field.value_at((c,)),
+        "solve_untruncated": lambda c: solve_untruncated(env, (c,), 1.0, 0.2),
+        "fk_estimate": lambda c: fk_estimate(env, (c,), 1.0, 1.0, 50, 1),
+        "population_ensemble": lambda c: population_ensemble(env, (c,), 1.0, 1.0, 5, 1),
+    }
+
+
+@pytest.mark.parametrize("value", [0.7, 1.5, math.nan])
+@pytest.mark.parametrize("entry", ["flat_index", "BoxDomain", "value_at", "solve_untruncated", "fk_estimate",
+                                   "population_ensemble"])
+def test_coordinates_must_be_lattice_integers(entry, value, monkeypatch):
+    # each was once truncated toward zero without a word: x = 1.5 read as x = 1
+    read = _coordinate_reads()[entry]
+    for module, name in ((solver, "_solve_stack"), (feynman_kac, "generator"), (particles, "generator")):
+        monkeypatch.setattr(module, name, mock.Mock(side_effect=AssertionError(f"{name} ran")))
+    with pytest.raises(ValueError, match=re.escape(f"must have integer coordinates, got {value!r}")):
+        read(value)
+
+
+@pytest.mark.parametrize("entry", [2**70, -(2**70), None])
+def test_coordinate_reader_names_the_entry_the_cast_refuses(entry):
+    # an entry numpy cannot cast to int64 is named itself, not the valid coordinate beside it
+    env = sample_environment(TailFamily.weibull(2.0), 2, 3, 1)
+    with pytest.raises(ValueError, match=re.escape(f"coords must have integer coordinates, got {entry!r}")):
+        env.flat_index([0, entry])

@@ -1,9 +1,12 @@
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from helpers import make_env, make_env_1d, reference_fk_path_log_weights
+from pamlab import feynman_kac
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.feynman_kac import exit_tail_mc, fk_estimate, fk_path_log_weights, wilson_interval
 from pamlab.solver import BoxDomain, solve_truncated
@@ -206,3 +209,11 @@ def test_exit_tail_decreasing_in_radius():
     rows = exit_tail_mc(1.0, n_paths=20000, seed=16, times=(2.0,))
     ps = [row.p_hat for row in rows]
     assert all(a >= b for a, b in zip(ps, ps[1:]))
+
+
+@pytest.mark.parametrize("radius", [1.5, 0, -2, math.nan])
+def test_exit_tail_radii_must_be_lattice_integers(radius):
+    # radii=(1.5,) once wrote a row of radius 1 whose p_hat counted |max| >= 2
+    with mock.patch.object(feynman_kac, "generator", side_effect=AssertionError("drew paths")):
+        with pytest.raises(ValueError, match=re.escape(f"radius must be an integer >= 1, got {radius!r}")):
+            exit_tail_mc(1.0, 100, 1, radii=(2, radius))

@@ -5,7 +5,8 @@ import pytest
 
 from helpers import make_env, make_env_1d
 from pamlab.environments import TailFamily, sample_environment, with_branch_cap
-from pamlab.particles import kill_adjacency, population_ensemble
+from pamlab.feynman_kac import fk_path_log_weights
+from pamlab.particles import population_ensemble
 from pamlab.solver import BoxDomain, solve_truncated
 
 
@@ -17,16 +18,32 @@ def solver_value(env, kappa, t, x=None):
     return man * math.exp(off)
 
 
-def test_kill_adjacency_encodes_axes_and_signs():
+def test_killing_grid_encodes_axes_and_signs():
     hard = np.array([False, False, True, False, False])
     env = make_env_1d(np.zeros(5), hardcore=hard)
-    table = kill_adjacency(env)
-    # site at x=-1 (flat 1): +1 step hits the hard core, -1 step reaches x=-2
-    assert table[1, 0] == -1
-    assert table[1, 1] == 0
+    box = BoxDomain(env, (0,), 2)
+    _, ok, steps = box.killing_grid()
+    at = box.grid_index
+    # site x=-1: the +1 step hits the hard core, the -1 step reaches x=-2
+    assert not ok[at((-1,)) + steps[0]]
+    assert at((-1,)) + steps[1] == at((-2,)) and ok[at((-2,))]
     # window edge kills outward moves
-    assert table[4, 0] == -1
-    assert table[0, 1] == -1
+    assert not ok[at((2,)) + steps[0]]
+    assert not ok[at((-2,)) + steps[1]]
+
+
+def test_walkers_share_their_start():
+    # the particle engine and the path sampler read x through one BoxDomain.grid_index
+    hard = np.array([False, False, True, False, False])
+    env = make_env_1d(np.zeros(5), hardcore=hard)
+    for walk in (fk_path_log_weights, population_ensemble):
+        with pytest.raises(ValueError, match=r"x = \(3,\) lies outside the box of radius 2 at \(0,\)"):
+            walk(env, (3,), 1.0, 1.0, 10, 1)
+    # both kill at once on the same hard-core start
+    assert np.all(fk_path_log_weights(env, (0,), 1.0, 1.0, 10, 1) == -math.inf)
+    sample = population_ensemble(env, (0,), 1.0, 1.0, 10, 1)
+    assert np.all(sample.counts == 0) and np.all(sample.n_boundary_kill == 1)
+    assert not (sample.n_branch.any() or sample.n_death.any())
 
 
 def test_static_environment_has_no_events():
@@ -173,7 +190,7 @@ def test_cap_below_one_rejected():
 
 def test_start_of_wrong_dimension_rejected():
     env = make_env_1d(np.zeros(5))
-    with pytest.raises(ValueError, match="coordinate dimension must be 1, got 2"):
+    with pytest.raises(ValueError, match="x must have 1 coordinates, got 2"):
         population_ensemble(env, (1, 2), 1.0, 1.0, n_runs=10, seed=1)
 
 

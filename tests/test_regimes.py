@@ -785,6 +785,44 @@ def test_pool_refusal_cancels_the_chunks_not_yet_started(monkeypatch, tmp_path):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize(
+    "kappa, d, rule, t_grid, refusal",
+    [
+        (1.0, 1, ScheduleRule("explicit", table=((1.0, 400), (4.0, 400))), (1.0, 4.0),
+         "limited to t <= 3, got t = 4"),
+        (1.0, 1, ScheduleRule("explicit", table=((1.0, 10), (2.0, 2500))), (1.0, 2.0),
+         "limited to L <= 2000, got L = 2500 at t = 2"),
+        (1.0, 2, ScheduleRule("explicit", table=((1.0, 10),)), (1.0,), "support d = 1 only, got d = 2"),
+        (0.0, 1, ScheduleRule("gamma-j", gamma=1.0), (8.0, 30.0), r"schedule needs log L = 30\.000"),
+    ],
+    ids=["kappa-t", "kappa-L", "kappa-d", "overflow"],
+)
+def test_schedule_refusals_come_before_the_first_draw(kappa, d, rule, t_grid, refusal):
+    # each was once refused only after the blocks of the earlier t were drawn
+    config = RegimeConfig(family=DEXP1, rule=rule, t_grid=t_grid, kappa=kappa, d=d, n_replica=100, seed=3)
+    with mock.patch.object(regimes, "_block_log_means", side_effect=AssertionError("drew blocks")):
+        for experiment in (lln_experiment, lambda c: clt_experiment(c, reference=(1.0, 0.5))):
+            with pytest.raises((ValueError, ScheduleOverflowError), match=refusal):
+                experiment(config)
+
+
+
+def test_critical_sizes_every_box_before_the_first_draw():
+    # J = t for double_exp, so L = e^(t / 2): 2 at t = 1, 8 at t = 4, and e^15 over the budget at t = 30.
+    # frechet at kappa > 0 estimates F_theta per t to size its box; d and t are refused before any estimate.
+    dexp = ScheduleRule(kind="gamma-j", gamma=0.5)
+    frechet = ScheduleRule(kind="gamma-j", gamma=0.02)
+    cases = [(DEXP1, dexp, 1.0, 1, (1.0, 4.0), 0.5, "limited to t <= 3, got t = 4"),
+             (DEXP1, dexp, 0.0, 1, (1.0, 30.0), 0.5, r"schedule needs log L = 15\.000"),
+             (TailFamily.frechet(1.0), frechet, 1.0, 1, (1.0, 4.0), 0.02, "limited to t <= 3, got t = 4"),
+             (TailFamily.frechet(1.0), frechet, 1.0, 2, (1.0,), 0.02, "support d = 1 only, got d = 2")]
+    for family, rule, kappa, d, t_grid, gamma, refusal in cases:
+        config = RegimeConfig(family=family, rule=rule, t_grid=t_grid, kappa=kappa, d=d, n_replica=100, seed=3)
+        with mock.patch.object(regimes, "_block_log_means", side_effect=AssertionError("drew blocks")), \
+                mock.patch.object(regimes, "estimate_F_theta", side_effect=AssertionError("estimated F_theta")):
+            with pytest.raises((ValueError, ScheduleOverflowError), match=refusal):
+                critical_experiment(config, gamma=gamma, delta=0.005)
+
 if __name__ == "__main__":
     # Records the fixture.  It was recorded once, before lln and clt
     # shared one verdict builder; re-recording it would make the test vacuous.

@@ -12,7 +12,6 @@ from pamlab import solver
 from pamlab.analytics import rate_I
 from pamlab.environments import TailFamily, sample_environment, window_coords
 from pamlab.moments import correlation_profile
-from pamlab.particles import kill_adjacency
 from pamlab.solver import (
     BoxDomain,
     SolverError,
@@ -299,7 +298,7 @@ def _read_windows(v, hard, R=1):
     "read, refusal",
     [
         (lambda: solve_untruncated(make_env_1d(np.zeros(41)), (0, 0), 1.0, 1.0),
-         "sites must have one coordinate per environment dimension, got 2 for dim 1"),
+         "sites must have 1 coordinates, got 2"),
         (_read_windows(np.zeros(4), np.zeros(4, dtype=bool), R=0), r"cubes of odd side, got shape \(4,\)"),
         (_read_windows(np.zeros((5, 3)), np.zeros((5, 3), dtype=bool), R=0), r"cubes of odd side, got shape \(5, 3\)"),
         (_read_windows(np.zeros(5), np.zeros(3, dtype=bool)),
@@ -416,9 +415,9 @@ def test_value_at_outside_box_raises():
 def test_value_at_refuses_wrong_dimension():
     env = make_env(np.zeros((5, 5)))
     fld = solve_truncated(env, BoxDomain(env, (0, 0), 2), 1.0, 0.5)
-    with pytest.raises(ValueError, match="coordinate dimension must be 2, got 1"):
+    with pytest.raises(ValueError, match="coord must have 2 coordinates, got 1"):
         fld.value_at((0,))
-    with pytest.raises(ValueError, match="coordinate dimension must be 2, got 3"):
+    with pytest.raises(ValueError, match="coord must have 2 coordinates, got 3"):
         fld.value_at((0, 0, 0))
 
 
@@ -448,16 +447,21 @@ def test_box_cut_matches_coordinates(dim, radius, center, box_radius):
     np.testing.assert_array_equal(ok.reshape((box.side + 2,) * dim)[inner].ravel(), live)
     np.testing.assert_array_equal(pot.reshape((box.side + 2,) * dim)[inner].ravel()[live], box.potential())
     assert not pot[~ok].any()
-    # the whole window's kill table, one shifted coordinate at a time
-    coords = env.coords()
-    want = np.full((env.n_sites, 2 * dim), -1)
+    # the whole window's moves, one shifted coordinate at a time: direction j
+    # adds steps[j] to the grid index, and kills off the window or on a hard core
+    whole = BoxDomain(env, (0,) * dim, radius)
+    _, ok, steps = whole.killing_grid()
     for j in range(2 * dim):
-        for i, x in enumerate(coords):
+        for x in env.coords():
             y = x.copy()
             y[j >> 1] += 1 - 2 * (j & 1)
-            if np.abs(y).max() <= radius and not env.hardcore[env.flat_index(y)]:
-                want[i, j] = env.flat_index(y)
-    np.testing.assert_array_equal(kill_adjacency(env), want)
+            target = whole.grid_index(x) + steps[j]
+            alive = np.abs(y).max() <= radius and not env.hardcore[env.flat_index(y)]
+            assert ok[target] == alive
+            if alive:
+                assert target == whole.grid_index(y)
+    with pytest.raises(ValueError, match="lies outside the box"):
+        box.grid_index(np.asarray(center) + box_radius + 1)
 
 
 def test_batched_windows_match_per_site_solves():

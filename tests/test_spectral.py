@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from helpers import make_env, make_env_1d
+from pamlab import spectral
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.solver import BoxDomain, SolverError, solve_truncated
 from pamlab.spectral import _top_ritz, principal_eigen, verify_sandwich
@@ -208,3 +210,15 @@ def test_top_ritz_counts_copies_once_and_skips_spurious_values():
     # 5 is also an eigenvalue of T without its first row and column: spurious
     value, _, _ = _top_ritz([0.0, 5.0], [1e-20, 0.1])
     assert abs(value) < 1e-15
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("radius", [2, 8])
+def test_principal_eigen_refuses_a_bad_tol_before_any_matrix(tol, radius):
+    # nan once failed on the Lanczos box with numpy's unnamed float-to-integer error, and a dense box took -1
+    env = sample_environment(TailFamily.weibull(2.0), 3, radius, 1)
+    box = BoxDomain(env, (0, 0, 0), radius)
+    with mock.patch.object(BoxDomain, "operator_dense", side_effect=AssertionError("built a matrix")), \
+            mock.patch.object(spectral, "_lanczos", side_effect=AssertionError("ran Lanczos")):
+        with pytest.raises(ValueError, match=f"tol must be finite and > 0, got {tol}"):
+            principal_eigen(env, box, 1.0, tol=tol)
