@@ -6,9 +6,13 @@ correlation profiles, and the variance of a box sum with its
 lag-covariance reconstruction.  Every site moment m(x, t) is read by
 one reader, solver.site_log_moments, from stacks of replicas that
 solver._replica_site_logs samples in sizes equal to within one, each
-no larger than one batched solve of their windows takes.  At kappa = 0
-the windows are single sites and the reader returns t v(x) exactly, so
-no statistic keeps a kappa = 0 branch of its own.
+no larger than one batched solve of their windows takes.  Each site is
+read through its own window of radius R, so m(x, t) and m(y, t) are
+independent once |x - y| > 2R; correlation_profile and block_variance
+rely on that exact dependence radius, which is why the statistics here
+do not read boxes by the shared tiles of the regime box averages.  At
+kappa = 0 the windows are single sites and the reader returns t v(x)
+exactly, so no statistic keeps a kappa = 0 branch of its own.
 """
 
 import math

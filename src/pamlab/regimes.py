@@ -34,7 +34,7 @@ from .analytics import (
 from .environments import _lattice_int, exp_quantile_array
 from .moments import estimate_F_theta
 from .seeding import derive_seed, generator
-from .solver import _check_walk, _log_mean, _replica_site_logs, required_radius
+from .solver import _check_walk, _equal_parts, _log_mean, _replica_box_logs, required_radius, windows_per_call
 
 _DRAW_CHUNK = 1 << 20
 # Below this many kappa = 0 block sites, n_replica (2L+1)^d, the draws stay
@@ -340,29 +340,24 @@ def _block_log_means_exact(config, t, L, label):
         pool.shutdown(cancel_futures=True)
 
 
-def _check_solver_walk(config):
-    """Refuses, naming the value, a kappa > 0 run past d = 1, or past t <= 3 at any t of its grid."""
-    if config.kappa == 0.0:
-        return
-    if config.d != 1:
+def _check_solver_dim(config):
+    """Refuses, naming the value, a kappa > 0 run past d = 1."""
+    if config.kappa != 0.0 and config.d != 1:
         raise ValueError(f"kappa > 0 regime runs support d = 1 only, got d = {config.d}")
-    for t in config.t_grid:
-        if t > 3.0:
-            raise ValueError(f"kappa > 0 regime runs are limited to t <= 3, got t = {t:g}")
-
-
-def _check_solver_box(config, t, L):
-    """Refuses, naming the value, a kappa > 0 box past L <= 2000."""
-    if config.kappa != 0.0 and L > 2000:
-        raise ValueError(f"kappa > 0 regime runs are limited to L <= 2000, got L = {L} at t = {t:g}")
 
 
 def _block_log_means_solver(config, t, L, label):
-    """log m^L per replica for kappa > 0: every replica's box sites read by _replica_site_logs."""
+    """log m^L per replica for kappa > 0, from _replica_box_logs on stacks of replicas.
+
+    Stacks differ in size by at most one, and each samples at most
+    windows_per_call(1) sites, or one replica, so memory does not grow
+    with n_replica.
+    """
     R = required_radius(config.kappa, t, config.tol, 1)
     seeds = [derive_seed(config.seed, label, i) for i in range(config.n_replica)]
-    logs = _replica_site_logs(config.family, seeds, L + R, np.arange(-L, L + 1), config.kappa, t, R)
-    return _log_mean(logs)
+    stacks = _equal_parts(len(seeds), windows_per_call(2 * (L + R) + 1))
+    return np.concatenate([_log_mean(_replica_box_logs(config.family, seeds[lo:hi], L, config.kappa, t, R))
+                           for lo, hi in stacks])
 
 
 def _block_log_means(config, t, L, label):
@@ -451,10 +446,8 @@ def _regime_verdicts(config, kind, own_stats):
     exps = transition_exponents(config.family, config.d)
     band = config.thresholds.band
     # every t's box is scheduled, or refused, before the first block draw
-    _check_solver_walk(config)
+    _check_solver_dim(config)
     schedule = [schedule_L(config.rule, t, config.family, config.d, config.max_log_L) for t in config.t_grid]
-    for t, (L, _) in zip(config.t_grid, schedule):
-        _check_solver_box(config, t, L)
     verdicts = []
     for ti, (t, (L, gamma_eq)) in enumerate(zip(config.t_grid, schedule)):
         logs = _block_log_means(config, t, L, f"{kind}-{ti}")
@@ -591,12 +584,10 @@ def critical_experiment(config, gamma, delta, theta=0.5):
     if kind in ("double_exp", "sq_double_exp") and a + delta <= 0.0:
         raise ValueError(f"delta = {delta:g} pushes the normalizer index a(gamma) + delta below zero (a = {a:g})")
     # every t's box is sized, or refused, before the first block draw
-    _check_solver_walk(config)
+    _check_solver_dim(config)
     scales = [_critical_scale(config.family, config.d, t, config.kappa, theta, config.n_replica,
                               derive_seed(config.seed, "critical-scale", ti)) for ti, t in enumerate(config.t_grid)]
     sizes = [_box_size(gamma * scale / config.d, config.max_log_L) for scale in scales]
-    for t, L in zip(config.t_grid, sizes):
-        _check_solver_box(config, t, L)
     verdicts = []
     for ti, (t, scale, L) in enumerate(zip(config.t_grid, scales, sizes)):
         logs = _block_log_means(config, t, L, f"critical-{ti}")

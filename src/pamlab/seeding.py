@@ -46,7 +46,11 @@ def _mix(z):
 
 
 def _lattice_sites(name, coords, dim):
-    """coords as (n, dim) int64, one site per row; refuses by value a row not of dim entries or a non-integer."""
+    """coords as (n, dim) int64, one site per row.
+
+    Refuses by value a row not of dim entries, a non-integer, and an
+    integer outside the int64 range.
+    """
     a = np.atleast_2d(coords)
     if a.shape[1] != dim:
         raise ValueError(f"{name} must have {dim} coordinates, got {a.shape[1]}")
@@ -56,7 +60,9 @@ def _lattice_sites(name, coords, dim):
         except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
-            raise ValueError(f"{name} must have integer coordinates, got {c!r}")
+            whole = isinstance(c, int) or isinstance(c, float) and c.is_integer()
+            fault = "coordinates in the int64 range [-2**63, 2**63 - 1]" if whole else "integer coordinates"
+            raise ValueError(f"{name} must have {fault}, got {c!r}")
     return a.astype(np.int64, copy=False)
 
 

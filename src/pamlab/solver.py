@@ -8,16 +8,21 @@ stored as a mantissa array plus one shared additive log offset.
 Every kappa > 0 solve goes through one kernel, _solve_stack, on a stack
 of d-dimensional boxes given as a (B, S, ..., S) array of potentials
 plus its hard-core mask: a single box is a stack of one that reads every
-site, and site_log_moments, the one reader of site moments at given
-sites, cuts the windows of one stack of environments into stacks of at
-most _STACK_SITES sites, equal to within one window, that read their
-centers.  Each box is summed by uniformization, or by a batched dense
-eigendecomposition where one fitted cost rule (_dense_route) says that
-is cheaper.
+site.  Two readers build stacks for it.  site_log_moments reads given
+sites, each through its own window of radius R, and cuts the windows of
+one stack of environments into stacks of at most _STACK_SITES sites,
+equal to within one window, that read their centers; a site's value
+then depends only on the environment within R of it.  _replica_box_logs
+reads every site of a 1-d box [-L, L], which the regime box averages
+need: it cuts the box into tiles of 2R + 1 sites, each solved on its
+tile plus R sites each side, so the cost per site is about 2 solves
+rather than 2R + 1.  Each box is summed by uniformization, or by a
+batched dense eigendecomposition where one fitted cost rule
+(_dense_route) says that is cheaper.
 
-What is built on the reader returns log m, -inf where the walk is
-killed; its window radius comes from required_radius, which refuses a
-kappa or t that is not finite and >= 0 before any site is hashed.
+What is built on the readers returns log m, -inf where the walk is
+killed; R comes from required_radius, which refuses a kappa or t that
+is not finite and >= 0 before any site is hashed.
 """
 
 import math
@@ -491,7 +496,7 @@ def site_log_moments(v, hard, sites, kappa, t, R):
     """
     frame = v.shape[1:]
     d = len(frame)
-    sites = _lattice_sites("sites", np.reshape(sites, (len(sites), -1)), d)
+    sites = _lattice_sites("sites", np.reshape(sites, (len(sites), -1 if len(sites) else d)), d)
     if any(s != frame[0] or s % 2 == 0 for s in frame):
         raise ValueError(f"environments must be cubes of odd side, got shape {frame}")
     if hard.shape != v.shape:
@@ -542,6 +547,39 @@ def _replica_site_logs(family, seeds, radius, sites, kappa, t, R):
         v, hardcore = sample_potentials(family, dim, radius, seeds[lo:hi])
         logs.append(site_log_moments(v.reshape((-1,) + shape), hardcore.reshape((-1,) + shape), sites, kappa, t, R))
     return np.concatenate(logs)
+
+
+def _replica_box_logs(family, seeds, L, kappa, t, R):
+    """(n, 2L + 1) array of log m(x, t), |x| <= L, for the 1-d replicas of `seeds`; -inf on hard cores.
+
+    The replicas are sampled on [-L - R, L + R] as one stack.  The read
+    range [-L, L] is cut into tiles of w = min(2L + 1, 2R + 1) sites, the
+    last shifted left to end at L, and site j from the left is read from
+    tile j // w.  A tile's Dirichlet box is the tile plus R sites on each
+    side, so every read site lies at least R inside it: it meets the
+    bound of its window of radius R, and Dirichlet monotonicity puts its
+    value between the window's and m.  The (replica, tile) list is cut
+    into _equal_parts of at most windows_per_call tiles, each one
+    _solve_stack call on every site; a tile whose w sites are all hard
+    cores is not solved.
+    """
+    n_read = 2 * L + 1
+    w = min(n_read, 2 * R + 1)
+    starts = np.minimum(np.arange(0, n_read, w), n_read - w)
+    tile_of = np.arange(n_read) // w
+    width, n_tiles = w + 2 * R, len(starts)
+    v, hard = sample_potentials(family, 1, L + R, seeds)
+    logs = np.full((len(seeds) * n_tiles, w), -np.inf)
+    for lo, hi in _equal_parts(len(logs), windows_per_call(width)):
+        row, k = np.divmod(np.arange(lo, hi), n_tiles)
+        at = (row * v.shape[1] + starts[k])[:, None] + np.arange(width)
+        live = ~hard.take(at)
+        rows = np.flatnonzero(live[:, R : R + w].any(axis=1))
+        if rows.size:
+            vals, off, _, _ = _solve_stack(v.take(at[rows]), live[rows], kappa, t, every_site=True)
+            with np.errstate(divide="ignore"):
+                logs[lo + rows] = np.log(vals[:, R : R + w]) + off[:, None]
+    return logs.reshape(len(seeds), n_tiles, w)[:, tile_of, np.arange(n_read) - starts[tile_of]]
 
 
 def _log_mean(logs):

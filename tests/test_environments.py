@@ -330,9 +330,16 @@ def test_coordinates_must_be_lattice_integers(entry, value, monkeypatch):
         read(value)
 
 
-@pytest.mark.parametrize("entry", [2**70, -(2**70), None])
-def test_coordinate_reader_names_the_entry_the_cast_refuses(entry):
-    # an entry numpy cannot cast to int64 is named itself, not the valid coordinate beside it
+@pytest.mark.parametrize(
+    "entry, fault",
+    [(2**70, "coordinates in the int64 range [-2**63, 2**63 - 1]"),
+     (-(2**70), "coordinates in the int64 range [-2**63, 2**63 - 1]"),
+     (1e30, "coordinates in the int64 range [-2**63, 2**63 - 1]"),
+     (None, "integer coordinates")],
+)
+def test_coordinate_reader_names_the_entry_the_cast_refuses(entry, fault):
+    # an entry numpy cannot cast to int64 is named itself, not the valid coordinate beside it,
+    # and a whole number outside int64 is refused for its range, not as a non-integer
     env = sample_environment(TailFamily.weibull(2.0), 2, 3, 1)
-    with pytest.raises(ValueError, match=re.escape(f"coords must have integer coordinates, got {entry!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"coords must have {fault}, got {entry!r}")):
         env.flat_index([0, entry])

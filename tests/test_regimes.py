@@ -17,6 +17,7 @@ import scipy.stats
 
 from helpers import record_fixture
 import pamlab.environments
+import pamlab.solver
 from pamlab import regimes
 from pamlab.analytics import critical_a, cumulant_H, growth_J, intermittency_shape_f1
 from pamlab.cli import main as cli_main
@@ -594,20 +595,44 @@ def test_diffusive_run_limits():
                 d=2, n_replica=100, seed=31,
             )
         )
-    bad_t = RegimeConfig(
-        family=WEIBULL2,
-        rule=ScheduleRule(kind="explicit", table=((4.0, 10),)),
+
+
+def test_diffusive_runs_past_the_old_t_and_L_limits():
+    # t = 4 and L = 2500 were refused while every box site was read through its own window
+    config = RegimeConfig(
+        family=WEIBULL2, rule=ScheduleRule(kind="explicit", table=((4.0, 2500),)),
         t_grid=(4.0,), kappa=1.0, n_replica=100, seed=31,
     )
-    with pytest.raises(ValueError):
-        lln_experiment(bad_t)
-    big_L = RegimeConfig(
-        family=WEIBULL2,
-        rule=ScheduleRule(kind="explicit", table=((2.0, 2500),)),
-        t_grid=(2.0,), kappa=1.0, n_replica=100, seed=31,
+    for v in (lln_experiment(config)[0], clt_experiment(config, reference=(1.0, 1.0))[0]):
+        assert (v.t, v.L) == (4.0, 2500)
+        assert 0.0 < v.ratio_q10 <= v.ratio_q90 < math.inf
+        assert verdict_consistent(v)
+
+
+def test_diffusive_lln_at_t3_L2000_is_fast():
+    # on a 2-core machine the tiles took 0.35 s and the per-site windows 5.7 to 10.3 s,
+    # so a fall back to the windows fails this bound
+    config = RegimeConfig(
+        family=WEIBULL2, rule=ScheduleRule(kind="explicit", table=((3.0, 2000),)),
+        t_grid=(3.0,), kappa=1.0, n_replica=100, seed=5,
     )
-    with pytest.raises(ValueError):
-        lln_experiment(big_L)
+    start = time.perf_counter()
+    v = lln_experiment(config)[0]
+    assert time.perf_counter() - start < 2.5
+    assert v.L == 2000 and verdict_consistent(v)
+
+
+def test_diffusive_regime_reads_boxes_by_tiles_not_windows(monkeypatch):
+    for name in ("site_log_moments", "_replica_site_logs"):
+        monkeypatch.setattr(pamlab.solver, name, mock.Mock(side_effect=AssertionError(f"{name} ran")))
+    config = RegimeConfig(
+        family=WEIBULL2, rule=ScheduleRule(kind="explicit", table=((1.0, 8), (2.0, 30))),
+        t_grid=(1.0, 2.0), kappa=1.0, n_replica=100, seed=5,
+    )
+    assert [v.L for v in lln_experiment(config)] == [8, 30]
+    assert clt_experiment(config, reference=(1.5, 0.8))[0].L == 8
+    gamma = ScheduleRule(kind="gamma-j", gamma=0.5)
+    critical_experiment(dataclasses.replace(config, family=DEXP1, rule=gamma, t_grid=(2.0,)), gamma=0.5, delta=0.1)
 
 
 
@@ -788,14 +813,12 @@ def test_pool_refusal_cancels_the_chunks_not_yet_started(monkeypatch, tmp_path):
 @pytest.mark.parametrize(
     "kappa, d, rule, t_grid, refusal",
     [
-        (1.0, 1, ScheduleRule("explicit", table=((1.0, 400), (4.0, 400))), (1.0, 4.0),
-         "limited to t <= 3, got t = 4"),
-        (1.0, 1, ScheduleRule("explicit", table=((1.0, 10), (2.0, 2500))), (1.0, 2.0),
-         "limited to L <= 2000, got L = 2500 at t = 2"),
+        (1.0, 1, ScheduleRule("explicit", table=((1.0, 10), (4.0, 10**7))), (1.0, 4.0),
+         r"schedule needs log L = 16\.118"),
         (1.0, 2, ScheduleRule("explicit", table=((1.0, 10),)), (1.0,), "support d = 1 only, got d = 2"),
         (0.0, 1, ScheduleRule("gamma-j", gamma=1.0), (8.0, 30.0), r"schedule needs log L = 30\.000"),
     ],
-    ids=["kappa-t", "kappa-L", "kappa-d", "overflow"],
+    ids=["kappa-overflow", "kappa-d", "overflow"],
 )
 def test_schedule_refusals_come_before_the_first_draw(kappa, d, rule, t_grid, refusal):
     # each was once refused only after the blocks of the earlier t were drawn
@@ -809,12 +832,11 @@ def test_schedule_refusals_come_before_the_first_draw(kappa, d, rule, t_grid, re
 
 def test_critical_sizes_every_box_before_the_first_draw():
     # J = t for double_exp, so L = e^(t / 2): 2 at t = 1, 8 at t = 4, and e^15 over the budget at t = 30.
-    # frechet at kappa > 0 estimates F_theta per t to size its box; d and t are refused before any estimate.
+    # frechet at kappa > 0 estimates F_theta per t to size its box; d is refused before any estimate.
     dexp = ScheduleRule(kind="gamma-j", gamma=0.5)
     frechet = ScheduleRule(kind="gamma-j", gamma=0.02)
-    cases = [(DEXP1, dexp, 1.0, 1, (1.0, 4.0), 0.5, "limited to t <= 3, got t = 4"),
-             (DEXP1, dexp, 0.0, 1, (1.0, 30.0), 0.5, r"schedule needs log L = 15\.000"),
-             (TailFamily.frechet(1.0), frechet, 1.0, 1, (1.0, 4.0), 0.02, "limited to t <= 3, got t = 4"),
+    cases = [(DEXP1, dexp, 0.0, 1, (1.0, 30.0), 0.5, r"schedule needs log L = 15\.000"),
+             (DEXP1, dexp, 1.0, 1, (1.0, 30.0), 0.5, r"schedule needs log L = 15\.000"),
              (TailFamily.frechet(1.0), frechet, 1.0, 2, (1.0,), 0.02, "support d = 1 only, got d = 2")]
     for family, rule, kappa, d, t_grid, gamma, refusal in cases:
         config = RegimeConfig(family=family, rule=rule, t_grid=t_grid, kappa=kappa, d=d, n_replica=100, seed=3)

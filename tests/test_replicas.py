@@ -3,8 +3,10 @@
 tests/data/replica_fixture.json holds the float.hex values of replica
 statistics recorded when every replica was still sampled and solved on
 its own.  Sampling a stack of replicas at once must leave each of them
-bit for bit as it was; the regime box averages now share stacks across
-replicas, and equality here also shows that no window changed route.
+bit for bit as it was, and equality here also shows that no window
+changed route.  The kappa > 0 lln entry was re-recorded when the regime
+box averages moved from one window per site to shared tiles, which read
+each site from a larger Dirichlet box (1e-11 higher in the ratios).
 """
 
 import json

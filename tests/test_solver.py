@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from pamlab import solver
 from pamlab.analytics import rate_I
 from pamlab.environments import TailFamily, sample_environment, window_coords
 from pamlab.moments import correlation_profile
+from pamlab.seeding import derive_seed
 from pamlab.solver import (
     BoxDomain,
     SolverError,
@@ -19,6 +21,8 @@ from pamlab.solver import (
     _dense_route,
     _normalized_field,
     _poisson_degree,
+    _replica_box_logs,
+    _replica_site_logs,
     _uniformized_sums,
     empirical_average,
     required_radius,
@@ -639,3 +643,110 @@ def test_site_log_moments_reads_given_sites_of_each_env():
     assert got[0, 1] == -np.inf and np.isfinite(got[1]).all()
     with pytest.raises(SolverError, match="need 4"):
         site_log_moments(v, hard, sites, 1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_site_log_moments_of_no_sites_is_empty(dim):
+    # once numpy's unnamed "cannot reshape array of size 0"
+    v, hard = sample_environment(TailFamily.weibull(2.0), dim, 3, seed=1).stack()
+    v, hard = np.concatenate([v, v]), np.concatenate([hard, hard])
+    for sites in ([], np.zeros((0, dim))):
+        assert site_log_moments(v, hard, sites, 1.0, 1.0, 1).shape == (2, 0)
+
+
+# Per-site log allowance by which a tile may read below its window.  Dirichlet
+# monotonicity puts the tile at or above the window; what is left is rounding
+# over K uniformization steps (down to -6.2e-12 on frechet(1), L = 100) and the
+# dense route's error, held to _SITE_LOG_TOL (down to -4.7e-11 there).
+_TILE_BELOW_WINDOW = 1e-10
+
+
+def _window_logs(family, seeds, L, kappa, t, R):
+    """The windows route to the box logs that _replica_box_logs reads by tiles."""
+    return _replica_site_logs(family, seeds, L + R, np.arange(-L, L + 1), kappa, t, R)
+
+
+def _assert_tiles_match_windows(tiles, windows, tol):
+    assert tiles.shape == windows.shape
+    np.testing.assert_array_equal(np.isneginf(tiles), np.isneginf(windows))
+    live = np.isfinite(windows)
+    assert np.isfinite(tiles[live]).all()
+    gap = tiles[live] - windows[live]
+    assert gap.min(initial=0.0) >= -_TILE_BELOW_WINDOW, gap.min()
+    assert gap.max(initial=0.0) <= tol, gap.max()
+
+
+@pytest.mark.parametrize(
+    "family, t",
+    [(TailFamily.weibull(2.0), 2.0), (TailFamily.double_exp(1.0), 2.0), (TailFamily.hard_core(0.2), 2.0),
+     (TailFamily.frechet(1.0), 1.0)],
+)
+def test_box_tiles_match_windows_per_site(family, t):
+    # 2L + 1 = 91 is not a multiple of w = 2R + 1, so the last tile overlaps the one before it
+    R, L = required_radius(1.0, t, 1e-4, 1), 45
+    seeds = [derive_seed(9, "tiles", i) for i in range(20)]
+    tiles = _replica_box_logs(family, seeds, L, 1.0, t, R)
+    assert (2 * L + 1) % (2 * R + 1) != 0
+    _assert_tiles_match_windows(tiles, _window_logs(family, seeds, L, 1.0, t, R), 1e-4)
+
+
+def _with_hard_cores(monkeypatch, where):
+    """Patch the tile reader's sampler to make the sites where(x) hard cores, x the coordinates of a stack."""
+    real = solver.sample_potentials
+
+    def sample(family, dim, radius, seeds):
+        v, hard = real(family, dim, radius, seeds)
+        hard = hard | where(np.arange(-radius, radius + 1))[None, :]
+        return np.where(hard, 0.0, v), hard
+
+    monkeypatch.setattr(solver, "sample_potentials", sample)
+
+
+@pytest.mark.parametrize(
+    "L, hard",
+    [
+        (0, ()),  # one site read
+        (2, (-2, 3)),  # 2L + 1 < 2R + 1: one tile is the whole box
+        (9, (-11, -3, -2, 4, 5, 11)),  # tiles read -9..-3, -2..4 and 5..9: hard cores on their edges and margins
+        (9, (-9, 9)),  # hard cores at both ends of the read range
+    ],
+)
+def test_box_tiles_edges_match_windows(monkeypatch, L, hard):
+    kappa, t, tol = 0.1, 0.5, 1e-2
+    R = required_radius(kappa, t, tol, 1)
+    assert R == 3
+    _with_hard_cores(monkeypatch, lambda x: np.isin(x, hard))
+    seeds = [derive_seed(4, "tile-edges", i) for i in range(3)]
+    tiles = _replica_box_logs(TailFamily.weibull(2.0), seeds, L, kappa, t, R)
+    assert tiles.shape == (3, 2 * L + 1)
+    assert np.isneginf(tiles[:, np.isin(np.arange(-L, L + 1), hard)]).all()
+    _assert_tiles_match_windows(tiles, _window_logs(TailFamily.weibull(2.0), seeds, L, kappa, t, R), tol)
+
+
+@pytest.mark.parametrize("margin_live", [True, False])
+def test_box_tiles_of_an_all_hard_core_read_range_are_minus_inf(monkeypatch, margin_live):
+    L, R = 6, 2
+    _with_hard_cores(monkeypatch, lambda x: np.abs(x) <= (L if margin_live else L + R))
+    monkeypatch.setattr(solver, "_solve_stack", mock.Mock(side_effect=AssertionError("solved a tile")))
+    tiles = _replica_box_logs(TailFamily.weibull(2.0), [1, 2], L, 1.0, 1.0, R)
+    assert tiles.shape == (2, 2 * L + 1) and np.isneginf(tiles).all()
+
+
+@pytest.mark.parametrize("family, seed", [(TailFamily.weibull(2.0), 3), (TailFamily.hard_core(0.3), 5)])
+def test_box_tiles_match_mpmath_on_each_tile(family, seed):
+    # L = 3, R = 2: tiles of five read sites at x = -3..1 and, shifted left, -1..3; each
+    # read site is the exact Dirichlet solution on its tile plus two sites each side
+    L, R, kappa, t = 3, 2, 1.0, 1.5
+    got = _replica_box_logs(family, [seed], L, kappa, t, R)[0]
+    env = sample_environment(family, 1, L + R, seed)
+    v, hard = (a[0] for a in env.stack())
+    for start, read in ((0, range(0, 5)), (2, range(5, 7))):
+        box = slice(start, start + 2 * R + 5)
+        ref, active = mpmath_log_field(make_env_1d(v[box], hardcore=hard[box]), kappa, t)
+        logs = np.full(len(active), -np.inf)
+        logs[active] = ref
+        for j in read:
+            want = logs[R + j - start]
+            assert want == got[j] == -np.inf or abs(got[j] - want) <= 1e-10, (j, got[j], want)
+    if family.kind == "hard_core":
+        assert np.isneginf(got).any() and np.isfinite(got).any()
