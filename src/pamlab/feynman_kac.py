@@ -118,16 +118,24 @@ def fk_estimate(env, x, kappa, t, n_paths, seed, box=None):
     Averaging uses a max shift so huge weights never overflow; the
     standard error is reported on the log scale (delta method).  If
     every path is killed the log value is -inf with a zero error bar.
+    The weights are shifted, exponentiated and centered in the one array
+    of path log weights, so the statistics hold 8 bytes per path; the
+    mean and the ddof = 1 standard deviation are taken in numpy's own
+    order (sum / n, then the sum of squared deviations / (n - 1), then
+    sqrt), so they keep the bits of w.mean() and w.std(ddof=1).
     """
-    logw = fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=box)
-    n_killed = int(np.isinf(logw).sum())
+    w = fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=box)
+    n_killed = int(np.isinf(w).sum())
     if n_killed == n_paths:
         return FKEstimate(-math.inf, 0.0, n_paths, n_killed, float(t), float(kappa))
-    peak = float(logw[~np.isinf(logw)].max())
-    w = np.exp(logw - peak)
-    mean = float(w.mean())
+    peak = float(w.max())  # killed paths are -inf
+    w -= peak
+    np.exp(w, out=w)
+    mean = float(w.sum() / n_paths)
     if n_paths > 1:
-        sd = float(w.std(ddof=1))
+        w -= mean
+        w *= w
+        sd = math.sqrt(float(w.sum() / (n_paths - 1)))
         stderr = sd / (mean * math.sqrt(n_paths))
     else:
         stderr = math.inf

@@ -23,7 +23,7 @@ import numpy as np
 from .analytics import _check_theta
 from .environments import _lattice_int
 from .seeding import derive_seed, generator
-from .solver import _log_mean, _replica_site_logs, required_radius
+from .solver import _STACK_SITES, _log_mean, _replica_site_logs, required_radius
 
 _BOOTSTRAP = 1000
 _CI = 99.0
@@ -71,8 +71,14 @@ def _replica_bootstrap(family, kappa, t, n_replica, seed, dim, tol, powers, stat
     (m / m_peak)^p, with peak = log m_peak so no power overflows.  Every
     bootstrap resample recomputes all the means jointly, and the interval
     is its 99 percent percentile range, taken in the scale stat returns.
-    A replica count that is not an integer >= 50, a dim that is not an
-    integer >= 1, and a set in which every replica was killed are refused.
+    The resamples are drawn and gathered in blocks of rows holding at
+    most _STACK_SITES indices (one row once n_replica is larger), so
+    memory is one weight array per power plus one block, not 1000 rows
+    of n_replica.  The blocks continue one generator stream and each
+    row's mean is the same sum, so they give the bits of one
+    (1000, n_replica) draw.  A replica count that is not an integer
+    >= 50, a dim that is not an integer >= 1, and a set in which every
+    replica was killed are refused.
     """
     n_replica = _lattice_int("n_replica", n_replica, 50)
     dim = _lattice_int("dim", dim, 1)
@@ -81,9 +87,15 @@ def _replica_bootstrap(family, kappa, t, n_replica, seed, dim, tol, powers, stat
     if not math.isfinite(peak):
         raise ValueError("all replicas were killed")
     ws = [np.exp(p * (logs - peak)) for p in powers]
-    idx = generator(derive_seed(seed, "bootstrap", 0)).integers(0, n_replica, size=(_BOOTSTRAP, n_replica))
+    rng = generator(derive_seed(seed, "bootstrap", 0))
+    means = np.empty((len(ws), _BOOTSTRAP))
+    rows = max(1, _STACK_SITES // n_replica)
+    for r in range(0, _BOOTSTRAP, rows):
+        idx = rng.integers(0, n_replica, size=(min(rows, _BOOTSTRAP - r), n_replica))
+        for w, mean in zip(ws, means):
+            mean[r : r + len(idx)] = w[idx].mean(axis=1)
     with np.errstate(divide="ignore"):
-        boot = stat(peak, *(w[idx].mean(axis=1) for w in ws))
+        boot = stat(peak, *means)
     half = (100.0 - _CI) / 2.0
     lo, hi = np.percentile(boot, [half, 100.0 - half])
     return logs, float(stat(peak, *(w.mean() for w in ws))), float(lo), float(hi)

@@ -69,6 +69,11 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
 
     A run stops at time t, at extinction, or once its population exceeds
     cap (it is then flagged truncated).
+
+    Memory is two (live runs x window sites) float arrays: the counts,
+    and one buffer that every sweep refills in place with counts * r and
+    then its cumsum.  On a sweep where runs end, each is replaced by its
+    kept rows, one after the other, so at most one stale copy is alive.
     """
     _check_walk(kappa, t)
     n_runs = _lattice_int("n_runs", n_runs, 1)
@@ -88,10 +93,12 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     rng = generator(derive_seed(seed, "particles"))
     counts = np.zeros((live.size, env.n_sites))
     counts[:, site_at[start]] = 1.0
+    cum = np.empty_like(counts)  # counts * rate and then its cumsum, refilled every sweep
     pop = np.ones(live.size, dtype=np.int64)
     clock = np.zeros(live.size)
     while live.size:
-        cum = np.cumsum(counts * rate, axis=1)
+        np.multiply(counts, rate, out=cum)
+        np.cumsum(cum, axis=1, out=cum)
         total = cum[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):
             clock += rng.exponential(size=live.size) / total
@@ -99,10 +106,15 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
         # (extinct or all rates 0: a total rate of 0 makes the clock inf or nan).
         ended = ~(clock < t) | (pop > cap)
         if ended.any():
+            keep = ~ended
+            # the large arrays first and one at a time, so one stale copy is alive at once;
+            # the filtered cum is the buffer from now on
+            counts = counts[keep]
+            cum = cum[keep]
+            total = cum[:, -1]
             final[live[ended]] = pop[ended]
             trunc[live[ended]] = pop[ended] > cap
-            keep = ~ended
-            live, counts, pop, clock, cum, total = (a[keep] for a in (live, counts, pop, clock, cum, total))
+            live, pop, clock = live[keep], pop[keep], clock[keep]
         rows = np.arange(live.size)
         # u lies in (0, total], so the first site with cum >= u holds a particle
         u = (1.0 - rng.random(live.size)) * total

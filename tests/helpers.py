@@ -4,11 +4,13 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 
 from pamlab.environments import Environment, TailFamily, sample_environment, window_coords
 from pamlab.seeding import derive_seed, generator
+from pamlab.solver import BoxDomain
 
 
 def make_env_1d(v, hardcore=None, seed=0, baseline_death=0.0):
@@ -166,6 +168,107 @@ def reference_fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
         rng = generator(derive_seed(seed, "fk", ci))
         out[done : done + n] = reference_chunk_log_weights(env, x, kappa, t, n, rng, center, radius)
     return out
+
+
+def reference_bootstrap(logs, seed, powers, stat):
+    """(value, ci_lo, ci_hi) of moments._replica_bootstrap from its replica logs, in one draw.
+
+    The formula as it was before the resamples were drawn in blocks: all
+    1000 rows of n_replica indices in one integers call and one gather,
+    kept as the blocked draw's bit-for-bit reference.
+    """
+    n = len(logs)
+    peak = float(np.max(logs))
+    ws = [np.exp(p * (logs - peak)) for p in powers]
+    idx = generator(derive_seed(seed, "bootstrap", 0)).integers(0, n, size=(1000, n))
+    with np.errstate(divide="ignore"):
+        boot = stat(peak, *(w[idx].mean(axis=1) for w in ws))
+    lo, hi = np.percentile(boot, [0.5, 99.5])
+    return float(stat(peak, *(w.mean() for w in ws))), float(lo), float(hi)
+
+
+def reference_fk_moments(logw):
+    """(log value, stderr_log) of fk_estimate from its path log weights, on copies.
+
+    The formula as it was before it worked in the weights' own buffer:
+    the peak over finite weights, then w.mean() and w.std(ddof=1) of a
+    fresh exp(logw - peak).
+    """
+    n = len(logw)
+    if np.isinf(logw).all():
+        return -math.inf, 0.0
+    peak = float(logw[~np.isinf(logw)].max())
+    w = np.exp(logw - peak)
+    mean = float(w.mean())
+    stderr = float(w.std(ddof=1)) / (mean * math.sqrt(n)) if n > 1 else math.inf
+    return peak + math.log(mean), stderr
+
+
+def reference_population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
+    """(counts, truncated, n_branch, n_death, n_boundary_kill) of population_ensemble.
+
+    The sweep as it was before it reused one buffer: counts * rate and
+    its cumsum fresh every sweep, and every per-run array filtered at
+    once when runs end.  Kept as the buffered sweep's bit-for-bit
+    reference; it does not check its arguments.
+    """
+    box = BoxDomain(env, (0,) * env.dim, env.radius)
+    start = box.grid_index(x)
+    _, ok, steps = box.killing_grid()
+    site_at = np.pad(np.arange(env.n_sites).reshape((env.side,) * env.dim), 1, constant_values=-1).ravel()
+    grid_at = np.flatnonzero(site_at >= 0)
+    final, branch, death = (np.zeros(n_runs, dtype=np.int64) for _ in range(3))
+    kill = np.full(n_runs, int(not ok[start]))
+    trunc = np.zeros(n_runs, dtype=bool)
+    live = np.arange(n_runs if ok[start] else 0)
+    jump = len(steps) * kappa
+    rate = jump + env.v_plus + env.v_minus
+    rng = generator(derive_seed(seed, "particles"))
+    counts = np.zeros((live.size, env.n_sites))
+    counts[:, site_at[start]] = 1.0
+    pop = np.ones(live.size, dtype=np.int64)
+    clock = np.zeros(live.size)
+    while live.size:
+        cum = np.cumsum(counts * rate, axis=1)
+        total = cum[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            clock += rng.exponential(size=live.size) / total
+        ended = ~(clock < t) | (pop > cap)
+        if ended.any():
+            final[live[ended]] = pop[ended]
+            trunc[live[ended]] = pop[ended] > cap
+            keep = ~ended
+            live, counts, pop, clock, cum, total = (a[keep] for a in (live, counts, pop, clock, cum, total))
+        rows = np.arange(live.size)
+        u = (1.0 - rng.random(live.size)) * total
+        site = (cum < u[:, None]).sum(axis=1)
+        c = rng.random(live.size) * rate[site]
+        jumped = c < jump
+        born = ~jumped & (c < jump + env.v_plus[site])
+        counts[rows, site] += np.where(born, 1.0, -1.0)
+        movers = np.flatnonzero(jumped)
+        target = grid_at[site[movers]] + steps[rng.integers(0, len(steps), size=movers.size)]
+        moved = ok[target]
+        counts[movers[moved], site_at[target[moved]]] += 1.0
+        killed = movers[~moved]
+        died = ~(jumped | born)
+        branch[live[born]] += 1
+        death[live[died]] += 1
+        kill[live[killed]] += 1
+        pop += born
+        pop -= died
+        pop[killed] -= 1
+    return final, trunc, branch, death, kill
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc saw allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def record_fixture(path, values):

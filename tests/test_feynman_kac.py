@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import make_env, make_env_1d, reference_fk_path_log_weights
+from helpers import make_env, make_env_1d, reference_fk_moments, reference_fk_path_log_weights, traced_peak
 from pamlab import feynman_kac
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.feynman_kac import exit_tail_mc, fk_estimate, fk_path_log_weights, wilson_interval
@@ -217,3 +217,44 @@ def test_exit_tail_radii_must_be_lattice_integers(radius):
     with mock.patch.object(feynman_kac, "generator", side_effect=AssertionError("drew paths")):
         with pytest.raises(ValueError, match=re.escape(f"radius must be an integer >= 1, got {radius!r}")):
             exit_tail_mc(1.0, 100, 1, radii=(2, radius))
+
+
+_DOUBLE_EXP = TailFamily.double_exp(1.0)
+
+
+@pytest.mark.parametrize(
+    "case, x, kappa, t, n_paths",
+    [
+        ("some killed", (0,), 1.0, 1.5, 5000),
+        ("all killed", (2,), 1.0, 1.0, 300),
+        ("one path", (0,), 1.0, 1.5, 1),
+        ("two paths", (0,), 1.0, 1.5, 2),
+        ("1e5 paths", (0,), 1.0, 1.5, 100_000),
+        ("kappa 0", (0,), 0.0, 1.5, 7),
+    ],
+)
+def test_fk_estimate_in_place_keeps_the_bits_of_the_copying_formula(case, x, kappa, t, n_paths):
+    # a double_exp window of radius 6 with a hard core at x = 2 (the start of "all killed")
+    env = sample_environment(_DOUBLE_EXP, 1, 6, 5)
+    hard = env.hardcore.copy()
+    hard[env.flat_index((2,))] = True
+    env = make_env_1d(env.v_plus - env.v_minus, hardcore=hard)
+    logw = fk_path_log_weights(env, x, kappa, t, n_paths, seed=13)
+    est = fk_estimate(env, x, kappa, t, n_paths, seed=13)
+    assert est.n_killed == int(np.isinf(logw).sum())
+    if case == "some killed":
+        assert 0 < est.n_killed < n_paths
+    if case == "all killed":
+        assert est.all_killed
+    assert [float(v).hex() for v in (est.log_value, est.stderr_log)] == [
+        float(v).hex() for v in reference_fk_moments(logw)
+    ]
+
+
+def test_fk_estimate_holds_one_weight_per_path():
+    # the copying formula held three 8-byte copies of the weights: 22.9 MiB at 1e6 paths
+    env = sample_environment(_DOUBLE_EXP, 1, 1, 5)
+    n_paths = 1_000_000
+    est, peak = traced_peak(fk_estimate, env, (0,), 0.1, 0.1, n_paths, seed=4)
+    assert 0 < est.n_killed < n_paths
+    assert peak <= 8 * n_paths + 2 * 2**20, peak / 2**20

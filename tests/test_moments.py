@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pamlab import environments, solver
+from helpers import reference_bootstrap, traced_peak
+from pamlab import environments, moments, solver
 from pamlab.analytics import cumulant_H, cumulant_exponent_G
 from pamlab.environments import TailFamily, sample_environment
 from pamlab.moments import (
@@ -14,7 +15,7 @@ from pamlab.moments import (
     estimate_H1,
 )
 from pamlab.seeding import derive_seed
-from pamlab.solver import BoxDomain, empirical_average, required_radius, solve_truncated
+from pamlab.solver import BoxDomain, _log_mean, empirical_average, required_radius, solve_truncated
 
 
 @pytest.mark.parametrize("family", [TailFamily.weibull(2.0), TailFamily.hard_core(0.3)])
@@ -232,3 +233,40 @@ def test_block_variance_reconstruction_band():
     rep = block_variance(TailFamily.weibull(2.0), 1.0, 1.0, L=120, n_replica=400, seed=621)
     assert rep.dependence_radius == 13
     assert 0.8 <= rep.ratio <= 1.25
+
+
+def _hex(*values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "family, n_replica, stack_sites",
+    [
+        (TailFamily.weibull(2.0), 50, None),
+        (TailFamily.hard_core(0.2), 101, None),  # killed replicas carry weight 0
+        (TailFamily.weibull(2.0), 1200, None),  # ten blocks of at most 109 rows
+        (TailFamily.weibull(2.0), 101, 100),  # n_replica above _STACK_SITES: blocks of one row
+    ],
+)
+def test_blocked_bootstrap_keeps_the_one_draw_bits(monkeypatch, family, n_replica, stack_sites):
+    if stack_sites is not None:
+        monkeypatch.setattr(moments, "_STACK_SITES", stack_sites)
+    kappa, t, theta, seed = 1.0, 1.0, 0.5, 23
+    logs = _replica_log_moments(family, kappa, t, n_replica, seed)
+
+    h1 = estimate_H1(family, kappa, t, n_replica, seed)
+    _, lo, hi = reference_bootstrap(logs, seed, (1.0,), lambda peak, m: np.log(m) + peak)
+    assert _hex(h1.value, h1.ci_lo, h1.ci_hi) == _hex(_log_mean(logs), lo, hi)
+
+    def gap(peak, m1, mq):
+        return ((np.log(mq) + (1.0 + theta) * peak) - (1.0 + theta) * (np.log(m1) + peak)) / theta
+
+    ft = estimate_F_theta(family, theta, kappa, t, n_replica, seed)
+    ref = reference_bootstrap(logs, seed, (1.0, 1.0 + theta), gap)
+    assert _hex(ft.value, ft.ci_lo, ft.ci_hi) == _hex(*ref)
+
+
+def test_f_theta_bootstrap_memory_does_not_grow_with_replicas():
+    # one (1000, 4000) index draw and its gather held 61.2 MiB; the blocks hold 1 MiB each
+    _, peak = traced_peak(estimate_F_theta, TailFamily.weibull(2.0), 0.5, 1.0, 1.0, n_replica=4000, seed=3)
+    assert peak <= 10 * 2**20, peak / 2**20

@@ -13,6 +13,7 @@ from pamlab import solver
 from pamlab.analytics import rate_I
 from pamlab.environments import TailFamily, sample_environment, window_coords
 from pamlab.moments import correlation_profile
+from pamlab.regimes import RegimeConfig, ScheduleRule, lln_experiment
 from pamlab.seeding import derive_seed
 from pamlab.solver import (
     BoxDomain,
@@ -281,6 +282,31 @@ def test_required_radius_refuses_a_radius_over_1e6_at_once():
             required_radius(kappa, t, tol, d)
         assert time.perf_counter() - start < 0.1
     assert required_radius(1.0, 1e4, 1e-6, 1) == 10**6
+
+
+def test_stack_refuses_a_rate_over_the_degree_limit_before_any_degree(monkeypatch):
+    # c t = 2 d kappa t + max v - min v: 2^22 + 1 in the first box, 2 in the second
+    v = np.zeros((2, 5))
+    v[0, 1] = -(solver._MAX_DEGREE - 1.0)
+
+    def no_degree(lam):
+        raise AssertionError("sought a Poisson degree")
+
+    monkeypatch.setattr(solver, "_poisson_degree", no_degree)
+    refusal = r"c t = 4\.194e\+06 exceeds 4194304: a box's v runs from min v = -4\.194e\+06 to max v = 0 "
+    with pytest.raises(SolverError, match=refusal):
+        solver._solve_stack(v, np.ones(v.shape, dtype=bool), 1.0, 1.0, every_site=False)
+
+
+def test_heavy_negative_tail_refuses_within_seconds():
+    # frechet(0.5), kappa = 1, t = 1, L = 20: one replica's box reaches
+    # v = -4.6e7; its log-factorial table once grew past 985 MB
+    rule = ScheduleRule(kind="explicit", table=((1.0, 20),))
+    config = RegimeConfig(TailFamily.frechet(0.5), rule, (1.0,), kappa=1.0, n_replica=100, seed=5)
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match=r"c t = 4\.627e\+07 exceeds"):
+        lln_experiment(config)
+    assert time.perf_counter() - start < 10.0
 
 
 @pytest.mark.parametrize("kappa, t, bad", [(-1.0, 1.0, "kappa"), (1.0, -1.0, "t"), (math.nan, 1.0, "kappa"),
