@@ -3,16 +3,15 @@
 Everything here averages over independent environment replicas: the
 annealed growth estimate, the intermittency gap at tilt theta, spatial
 correlation profiles, and the variance of a box sum with its
-lag-covariance reconstruction.  Every site moment m(x, t) is read by
-one reader, solver.site_log_moments, from stacks of replicas that
-solver._replica_site_logs samples in sizes equal to within one, each
-no larger than one batched solve of their windows takes.  Each site is
-read through its own window of radius R, so m(x, t) and m(y, t) are
-independent once |x - y| > 2R; correlation_profile and block_variance
-rely on that exact dependence radius, which is why the statistics here
-do not read boxes by the shared tiles of the regime box averages.  At
-kappa = 0 the windows are single sites and the reader returns t v(x)
-exactly, so no statistic keeps a kappa = 0 branch of its own.
+lag-covariance reconstruction.  Every site moment m(x, t) comes from
+solver._replica_site_logs, which samples replicas in stacks as the
+regime box averages do, and reads each site through its own window of
+radius R, a block of one site for the solver's block reader.  So
+m(x, t) and m(y, t) are independent once |x - y| > 2R, the exact
+dependence radius that correlation_profile and block_variance rely on;
+the shared tiles of the regime box averages would blur it.  At kappa =
+0 the windows are single sites and the reader returns t v(x) exactly,
+so no statistic keeps a kappa = 0 branch of its own.
 """
 
 import math
@@ -61,7 +60,7 @@ def _env_seeds(seed, n_replica):
 def _replica_log_moments(family, kappa, t, n_replica, seed, dim=1, tol=1e-6):
     """log m(0, t) for independent environment replicas; -inf if killed."""
     R = required_radius(kappa, t, tol, dim)
-    return _replica_site_logs(family, _env_seeds(seed, n_replica), R, np.zeros((1, dim)), kappa, t, R)[:, 0]
+    return _replica_site_logs(family, _env_seeds(seed, n_replica), R, np.zeros((1, dim), int), kappa, t, R)[:, 0]
 
 
 def _replica_bootstrap(family, kappa, t, n_replica, seed, dim, tol, powers, stat):

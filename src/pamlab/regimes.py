@@ -34,7 +34,7 @@ from .analytics import (
 from .environments import _lattice_int, exp_quantile_array
 from .moments import estimate_F_theta
 from .seeding import derive_seed, generator
-from .solver import _check_walk, _equal_parts, _log_mean, _replica_box_logs, required_radius, windows_per_call
+from .solver import _check_walk, _log_mean, _replica_box_logs, required_radius
 
 _DRAW_CHUNK = 1 << 20
 # Below this many kappa = 0 block sites, n_replica (2L+1)^d, the draws stay
@@ -346,24 +346,13 @@ def _check_solver_dim(config):
         raise ValueError(f"kappa > 0 regime runs support d = 1 only, got d = {config.d}")
 
 
-def _block_log_means_solver(config, t, L, label):
-    """log m^L per replica for kappa > 0, from _replica_box_logs on stacks of replicas.
-
-    Stacks differ in size by at most one, and each samples at most
-    windows_per_call(1) sites, or one replica, so memory does not grow
-    with n_replica.
-    """
-    R = required_radius(config.kappa, t, config.tol, 1)
-    seeds = [derive_seed(config.seed, label, i) for i in range(config.n_replica)]
-    stacks = _equal_parts(len(seeds), windows_per_call(2 * (L + R) + 1))
-    return np.concatenate([_log_mean(_replica_box_logs(config.family, seeds[lo:hi], L, config.kappa, t, R))
-                           for lo, hi in stacks])
-
-
 def _block_log_means(config, t, L, label):
+    """log m^L per replica: direct draws at kappa = 0, else shared tiles read in stacks of replicas."""
     if config.kappa == 0.0:
         return _block_log_means_exact(config, t, L, label)
-    return _block_log_means_solver(config, t, L, label)
+    R = required_radius(config.kappa, t, config.tol, 1)
+    seeds = [derive_seed(config.seed, label, i) for i in range(config.n_replica)]
+    return _replica_box_logs(config.family, seeds, L, config.kappa, t, R, _log_mean)
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,18 @@ stored as a mantissa array plus one shared additive log offset.
 
 Every kappa > 0 solve goes through one kernel, _solve_stack, on a stack
 of d-dimensional boxes given as a (B, S, ..., S) array of potentials
-plus its hard-core mask: a single box is a stack of one that reads every
-site.  Two readers build stacks for it.  site_log_moments reads given
-sites, each through its own window of radius R, and cuts the windows of
-one stack of environments into stacks of at most _STACK_SITES sites,
-equal to within one window, that read their centers; a site's value
-then depends only on the environment within R of it.  _replica_box_logs
-reads every site of a 1-d box [-L, L], which the regime box averages
-need: it cuts the box into tiles of 2R + 1 sites, each solved on its
-tile plus R sites each side, so the cost per site is about 2 solves
-rather than 2R + 1.  Each box is summed by uniformization, or by a
-batched dense eigendecomposition where one fitted cost rule
-(_dense_route) says that is cheaper.
+plus its hard-core mask, reading the sites at least `margin` inside
+every face: a single box is a stack of one with margin 0.  One reader,
+_block_logs, builds stacks for it.  It reads blocks of w^d sites, each
+solved on itself plus R sites beyond each face, so a read site's value
+meets the bound of its own window of radius R.  site_log_moments reads
+given sites as blocks of one site (windows); the regime box averages
+read a 1-d box [-L, L] as tiles of 2R + 1 sites, so the cost per site
+is about 2 solves rather than 2R + 1.  Each box is summed by
+uniformization, or by a batched dense eigendecomposition where one
+fitted cost rule (_dense_route) says that is cheaper.
 
-What is built on the readers returns log m, -inf where the walk is
+What is built on the reader returns log m, -inf where the walk is
 killed; R comes from required_radius, which refuses a kappa or t that
 is not finite and >= 0 before any site is hashed.
 """
@@ -46,7 +44,7 @@ _STEP_PER_SITE = 20
 _STEP_FIXED = 3e4
 # Matrix entries per batched eigh call, which bounds the dense route's memory.
 _DENSE_ENTRIES = 2**22
-# Sites per stack of windows, which bounds the uniformization work arrays.
+# Sites per stack of boxes that _block_logs solves, which bounds the uniformization work arrays.
 _STACK_SITES = 2**17
 # Largest truncation radius that required_radius returns.
 _MAX_RADIUS = 10**6
@@ -212,9 +210,9 @@ def _check_walk(kappa, t):
 def solve_truncated(env, box, kappa, t):
     """Truncated moment field on a box with Dirichlet zero outside.
 
-    kappa > 0 runs the box through _solve_stack as a stack of one that
-    reads every site; the route follows the estimated cost and cannot
-    be chosen.  Raises ValueError unless box is a BoxDomain of env.
+    kappa > 0 runs the box through _solve_stack as a stack of one with
+    margin 0; the route follows the estimated cost and cannot be chosen.
+    Raises ValueError unless box is a BoxDomain of env.
     """
     _check_walk(kappa, t)
     domain = _box_of(env, box)
@@ -225,7 +223,7 @@ def solve_truncated(env, box, kappa, t):
         v = domain.potential()
         peak = float(v.max())
         return _normalized_field(domain, t, kappa, np.exp((v - peak) * t), peak * t, "closed-form")
-    vals, off, degree, dense = _solve_stack(domain.v[None], domain.live[None], kappa, t, every_site=True)
+    vals, off, degree, dense = _solve_stack(domain.v[None], domain.live[None], kappa, t, 0)
     method = "dense-eig" if dense[0] else "uniformization"
     return _normalized_field(domain, t, kappa, vals[0][domain.active_mask()], off[0], method, int(degree[0]))
 
@@ -278,7 +276,7 @@ def solve_untruncated(env, x, kappa, t, tol=1e-8):
 
 
 def windows_per_call(n_sites):
-    """How many windows of n_sites sites one batched solve takes; see _STACK_SITES."""
+    """How many boxes of n_sites sites one batched solve takes; see _STACK_SITES."""
     return max(1, _STACK_SITES // n_sites)
 
 
@@ -334,8 +332,8 @@ def _poisson_degree(lam):
     return hi.astype(np.int64)
 
 
-def _uniformized_sums(v, active, kappa, t, vmin, c, degree, every_site):
-    """sum_{k <= K_b} Pois(k; c_b t) P_b^k 1 for each box b, at its center or every site.
+def _uniformized_sums(v, active, kappa, t, vmin, c, degree, margin):
+    """sum_{k <= K_b} Pois(k; c_b t) P_b^k 1 for each box b, at the sites margin or more inside it.
 
     P_b = I + (A_b - v_max,b)/c_b is nonnegative and substochastic, with
     diagonal (v - v_min)/c_b and kappa/c_b between lattice neighbors,
@@ -344,7 +342,7 @@ def _uniformized_sums(v, active, kappa, t, vmin, c, degree, every_site):
     are accumulated.  Rows run in order of decreasing degree, so the
     boxes still in the loop at step k are a prefix of the stack.  The
     weights come from their logarithms, so e^{-ct} cannot underflow.
-    Returns shape (B, 1), or (B, S^d) if every_site.
+    Returns shape (B, (S - 2 margin)^d).
     """
     B, shape = v.shape[0], v.shape[1:]
     d = len(shape)
@@ -358,9 +356,8 @@ def _uniformized_sums(v, active, kappa, t, vmin, c, degree, every_site):
     with np.errstate(divide="ignore"):
         log_lam = np.log(lam)
     log_fact = _log_factorials(1 << int(degree.max(initial=0)).bit_length())
-    inner = (slice(None),) + (slice(1, -1),) * d
+    inner, read = _inner(shape, 0, 1), _inner(shape, margin, 1)
     shifts = [inner[: k + 1] + (s,) + inner[k + 2 :] for k in range(d) for s in (slice(None, -2), slice(2, None))]
-    read = inner if every_site else (slice(None),) + tuple(slice(1 + s // 2, 2 + s // 2) for s in shape)
     u = np.zeros((B,) + tuple(s + 2 for s in shape))
     u[inner] = active
     nxt = np.zeros_like(u)
@@ -385,6 +382,11 @@ def _uniformized_sums(v, active, kappa, t, vmin, c, degree, every_site):
     return out.reshape(B, math.prod(acc.shape[1:]))
 
 
+def _inner(shape, margin, pad=0):
+    """Index of the sites at least margin inside every face of a stack of boxes of `shape`, each padded by pad."""
+    return (slice(None),) + tuple(slice(pad + margin, pad + s - margin) for s in shape)
+
+
 def _grid_pairs(shape):
     """Flat index pairs (i, j) of lattice neighbors in a C-ordered grid."""
     grid = np.arange(math.prod(shape)).reshape(shape)
@@ -392,15 +394,16 @@ def _grid_pairs(shape):
     return np.concatenate([g[:-1].ravel() for g in ends]), np.concatenate([g[1:].ravel() for g in ends])
 
 
-def _dense_fields(v, active, kappa, t, every_site):
+def _dense_fields(v, active, kappa, t, margin):
     """(values, log offsets, accurate) for boxes solved by batched eigh.
 
     Hard cores are decoupled from their neighbors and given the lowest
     active diagonal entry, so they never set the top eigenvalue and the
-    start vector, zero on them, keeps them out.  A dense answer errs by
-    about n eps times its box's peak, so `accurate` is False where an
-    active site read lies too far below the peak for a relative error of
-    _SITE_LOG_TOL.  Values have shape (B, 1), or (B, S^d) if every_site.
+    start vector, zero on them, keeps them out.  Only the sites margin or
+    more inside each box are read.  A dense answer errs by about n eps
+    times its box's peak, so `accurate` is False where an active site
+    read lies too far below the peak for a relative error of
+    _SITE_LOG_TOL.  Values have shape (B, (S - 2 margin)^d).
     """
     B, shape, n = len(v), v.shape[1:], v[0].size
     v, active = v.reshape(B, n), active.reshape(B, n)
@@ -417,8 +420,7 @@ def _dense_fields(v, active, kappa, t, every_site):
     weights = np.einsum("bik,bi->bk", Q, active) * np.exp((w - lam0[:, None]) * t)
     field = np.einsum("bik,bk->bi", Q, weights)
     cut = field.max(axis=1, keepdims=True) * n * np.finfo(float).eps / _SITE_LOG_TOL
-    if not every_site:
-        field, active = field[:, [n // 2]], active[:, [n // 2]]
+    field, active = (a.reshape((B,) + shape)[_inner(shape, margin)].reshape(B, -1) for a in (field, active))
     accurate = np.all((field >= cut) | ~active, axis=1)
     return np.where(active, field, 0.0), lam0 * t, accurate
 
@@ -436,7 +438,7 @@ def _dense_route(n, degree, n_rows):
     return n * n * (n + _EIGH_SMALL) <= degree * (_STEP_PER_SITE * n + _STEP_FIXED / n_rows)
 
 
-def _solve_stack(v, active, kappa, t, every_site):
+def _solve_stack(v, active, kappa, t, margin):
     """m(., t) on each box of a (B, S, ..., S) stack with Dirichlet zero outside.
 
     v holds finite potentials on the active sites and is ignored on the
@@ -451,11 +453,14 @@ def _solve_stack(v, active, kappa, t, every_site):
     -4.6e7 among 67 frechet(0.5) sites) raises SolverError naming c_b t
     and its min and max v, before any degree is sought.
 
-    Reads the center of each box, or every site if every_site.  Returns
-    (values, log offsets, degrees, dense): m = values * e^offset, of
-    shape (B, 1) or (B, S^d); the degree is 0 where dense answered.
+    Reads the sites at least margin inside every face of each box, and
+    only those must lie above e^-708 of e^{t v_max} and pass the dense
+    accuracy check.  Returns (values, log offsets, degrees, dense):
+    m = values * e^offset, of shape (B, (S - 2 margin)^d); the degree is
+    0 where dense answered.
     """
     B, n, axes = len(v), math.prod(v.shape[1:]), tuple(range(1, v.ndim))
+    read = active[_inner(v.shape[1:], margin)].reshape(B, -1)
     v = np.where(active, v, 0.0)
     vmax = np.max(v, axis=axes, where=active, initial=-np.inf)
     vmin = np.min(v, axis=axes, where=active, initial=np.inf)
@@ -468,19 +473,19 @@ def _solve_stack(v, active, kappa, t, every_site):
             f"min v = {vmin[b]:.4g} to max v = {vmax[b]:.4g} at kappa = {kappa:g}, t = {t:g}"
         )
     degree = _poisson_degree(lam)
-    vals = np.empty((B, n if every_site else 1))
+    vals = np.empty(read.shape)
     off = t * vmax
     dense = np.zeros(B, dtype=bool)
     rows = np.nonzero(_dense_route(n, degree, max(B, 1)))[0]
     step = max(1, _DENSE_ENTRIES // (n * n))
     for s in range(0, len(rows), step):
         part = rows[s : s + step]
-        field, lam0t, accurate = _dense_fields(v[part], active[part], kappa, t, every_site)
+        field, lam0t, accurate = _dense_fields(v[part], active[part], kappa, t, margin)
         part = part[accurate]
         vals[part], off[part], dense[part] = field[accurate], lam0t[accurate], True
     rest = np.nonzero(~dense)[0]
-    vals[rest] = _uniformized_sums(v[rest], active[rest], kappa, t, vmin[rest], c[rest], degree[rest], every_site)
-    low = np.min(vals, where=active.reshape(B, n)[:, slice(None) if every_site else [n // 2]], initial=np.inf)
+    vals[rest] = _uniformized_sums(v[rest], active[rest], kappa, t, vmin[rest], c[rest], degree[rest], margin)
+    low = np.min(vals, where=read, initial=np.inf)
     if low < np.finfo(float).tiny:
         raise SolverError(f"a site lies below e^-708 of e^(t v_max): value {low:.3e}")
     return vals, off, np.where(dense, 0, degree), dense
@@ -492,6 +497,46 @@ def _equal_parts(total, most):
     return [(i * total // k, (i + 1) * total // k) for i in range(k)]
 
 
+def _block_logs(v, hard, corners, w, R, kappa, t):
+    """(n, n_blocks, w^d) log m(x, t) on blocks of w^d sites of each of n environments; -inf on hard cores.
+
+    v and hard are one (n, S, ..., S) stack; a row of corners holds the
+    frame coordinates (0 to S - 1) of a block's lowest site.  A block's
+    Dirichlet box adds R sites beyond each face and must lie in the
+    frame, so each read site meets the bound of its window of radius R,
+    and Dirichlet monotonicity puts it between that window's value and m.
+    The (environment, block) boxes, environment-major, are cut into
+    ceil(total / windows_per_call) parts of sizes equal to within one,
+    each gathered by one take and, but for boxes whose read sites are all
+    hard cores, one _solve_stack call.
+    """
+    frame = v.shape[1:]
+    side = (w + 2 * R,) * len(frame)
+    n_box, n_frame = math.prod(side), math.prod(frame)
+    firsts = np.ravel_multi_index(tuple(np.asarray(corners).T - R), frame)
+    offsets = np.ravel_multi_index(tuple(np.indices(side).reshape(len(side), -1)), frame)
+    out = np.full((len(v) * len(firsts), w ** len(side)), -np.inf)
+    parts = _equal_parts(len(out), windows_per_call(n_box))
+    size = max(hi - lo for lo, hi in parts)
+    flat_v, flat_hard = np.empty((size, n_box)), np.empty((size, n_box), dtype=bool)
+    for lo, hi in parts:
+        n = hi - lo
+        row, j = np.divmod(np.arange(lo, hi), len(firsts))
+        at = (row * n_frame + firsts[j])[:, None] + offsets
+        v.take(at, out=flat_v[:n], mode="clip")
+        hard.take(at, out=flat_hard[:n], mode="clip")
+        box_v, live = flat_v[:n].reshape((n,) + side), ~flat_hard[:n].reshape((n,) + side)
+        bad = box_v[live & ~np.isfinite(box_v)]
+        if bad.size:
+            raise SolverError(f"blocks need finite potentials on active sites, got {bad[0]:g}")
+        rows = np.flatnonzero(live[_inner(side, R)].reshape(n, out.shape[1]).any(axis=1))
+        if rows.size:
+            vals, off, _, _ = _solve_stack(box_v[rows], live[rows], kappa, t, R)
+            with np.errstate(divide="ignore"):
+                out[lo + rows] = np.log(vals) + off[:, None]
+    return out.reshape(len(v), len(firsts), out.shape[1])
+
+
 def site_log_moments(v, hard, sites, kappa, t, R):
     """(n, n_sites) array of log m(x, t) at fixed lattice sites of each of n environments.
 
@@ -500,98 +545,64 @@ def site_log_moments(v, hard, sites, kappa, t, R):
     sample_potentials.  sites holds integer coordinates, one row per
     site (a 1-d array is taken as 1-d sites).  Each value comes from the
     site's Dirichlet window of radius R, hard cores masked, and is -inf
-    where the site is a hard core.  The (env, site) windows, in env-major
-    order, are cut into ceil(total / windows_per_call) buffers whose
-    sizes differ by at most one, and each buffer but its hard-core
-    centered windows is one _solve_stack call.  At kappa = 0, R = 0 and
-    a window is its site, whose value is t v(x) exactly.
+    where the site is a hard core: _block_logs with blocks of one site.
+    At kappa = 0, R = 0 and a window is its site, whose value is t v(x)
+    exactly.
     """
     frame = v.shape[1:]
-    d = len(frame)
-    sites = _lattice_sites("sites", np.reshape(sites, (len(sites), -1 if len(sites) else d)), d)
+    sites = _lattice_sites("sites", np.reshape(sites, (len(sites), -1 if len(sites) else len(frame))), len(frame))
     if any(s != frame[0] or s % 2 == 0 for s in frame):
         raise ValueError(f"environments must be cubes of odd side, got shape {frame}")
     if hard.shape != v.shape:
         raise ValueError(f"hardcore mask must have the shape of the potentials {v.shape}, got {hard.shape}")
-    radius, n_frame = frame[0] // 2, math.prod(frame)
+    radius = frame[0] // 2
     reach = int(np.abs(sites).max(initial=0)) + R
     if reach > radius:
         raise SolverError(f"window radius {radius} too small: need {reach} for windows of radius {R}")
-    centers = np.ravel_multi_index(tuple((sites + radius).T), frame)
-    # flat offsets of a window's sites from its center, which is the frame's middle site
-    offsets = np.ravel_multi_index(tuple((window_coords(d, R) + radius).T), frame) - n_frame // 2
-    side = (2 * R + 1,) * d
-    n_win = math.prod(side)
-    total = len(v) * len(centers)
-    parts = _equal_parts(total, windows_per_call(n_win))
-    size = max(hi - lo for lo, hi in parts)
-    flat_v, flat_hard, out = np.empty((size, n_win)), np.empty((size, n_win), dtype=bool), np.full(total, -np.inf)
-    for lo, hi in parts:
-        n = hi - lo
-        row, j = np.divmod(np.arange(lo, hi), len(centers))
-        at = (row * n_frame + centers[j])[:, None] + offsets
-        v.take(at, out=flat_v[:n], mode="clip")
-        hard.take(at, out=flat_hard[:n], mode="clip")
-        win_v, active = flat_v[:n].reshape((n,) + side), ~flat_hard[:n].reshape((n,) + side)
-        live = win_v[active]
-        if not np.all(np.isfinite(live)):
-            raise SolverError(f"windows need finite potentials on active sites, got {live[~np.isfinite(live)][0]:g}")
-        rows = np.flatnonzero(~flat_hard[:n, n_win // 2])
-        if rows.size:
-            vals, off, _, _ = _solve_stack(win_v[rows], active[rows], kappa, t, every_site=False)
-            out[lo + rows] = np.log(vals[:, 0]) + off
-    return out.reshape(len(v), len(sites))
+    return _block_logs(v, hard, sites + radius, 1, R, kappa, t)[..., 0]
 
 
-def _replica_site_logs(family, seeds, radius, sites, kappa, t, R):
-    """site_log_moments at `sites` of the replicas of `seeds`, sampled on [-radius, radius]^d.
+def _replica_logs(family, seeds, radius, corners, w, kappa, t, R, reduce):
+    """reduce(_block_logs(...)) on stacks of the replicas of `seeds`, concatenated.
 
-    Replicas are sampled in stacks of sizes equal to within one, each at
-    most as many as one batched solve of their windows of radius R takes,
-    with no more sites than such a solve; each is one site_log_moments call.
+    The replicas are sampled on [-radius, radius]^d, d = corners.shape[1],
+    in stacks of sizes equal to within one: as many as one batched solve
+    takes with all their boxes, and no more sites, or else one replica.
+    So memory does not grow with len(seeds).
     """
-    sites = np.reshape(sites, (len(sites), -1))
-    dim = sites.shape[1]
+    n_blocks, dim = np.shape(corners)
     shape = (2 * radius + 1,) * dim
-    per_stack = max(1, min(windows_per_call((2 * R + 1) ** dim) // len(sites), windows_per_call(math.prod(shape))))
+    per_stack = max(1, min(windows_per_call((w + 2 * R) ** dim) // n_blocks, windows_per_call(math.prod(shape))))
     logs = []
     for lo, hi in _equal_parts(len(seeds), per_stack):
-        v, hardcore = sample_potentials(family, dim, radius, seeds[lo:hi])
-        logs.append(site_log_moments(v.reshape((-1,) + shape), hardcore.reshape((-1,) + shape), sites, kappa, t, R))
+        v, hard = sample_potentials(family, dim, radius, seeds[lo:hi])
+        logs.append(reduce(_block_logs(v.reshape((-1,) + shape), hard.reshape((-1,) + shape), corners, w, R, kappa, t)))
     return np.concatenate(logs)
 
 
-def _replica_box_logs(family, seeds, L, kappa, t, R):
-    """(n, 2L + 1) array of log m(x, t), |x| <= L, for the 1-d replicas of `seeds`; -inf on hard cores.
+def _replica_site_logs(family, seeds, radius, sites, kappa, t, R):
+    """(n, n_sites) log m(x, t) at integer `sites` of the replicas of `seeds`, sampled on [-radius, radius]^d."""
+    return _replica_logs(family, seeds, radius, np.reshape(sites, (len(sites), -1)) + radius, 1, kappa, t, R,
+                         lambda logs: logs[..., 0])
 
-    The replicas are sampled on [-L - R, L + R] as one stack.  The read
-    range [-L, L] is cut into tiles of w = min(2L + 1, 2R + 1) sites, the
-    last shifted left to end at L, and site j from the left is read from
-    tile j // w.  A tile's Dirichlet box is the tile plus R sites on each
-    side, so every read site lies at least R inside it: it meets the
-    bound of its window of radius R, and Dirichlet monotonicity puts its
-    value between the window's and m.  The (replica, tile) list is cut
-    into _equal_parts of at most windows_per_call tiles, each one
-    _solve_stack call on every site; a tile whose w sites are all hard
-    cores is not solved.
+
+def _replica_box_logs(family, seeds, L, kappa, t, R, reduce):
+    """reduce(logs) per stack of the 1-d replicas of `seeds`, concatenated; logs holds log m(x, t), |x| <= L.
+
+    The replicas are sampled on [-L - R, L + R].  The read range [-L, L]
+    is cut into tiles of w = min(2L + 1, 2R + 1) sites, the last shifted
+    left to end at L; site j from the left is read from tile j // w.
+    reduce gets the stack's (n, 2L + 1) logs in site order and C-ordered,
+    so a replica's value does not depend on the size of its stack; the
+    regime box averages pass _log_mean.
     """
     n_read = 2 * L + 1
     w = min(n_read, 2 * R + 1)
     starts = np.minimum(np.arange(0, n_read, w), n_read - w)
     tile_of = np.arange(n_read) // w
-    width, n_tiles = w + 2 * R, len(starts)
-    v, hard = sample_potentials(family, 1, L + R, seeds)
-    logs = np.full((len(seeds) * n_tiles, w), -np.inf)
-    for lo, hi in _equal_parts(len(logs), windows_per_call(width)):
-        row, k = np.divmod(np.arange(lo, hi), n_tiles)
-        at = (row * v.shape[1] + starts[k])[:, None] + np.arange(width)
-        live = ~hard.take(at)
-        rows = np.flatnonzero(live[:, R : R + w].any(axis=1))
-        if rows.size:
-            vals, off, _, _ = _solve_stack(v.take(at[rows]), live[rows], kappa, t, every_site=True)
-            with np.errstate(divide="ignore"):
-                logs[lo + rows] = np.log(vals[:, R : R + w]) + off[:, None]
-    return logs.reshape(len(seeds), n_tiles, w)[:, tile_of, np.arange(n_read) - starts[tile_of]]
+    at = tile_of * w + np.arange(n_read) - starts[tile_of]
+    return _replica_logs(family, seeds, L + R, (starts + R)[:, None], w, kappa, t, R,
+                         lambda logs: reduce(logs.reshape(len(logs), -1).take(at, axis=1)))
 
 
 def _log_mean(logs):

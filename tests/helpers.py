@@ -8,6 +8,7 @@ import tracemalloc
 
 import numpy as np
 
+from pamlab import solver
 from pamlab.environments import Environment, TailFamily, sample_environment, window_coords
 from pamlab.seeding import derive_seed, generator
 from pamlab.solver import BoxDomain
@@ -202,6 +203,68 @@ def reference_fk_moments(logw):
     mean = float(w.mean())
     stderr = float(w.std(ddof=1)) / (mean * math.sqrt(n)) if n > 1 else math.inf
     return peak + math.log(mean), stderr
+
+
+def reference_site_log_moments(v, hard, sites, kappa, t, R):
+    """site_log_moments as it was before windows became blocks of one site of the shared block reader.
+
+    Its gather, kept as the block reader's bit-for-bit reference: a
+    window's flat offsets from its center, buffers of equal size, and
+    one _solve_stack call per buffer but its hard-core centered windows,
+    reading the center (margin R).  sites must be integer coordinates
+    within R of the frame's faces.
+    """
+    frame = v.shape[1:]
+    d = len(frame)
+    sites = np.reshape(sites, (len(sites), -1 if len(sites) else d)).astype(np.int64)
+    radius, n_frame = frame[0] // 2, math.prod(frame)
+    centers = np.ravel_multi_index(tuple((sites + radius).T), frame)
+    offsets = np.ravel_multi_index(tuple((window_coords(d, R) + radius).T), frame) - n_frame // 2
+    side = (2 * R + 1,) * d
+    n_win = math.prod(side)
+    total = len(v) * len(centers)
+    parts = solver._equal_parts(total, solver.windows_per_call(n_win))
+    size = max(hi - lo for lo, hi in parts)
+    flat_v, flat_hard, out = np.empty((size, n_win)), np.empty((size, n_win), dtype=bool), np.full(total, -np.inf)
+    for lo, hi in parts:
+        n = hi - lo
+        row, j = np.divmod(np.arange(lo, hi), len(centers))
+        at = (row * n_frame + centers[j])[:, None] + offsets
+        v.take(at, out=flat_v[:n], mode="clip")
+        hard.take(at, out=flat_hard[:n], mode="clip")
+        win_v, active = flat_v[:n].reshape((n,) + side), ~flat_hard[:n].reshape((n,) + side)
+        rows = np.flatnonzero(~flat_hard[:n, n_win // 2])
+        if rows.size:
+            vals, off, _, _ = solver._solve_stack(win_v[rows], active[rows], kappa, t, R)
+            out[lo + rows] = np.log(vals[:, 0]) + off
+    return out.reshape(len(v), len(sites))
+
+
+def reference_box_tile_logs(v, hard, L, kappa, t, R):
+    """The site logs of the tile reader as it was before it shared the block reader with the windows.
+
+    v and hard are a (n, 2(L + R) + 1) stack of 1-d replicas.  Each tile
+    is solved on every site (margin 0) and its w read sites are cut out
+    afterwards; the (replica, tile) list is cut into equal parts of at
+    most windows_per_call tiles.  Returns (n, 2L + 1) logs, in the
+    strided layout that reader returned.
+    """
+    n_read = 2 * L + 1
+    w = min(n_read, 2 * R + 1)
+    starts = np.minimum(np.arange(0, n_read, w), n_read - w)
+    tile_of = np.arange(n_read) // w
+    width, n_tiles = w + 2 * R, len(starts)
+    logs = np.full((len(v) * n_tiles, w), -np.inf)
+    for lo, hi in solver._equal_parts(len(logs), solver.windows_per_call(width)):
+        row, k = np.divmod(np.arange(lo, hi), n_tiles)
+        at = (row * v.shape[1] + starts[k])[:, None] + np.arange(width)
+        live = ~hard.take(at)
+        rows = np.flatnonzero(live[:, R : R + w].any(axis=1))
+        if rows.size:
+            vals, off, _, _ = solver._solve_stack(v.take(at[rows]), live[rows], kappa, t, 0)
+            with np.errstate(divide="ignore"):
+                logs[lo + rows] = np.log(vals[:, R : R + w]) + off[:, None]
+    return logs.reshape(len(v), n_tiles, w)[:, tile_of, np.arange(n_read) - starts[tile_of]]
 
 
 def reference_population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):

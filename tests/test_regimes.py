@@ -119,7 +119,10 @@ def regime_values():
 
 
 def test_regime_verdicts_match_fixture():
-    # recorded before the experiments shared one verdict builder
+    # recorded before the experiments shared one verdict builder; the two
+    # kappa > 0 entries were re-recorded when the box averages began to sum
+    # each replica's site logs in C order (last bits of ratio_sd and the clt
+    # shape statistics; every site log kept its bits)
     with open(FIXTURE) as fh:
         want = json.load(fh)
     got = regime_values()
@@ -625,6 +628,14 @@ def test_diffusive_lln_at_t3_L2000_is_fast():
 def test_diffusive_regime_reads_boxes_by_tiles_not_windows(monkeypatch):
     for name in ("site_log_moments", "_replica_site_logs"):
         monkeypatch.setattr(pamlab.solver, name, mock.Mock(side_effect=AssertionError(f"{name} ran")))
+    widths = []
+    read = pamlab.solver._block_logs
+
+    def spy(v, hard, corners, w, R, kappa, t):
+        widths.append(w)
+        return read(v, hard, corners, w, R, kappa, t)
+
+    monkeypatch.setattr(pamlab.solver, "_block_logs", spy)
     config = RegimeConfig(
         family=WEIBULL2, rule=ScheduleRule(kind="explicit", table=((1.0, 8), (2.0, 30))),
         t_grid=(1.0, 2.0), kappa=1.0, n_replica=100, seed=5,
@@ -633,6 +644,8 @@ def test_diffusive_regime_reads_boxes_by_tiles_not_windows(monkeypatch):
     assert clt_experiment(config, reference=(1.5, 0.8))[0].L == 8
     gamma = ScheduleRule(kind="gamma-j", gamma=0.5)
     critical_experiment(dataclasses.replace(config, family=DEXP1, rule=gamma, t_grid=(2.0,)), gamma=0.5, delta=0.1)
+    # blocks of more than one site: tiles, not windows
+    assert widths and min(widths) > 1, widths
 
 
 

@@ -6,7 +6,9 @@ its own.  Sampling a stack of replicas at once must leave each of them
 bit for bit as it was, and equality here also shows that no window
 changed route.  The kappa > 0 lln entry was re-recorded when the regime
 box averages moved from one window per site to shared tiles, which read
-each site from a larger Dirichlet box (1e-11 higher in the ratios).
+each site from a larger Dirichlet box (1e-11 higher in the ratios), and
+again when each replica's site logs came to be summed in C order, the
+same whatever the stack size (ratio_sd, 3 ulp).
 """
 
 import json
@@ -100,6 +102,49 @@ def test_replica_log_moment_does_not_depend_on_the_replica_count():
     np.testing.assert_array_equal(
         _replica_log_moments(WEIBULL2, 1.0, 1.0, n, 7), _replica_log_moments(WEIBULL2, 1.0, 1.0, 2 * n, 7)[:n]
     )
+
+
+def _fields(report, *names):
+    return [getattr(report, name) for name in names]
+
+
+_LLN_K1_L200 = RegimeConfig(
+    family=WEIBULL2, rule=ScheduleRule(kind="explicit", table=((1.0, 200),)), t_grid=(1.0,), kappa=1.0,
+    n_replica=100, seed=38,
+)
+_CI = ("value", "ci_lo", "ci_hi")
+
+
+@pytest.mark.parametrize(
+    "run, stack_sites, per_stack",
+    [
+        # 13 windows of 27 sites per replica: one replica per stack, one solve each
+        (lambda: correlation_profile(WEIBULL2, 1.0, 1.0, range(1, 13), 60, 35).r, 13 * 27, 1),
+        # 41 windows per replica: one replica per stack, in three solves
+        (lambda: _fields(block_variance(WEIBULL2, 1.0, 1.0, 20, 40, 36), "var_direct", "var_reconstructed", "ratio"),
+         20 * 27, 1),
+        # 15 tiles of 53 sites per replica: one replica per stack, in two solves
+        (lambda: [x for v in lln_experiment(_LLN_K1_L200) for x in _fields(v, *_RATIO_FIELDS)], 427, 1),
+        # one window of 33 sites per replica: at one replica per stack each solve would be a
+        # single window, which the cost rule sends to dense eigh; stacks of 13 keep the route
+        (lambda: _fields(estimate_H1(WEIBULL2, 1.0, 1.0, 60, 31), *_CI), 13 * 33, 13),
+        (lambda: _fields(estimate_F_theta(WEIBULL2, 0.5, 1.0, 1.0, 60, 32), *_CI), 13 * 33, 13),
+    ],
+    ids=["correlation", "block_variance", "lln", "h1", "ftheta"],
+)
+def test_statistics_keep_their_bits_in_small_stacks(monkeypatch, run, stack_sites, per_stack):
+    whole = _hex(run())
+    stacks = []
+    sample = solver.sample_potentials
+
+    def counted(family, dim, radius, seeds):
+        stacks.append(len(seeds))
+        return sample(family, dim, radius, seeds)
+
+    monkeypatch.setattr(solver, "_STACK_SITES", stack_sites)
+    monkeypatch.setattr(solver, "sample_potentials", counted)
+    assert _hex(run()) == whole
+    assert max(stacks) <= per_stack and len(stacks) > 1, stacks
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import make_env, make_env_1d, padded_with_hardcore
+from helpers import (
+    make_env,
+    make_env_1d,
+    padded_with_hardcore,
+    reference_box_tile_logs,
+    reference_site_log_moments,
+)
 from pamlab import solver
 from pamlab.analytics import rate_I
-from pamlab.environments import TailFamily, sample_environment, window_coords
+from pamlab.environments import TailFamily, sample_environment, sample_potentials, window_coords
 from pamlab.moments import correlation_profile
 from pamlab.regimes import RegimeConfig, ScheduleRule, lln_experiment
 from pamlab.seeding import derive_seed
@@ -20,6 +26,7 @@ from pamlab.solver import (
     SolverError,
     _dense_fields,
     _dense_route,
+    _log_mean,
     _normalized_field,
     _poisson_degree,
     _replica_box_logs,
@@ -58,8 +65,8 @@ def dense_and_uniformized(box, kappa, t):
     vmax, vmin = v[active].max(), v[active].min()
     c = np.array([2.0 * box.dim * kappa + vmax - vmin])
     degree = _poisson_degree(c * t)
-    dense, lam0t, _ = _dense_fields(v, active, kappa, t, True)
-    summed = _uniformized_sums(v, active, kappa, t, np.array([vmin]), c, degree, True)
+    dense, lam0t, _ = _dense_fields(v, active, kappa, t, 0)
+    summed = _uniformized_sums(v, active, kappa, t, np.array([vmin]), c, degree, 0)
     keep = box.active_mask()
     return {
         "dense-eig": _normalized_field(box, t, kappa, dense[0][keep], lam0t[0], "dense-eig"),
@@ -295,7 +302,7 @@ def test_stack_refuses_a_rate_over_the_degree_limit_before_any_degree(monkeypatc
     monkeypatch.setattr(solver, "_poisson_degree", no_degree)
     refusal = r"c t = 4\.194e\+06 exceeds 4194304: a box's v runs from min v = -4\.194e\+06 to max v = 0 "
     with pytest.raises(SolverError, match=refusal):
-        solver._solve_stack(v, np.ones(v.shape, dtype=bool), 1.0, 1.0, every_site=False)
+        solver._solve_stack(v, np.ones(v.shape, dtype=bool), 1.0, 1.0, 2)
 
 
 def test_heavy_negative_tail_refuses_within_seconds():
@@ -528,9 +535,9 @@ def test_buffers_of_a_read_differ_by_at_most_one_window(monkeypatch, n_env, n_si
     sizes = []
     solve = solver._solve_stack
 
-    def spy(v, active, kappa, t, every_site):
+    def spy(v, active, kappa, t, margin):
         sizes.append(len(v))
-        return solve(v, active, kappa, t, every_site)
+        return solve(v, active, kappa, t, margin)
 
     monkeypatch.setattr(solver, "_STACK_SITES", 3 * per_call)
     monkeypatch.setattr(solver, "_solve_stack", spy)
@@ -611,8 +618,8 @@ def test_window_kernel_matches_mpmath_oracle():
     assert cases["hard_core_2d"][1][:4, 2, 2].any()
     assert routed["frechet"].all() and routed["frechet_2d"].all()
     v2, hard2 = cases["frechet_2d"][:2]
-    assert _dense_fields(v2, ~hard2, 1.0, 2.0, False)[2][0]
-    assert routed["deep"].all() and not _dense_fields(deep, ~cases["deep"][1], 0.005, 2.0, False)[2][0]
+    assert _dense_fields(v2, ~hard2, 1.0, 2.0, 2)[2][0]
+    assert routed["deep"].all() and not _dense_fields(deep, ~cases["deep"][1], 0.005, 2.0, 5)[2][0]
 
 
 def test_empirical_average_kappa_zero():
@@ -687,6 +694,11 @@ def test_site_log_moments_of_no_sites_is_empty(dim):
 _TILE_BELOW_WINDOW = 1e-10
 
 
+def _tile_logs(family, seeds, L, kappa, t, R):
+    """The (n, 2L + 1) site logs that _replica_box_logs reads by tiles, before any reduction."""
+    return _replica_box_logs(family, seeds, L, kappa, t, R, lambda logs: logs)
+
+
 def _window_logs(family, seeds, L, kappa, t, R):
     """The windows route to the box logs that _replica_box_logs reads by tiles."""
     return _replica_site_logs(family, seeds, L + R, np.arange(-L, L + 1), kappa, t, R)
@@ -711,7 +723,7 @@ def test_box_tiles_match_windows_per_site(family, t):
     # 2L + 1 = 91 is not a multiple of w = 2R + 1, so the last tile overlaps the one before it
     R, L = required_radius(1.0, t, 1e-4, 1), 45
     seeds = [derive_seed(9, "tiles", i) for i in range(20)]
-    tiles = _replica_box_logs(family, seeds, L, 1.0, t, R)
+    tiles = _tile_logs(family, seeds, L, 1.0, t, R)
     assert (2 * L + 1) % (2 * R + 1) != 0
     _assert_tiles_match_windows(tiles, _window_logs(family, seeds, L, 1.0, t, R), 1e-4)
 
@@ -743,7 +755,7 @@ def test_box_tiles_edges_match_windows(monkeypatch, L, hard):
     assert R == 3
     _with_hard_cores(monkeypatch, lambda x: np.isin(x, hard))
     seeds = [derive_seed(4, "tile-edges", i) for i in range(3)]
-    tiles = _replica_box_logs(TailFamily.weibull(2.0), seeds, L, kappa, t, R)
+    tiles = _tile_logs(TailFamily.weibull(2.0), seeds, L, kappa, t, R)
     assert tiles.shape == (3, 2 * L + 1)
     assert np.isneginf(tiles[:, np.isin(np.arange(-L, L + 1), hard)]).all()
     _assert_tiles_match_windows(tiles, _window_logs(TailFamily.weibull(2.0), seeds, L, kappa, t, R), tol)
@@ -754,7 +766,7 @@ def test_box_tiles_of_an_all_hard_core_read_range_are_minus_inf(monkeypatch, mar
     L, R = 6, 2
     _with_hard_cores(monkeypatch, lambda x: np.abs(x) <= (L if margin_live else L + R))
     monkeypatch.setattr(solver, "_solve_stack", mock.Mock(side_effect=AssertionError("solved a tile")))
-    tiles = _replica_box_logs(TailFamily.weibull(2.0), [1, 2], L, 1.0, 1.0, R)
+    tiles = _tile_logs(TailFamily.weibull(2.0), [1, 2], L, 1.0, 1.0, R)
     assert tiles.shape == (2, 2 * L + 1) and np.isneginf(tiles).all()
 
 
@@ -763,7 +775,7 @@ def test_box_tiles_match_mpmath_on_each_tile(family, seed):
     # L = 3, R = 2: tiles of five read sites at x = -3..1 and, shifted left, -1..3; each
     # read site is the exact Dirichlet solution on its tile plus two sites each side
     L, R, kappa, t = 3, 2, 1.0, 1.5
-    got = _replica_box_logs(family, [seed], L, kappa, t, R)[0]
+    got = _tile_logs(family, [seed], L, kappa, t, R)[0]
     env = sample_environment(family, 1, L + R, seed)
     v, hard = (a[0] for a in env.stack())
     for start, read in ((0, range(0, 5)), (2, range(5, 7))):
@@ -776,3 +788,76 @@ def test_box_tiles_match_mpmath_on_each_tile(family, seed):
             assert want == got[j] == -np.inf or abs(got[j] - want) <= 1e-10, (j, got[j], want)
     if family.kind == "hard_core":
         assert np.isneginf(got).any() and np.isfinite(got).any()
+
+
+@pytest.mark.parametrize(
+    "family, dim, radius, sites, kappa, t, R",
+    [
+        (TailFamily.weibull(2.0), 1, 30, np.arange(-12, 13), 1.0, 1.0, 13),
+        (TailFamily.frechet(1.0), 1, 20, [-3, 0, 7], 1.0, 2.0, 13),  # dense-routed windows
+        (TailFamily.hard_core(0.3), 1, 25, np.arange(-9, 10), 0.5, 1.5, 9),
+        (TailFamily.hard_core(0.3), 2, 8, window_coords(2, 3), 1.0, 1.0, 5),
+        (TailFamily.weibull(2.0), 2, 6, [[0, 0], [2, -3], [-6, 6]], 0.0, 1.5, 0),
+    ],
+)
+def test_block_reader_keeps_the_window_gather_bits(monkeypatch, family, dim, radius, sites, kappa, t, R):
+    # windows as blocks of one site give the one-window-per-site gather's logs bit for bit,
+    # whole and split into many buffers
+    v, hard = sample_potentials(family, dim, radius, range(40, 52))
+    v, hard = (a.reshape((12,) + (2 * radius + 1,) * dim) for a in (v, hard))
+    for stack_sites in (None, 7 * (2 * R + 1) ** dim):
+        if stack_sites is not None:
+            monkeypatch.setattr(solver, "_STACK_SITES", stack_sites)
+        want = reference_site_log_moments(v, hard, sites, kappa, t, R)
+        np.testing.assert_array_equal(site_log_moments(v, hard, sites, kappa, t, R), want)
+    assert np.isfinite(want).any()
+    assert np.isneginf(want).any() == (family.kind == "hard_core")
+
+
+@pytest.mark.parametrize(
+    "family, L, t",
+    [(TailFamily.weibull(2.0), 45, 2.0), (TailFamily.double_exp(1.0), 60, 1.0), (TailFamily.hard_core(0.2), 45, 2.0),
+     (TailFamily.frechet(1.0), 30, 1.0), (TailFamily.weibull(2.0), 3, 1.0)],
+)
+def test_block_reader_keeps_the_tile_values_per_site(family, L, t):
+    # tiles as blocks of 2R + 1 sites, read R inside their boxes, give each site the value of the
+    # tile solved on every site and cut afterwards, bit for bit
+    R = required_radius(1.0, t, 1e-4, 1)
+    seeds = [derive_seed(8, "tile-bits", i) for i in range(30)]
+    want = reference_box_tile_logs(*sample_potentials(family, 1, L + R, seeds), L, 1.0, t, R)
+    np.testing.assert_array_equal(_tile_logs(family, seeds, L, 1.0, t, R), want)
+
+
+def test_tiles_read_past_a_deep_site_in_their_margin(monkeypatch):
+    # beyond L, the last tile's margin holds a site at v = -800 between two hard cores, about e^-800
+    # below the tile's peak.  Only the read sites must clear the e^-708 floor and the dense accuracy
+    # check; solved on every site, as the tile reader once did, the tile is refused
+    kappa, t, tol, L = 0.1, 1.0, 1e-2, 9
+    R = required_radius(kappa, t, tol, 1)
+    assert R == 4
+    real = solver.sample_potentials
+
+    def sample(family, dim, radius, seeds):
+        v, hard = real(family, dim, radius, seeds)
+        x = np.arange(-radius, radius + 1)
+        hard = hard | np.isin(x, (L + 1, L + 3))
+        return np.where(x == L + 2, -800.0, np.where(hard, 0.0, v)), hard
+
+    monkeypatch.setattr(solver, "sample_potentials", sample)
+    seeds = [derive_seed(6, "deep-margin", i) for i in range(3)]
+    tiles = _tile_logs(TailFamily.weibull(2.0), seeds, L, kappa, t, R)
+    _assert_tiles_match_windows(tiles, _window_logs(TailFamily.weibull(2.0), seeds, L, kappa, t, R), tol)
+    assert np.isfinite(tiles).all()
+    with pytest.raises(SolverError, match=r"below e\^-708"):
+        reference_box_tile_logs(*sample(TailFamily.weibull(2.0), 1, L + R, seeds), L, kappa, t, R)
+
+
+def test_box_log_means_do_not_depend_on_the_stack_size():
+    # each replica alone, and all in one stack: the same log m^L, bit for bit.  Each replica has
+    # 115 tiles, so every solve keeps the uniformization route
+    family, kappa, t, L = TailFamily.weibull(2.0), 1.0, 2.0, 2000
+    R = required_radius(kappa, t, 1e-4, 1)
+    seeds = [derive_seed(5, "stacks", i) for i in range(12)]
+    together = _replica_box_logs(family, seeds, L, kappa, t, R, _log_mean)
+    alone = [_replica_box_logs(family, [s], L, kappa, t, R, _log_mean)[0] for s in seeds]
+    np.testing.assert_array_equal(together, alone)
