@@ -98,8 +98,17 @@ _WALK_KEYS = {
     "t": ("float", True, None),
 }
 
-# the regime gates the CLI exposes; degenerate_median keeps its library default
+# A regime run reads the common keys, its rule's one key and its mode's keys: the
+# gates its verdicts read (_regime_verdicts, _classify; degenerate_median keeps its
+# library default) and the arguments of critical_experiment, whose rule is gamma-j.
 _GATE_KEYS = ("band", "fraction", "skew_max", "exkurt_max", "ks_p_min")
+_REGIME_COMMON = ("family", "rho", "p", "d", "kappa", "t_grid", "mode", "rule", "n_replica", "seed", "max_log_L", "tol")
+_RULE_KEY = {"gamma-j": "gamma", "explicit": "L_table", "f-hat": "f_table"}
+_REGIME_MODES = {
+    "lln": (("band", "fraction"), _RULE_KEY),
+    "clt": (("band", "skew_max", "exkurt_max", "ks_p_min"), _RULE_KEY),
+    "critical": (("delta", "theta", "fraction"), {"gamma-j": "gamma"}),
+}
 
 SCHEMAS = {
     "sample-env": {**_WINDOW_KEYS, "baseline_death": ("float", False, 0.0)},
@@ -122,6 +131,7 @@ SCHEMAS = {
         "theta": ("float", False, None),
         "tol": ("float", False, 1e-6),
     },
+    # every key that some regime run reads; _regime_read picks those that this run reads
     "regime": {
         **_FAMILY_KEYS,
         "d": ("int", False, 1),
@@ -129,13 +139,13 @@ SCHEMAS = {
         "t_grid": ("floats", True, None),
         "mode": ("str", False, "lln"),
         "rule": ("str", False, "gamma-j"),
-        "gamma": ("float", False, None),
-        "L_table": ("table", False, None),
-        "f_table": ("table", False, None),
+        "gamma": ("float", True, None),
+        "L_table": ("table", True, None),
+        "f_table": ("table", True, None),
         "n_replica": ("int", False, RegimeConfig.n_replica),
         "seed": ("int", False, 0),
         **{key: ("float", False, getattr(RegimeThresholds, key)) for key in _GATE_KEYS},
-        "delta": ("float", False, None),
+        "delta": ("float", True, None),
         "theta": ("float", False, 0.5),
         "max_log_L": ("float", False, RegimeConfig.max_log_L),
         "tol": ("float", False, RegimeConfig.tol),
@@ -183,11 +193,11 @@ def _build_family(values, errors):
 def build_config(command, pairs):
     """Parse KEY=VALUE tokens against the command schema.
 
-    Every key problem (syntax, an unknown, duplicate, missing or
-    unparsable key, the family, the regime mode and the keys its rule
-    needs) is collected before raising, so one failed run reports the
-    full list.  Value ranges are left to the library, which refuses a
-    bad value when the command runs, one at a time, naming it.
+    Every key problem (syntax, an unknown, duplicate, missing, unread or
+    unparsable key, the family, the regime mode and rule) is collected
+    before raising, so one failed run reports the full list.  Value
+    ranges are left to the library, which refuses a bad value when the
+    command runs, one at a time, naming it.
     """
     schema = SCHEMAS[command]
     raw = {}
@@ -204,6 +214,8 @@ def build_config(command, pairs):
     for key in raw:
         if key not in schema:
             errors.append(f"unknown key {key!r}")
+    if command == "regime":
+        schema = _regime_read(raw, schema, errors)
     values = {}
     for key, (kind, required, default) in schema.items():
         if key in raw:
@@ -218,40 +230,31 @@ def build_config(command, pairs):
     family = _build_family(values, errors) if "family" in schema else None
     if values.get("n_instances", 1) < 1:  # a loop count of this CLI, which no library call sees
         errors.append(f"n_instances must be >= 1, got {values['n_instances']}")
-    if command == "regime":
-        _check_regime(values, errors)
     if errors:
         raise ConfigError("; ".join(errors))
     return RunConfig(command=command, values=values, family=family)
 
 
-def _check_regime(values, errors):
-    def absent(key):
-        # a key that failed to parse is not in values; its error is already reported
-        return key in values and values[key] in (None, "")
+def _regime_read(raw, schema, errors):
+    """The schema keys that the run's mode and rule read; any other schema key is refused.
 
-    mode = values.get("mode")
-    if mode not in ("lln", "clt", "critical"):
+    The refusal names the rule when a rule of the mode reads the key,
+    else the mode.  After a bad mode or rule it is unknown which keys
+    are read: the common keys and the keys given are parsed.
+    """
+    mode, rule = (raw.get(key, schema[key][2]) for key in ("mode", "rule"))
+    own, rules = _REGIME_MODES.get(mode, ((), {}))
+    if mode not in _REGIME_MODES:
         errors.append(f"mode must be lln, clt, or critical, got {mode!r}")
-    rule = values.get("rule")
-    if rule not in ("gamma-j", "explicit", "f-hat"):
-        errors.append(f"rule must be gamma-j, explicit, or f-hat, got {rule!r}")
-    if rule == "gamma-j" and absent("gamma"):
-        errors.append("gamma-j rule needs gamma")
-    if rule == "explicit" and absent("L_table"):
-        errors.append("explicit rule needs L_table, e.g. L_table=1:10,2:40")
-    if rule == "f-hat" and absent("f_table"):
-        errors.append("f-hat rule needs f_table, e.g. f_table=1:2.5,2:4.8")
-    if mode == "critical":
-        if absent("gamma"):
-            errors.append("critical mode needs gamma")
-        if absent("delta"):
-            errors.append("critical mode needs delta")
-        # critical_experiment schedules d log L = gamma J(t) itself
-        unused = [f"rule={rule}"] if rule in ("explicit", "f-hat") else []
-        unused += [key for key in ("L_table", "f_table") if values.get(key) not in (None, "")]
-        if unused:
-            errors.append(f"critical mode takes its schedule from gamma, not {', '.join(unused)}")
+    elif rule not in rules:
+        errors.append(f"rule must be {' or '.join(rules)} in mode={mode}, got {rule!r}")
+    else:
+        read = (*_REGIME_COMMON, rules[rule], *own)
+        for key in raw:
+            if key in schema and key not in read:
+                errors.append(f"{f'rule={rule}' if key in rules.values() else f'mode={mode}'} does not read {key!r}")
+        return {key: schema[key] for key in read}
+    return {key: schema[key] for key in (*_REGIME_COMMON, *raw) if key in schema}
 
 
 def _fmt_cell(value):
@@ -394,13 +397,9 @@ def cmd_exponents_mc(cfg):
 
 
 def cmd_regime(cfg):
-    if cfg["rule"] == "gamma-j":
-        rule = ScheduleRule(kind="gamma-j", gamma=cfg["gamma"])
-    elif cfg["rule"] == "explicit":
-        rule = ScheduleRule(kind="explicit", table=_table_entries(cfg["L_table"]))
-    else:
-        rule = ScheduleRule(kind="f-hat", table=_table_entries(cfg["f_table"]))
-    thresholds = RegimeThresholds(**{key: cfg[key] for key in _GATE_KEYS})
+    table = cfg.values.get("L_table", cfg.values.get("f_table", ""))
+    rule = ScheduleRule(kind=cfg["rule"], gamma=cfg.values.get("gamma"), table=_table_entries(table))
+    thresholds = RegimeThresholds(**{key: cfg[key] for key in _GATE_KEYS if key in cfg.values})
     config = RegimeConfig(
         family=cfg.family, rule=rule, t_grid=tuple(cfg["t_grid"]), kappa=cfg["kappa"],
         d=cfg["d"], n_replica=cfg["n_replica"], seed=cfg["seed"],

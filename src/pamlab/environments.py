@@ -88,42 +88,36 @@ class TailFamily:
         return f"{self.kind}({inner})" if inner else self.kind
 
 
-def exp_quantile_array(family, s, out=None):
-    """Potential values from standard exponential draws s > 0.
+def exp_quantile_array(family, s):
+    """Potential values from standard exponential draws s > 0, written over s.
 
     If s is Exp(1) distributed the result has the family's law, since
-    s = -log(1 - u) maps uniform quantiles to exponential ones.  The
-    values are written into `out` when it is given (a float64 array of
-    s's shape, possibly s itself), with the bits of a fresh result.
+    s = -log(1 - u) maps uniform quantiles to exponential ones.  s is a
+    float64 array that the caller owns; it is transformed in place and
+    returned.
     """
-    if out is None:
-        v = np.array(s, dtype=np.float64)
-    else:
-        v = out
-        if v is not s:
-            np.copyto(v, s)
     k = family.kind
     if k == "weibull":
-        v **= 1.0 / family.rho
+        s **= 1.0 / family.rho
     elif k == "double_exp":
-        np.log(v, out=v)
-        v *= family.rho
+        np.log(s, out=s)
+        s *= family.rho
     elif k == "sq_double_exp":
         # s < 1 is the atom at 0: sqrt(log(max(s, 1))) = sqrt(log 1) = 0
-        np.maximum(v, 1.0, out=v)
-        np.log(v, out=v)
-        np.sqrt(v, out=v)
+        np.maximum(s, 1.0, out=s)
+        np.log(s, out=s)
+        np.sqrt(s, out=s)
     elif k == "frechet":
-        v **= -1.0 / family.rho
-        np.negative(v, out=v)
+        s **= -1.0 / family.rho
+        np.negative(s, out=s)
     else:
         # hard core: atom of mass p at -inf on the lower quantiles, as
         # log(1 - 1) = -inf on the atom and log(1 - 0) = 0 off it
-        np.less_equal(v, -math.log1p(-family.p), out=v)
-        np.subtract(1.0, v, out=v)
+        np.less_equal(s, -math.log1p(-family.p), out=s)
+        np.subtract(1.0, s, out=s)
         with np.errstate(divide="ignore"):
-            np.log(v, out=v)
-    return v
+            np.log(s, out=s)
+    return s
 
 
 def quantile_array(family, u):
@@ -135,7 +129,8 @@ def quantile_array(family, u):
     u = np.asarray(u, dtype=np.float64)
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("quantile argument must lie in the open interval (0,1)")
-    return exp_quantile_array(family, -np.log1p(-u))
+    # asarray: at a 0-d u, -log1p(-u) is a numpy scalar, which cannot be written in place
+    return exp_quantile_array(family, np.asarray(-np.log1p(-u)))
 
 
 def window_coords(dim, radius):
@@ -181,8 +176,10 @@ class Environment:
     def flat_index(self, coords):
         """Flat array index of sites inside the window: an int for one site, else one per row of coords."""
         sites = _lattice_sites("coords", coords, self.dim)
-        if np.any(np.abs(sites) > self.radius):
-            raise IndexError("coordinates outside the sampled window")
+        outside = np.flatnonzero(np.abs(sites).max(axis=1) > self.radius)
+        if outside.size:
+            site = tuple(sites[outside[0]].tolist())
+            raise IndexError(f"site {site} lies outside the sampled window of radius {self.radius}")
         idx = np.ravel_multi_index(tuple((sites + self.radius).T), (self.side,) * self.dim)
         return int(idx[0]) if np.ndim(coords) < 2 else idx
 

@@ -267,7 +267,7 @@ def _draw_sites(family, rng, v):
     large L.  The kappa = 0 block draws all come from here, so a test can
     patch this one function; fork carries the patch into pool workers.
     """
-    exp_quantile_array(family, rng.standard_exponential(out=v), out=v)
+    exp_quantile_array(family, rng.standard_exponential(out=v))
 
 
 def _draw_log_means(config, t, L, label, lo, hi):

@@ -168,10 +168,11 @@ class MomentField:
 
     def value_at(self, coord):
         """(mantissa, log_offset) at one lattice coordinate."""
-        delta = _lattice_sites("coord", np.ravel(coord), self.domain.dim)[0] - self.domain.center
-        if np.any(np.abs(delta) > self.domain.radius):
-            raise IndexError("coordinate outside the box")
-        idx = np.ravel_multi_index(tuple(delta + self.domain.radius), (self.domain.side,) * self.domain.dim)
+        dom = self.domain
+        x = _lattice_sites("coord", np.ravel(coord), dom.dim)[0]
+        if np.abs(x - dom.center).max() > dom.radius:
+            raise IndexError(f"coord = {tuple(x.tolist())} lies outside the box of radius {dom.radius} at {dom.center}")
+        idx = np.ravel_multi_index(tuple(x - dom.center + dom.radius), (dom.side,) * dom.dim)
         return float(self.mantissa[idx]), self.log_offset
 
     def log_total(self):
@@ -210,8 +211,9 @@ def _check_walk(kappa, t):
 def solve_truncated(env, box, kappa, t):
     """Truncated moment field on a box with Dirichlet zero outside.
 
-    kappa > 0 runs the box through _solve_stack as a stack of one with
-    margin 0; the route follows the estimated cost and cannot be chosen.
+    kappa > 0 runs the box through _solve_stack alone, with margin 0 and
+    charged as one box; the route follows the estimated cost and cannot
+    be chosen.
     Raises ValueError unless box is a BoxDomain of env.
     """
     _check_walk(kappa, t)
@@ -223,7 +225,7 @@ def solve_truncated(env, box, kappa, t):
         v = domain.potential()
         peak = float(v.max())
         return _normalized_field(domain, t, kappa, np.exp((v - peak) * t), peak * t, "closed-form")
-    vals, off, degree, dense = _solve_stack(domain.v[None], domain.live[None], kappa, t, 0)
+    vals, off, degree, dense = _solve_stack(domain.v[None], domain.live[None], kappa, t, 0, 1)
     method = "dense-eig" if dense[0] else "uniformization"
     return _normalized_field(domain, t, kappa, vals[0][domain.active_mask()], off[0], method, int(degree[0]))
 
@@ -438,7 +440,7 @@ def _dense_route(n, degree, n_rows):
     return n * n * (n + _EIGH_SMALL) <= degree * (_STEP_PER_SITE * n + _STEP_FIXED / n_rows)
 
 
-def _solve_stack(v, active, kappa, t, margin):
+def _solve_stack(v, active, kappa, t, margin, n_rows):
     """m(., t) on each box of a (B, S, ..., S) stack with Dirichlet zero outside.
 
     v holds finite potentials on the active sites and is ignored on the
@@ -447,11 +449,14 @@ def _solve_stack(v, active, kappa, t, margin):
     its own degree K_b (_poisson_degree).  P_b^k 1 does not increase in
     k, so the truncation errs by at most _POISSON_TAIL relative to each
     site's own value, and the sum has no cancellation.  Boxes where
-    _dense_route holds go to batched eigh instead; a dense answer that
-    fails its accuracy check is summed by uniformization.  A box with
-    c_b t above _MAX_DEGREE (a heavy negative tail puts a site at v of
-    -4.6e7 among 67 frechet(0.5) sites) raises SolverError naming c_b t
-    and its min and max v, before any degree is sought.
+    _dense_route holds, charged as in a stack of n_rows boxes, go to
+    batched eigh instead; a dense answer that fails its accuracy check is
+    summed by uniformization.  Callers pass an n_rows that does not
+    depend on how many boxes share the call, so neither does a box's
+    route, nor its bits.  A box with c_b t above _MAX_DEGREE (a heavy
+    negative tail puts a site at v of -4.6e7 among 67 frechet(0.5) sites)
+    raises SolverError naming c_b t and its min and max v, before any
+    degree is sought.
 
     Reads the sites at least margin inside every face of each box, and
     only those must lie above e^-708 of e^{t v_max} and pass the dense
@@ -476,7 +481,7 @@ def _solve_stack(v, active, kappa, t, margin):
     vals = np.empty(read.shape)
     off = t * vmax
     dense = np.zeros(B, dtype=bool)
-    rows = np.nonzero(_dense_route(n, degree, max(B, 1)))[0]
+    rows = np.nonzero(_dense_route(n, degree, n_rows))[0]
     step = max(1, _DENSE_ENTRIES // (n * n))
     for s in range(0, len(rows), step):
         part = rows[s : s + step]
@@ -508,7 +513,7 @@ def _block_logs(v, hard, corners, w, R, kappa, t):
     The (environment, block) boxes, environment-major, are cut into
     ceil(total / windows_per_call) parts of sizes equal to within one,
     each gathered by one take and, but for boxes whose read sites are all
-    hard cores, one _solve_stack call.
+    hard cores, one _solve_stack call, charged as a full part.
     """
     frame = v.shape[1:]
     side = (w + 2 * R,) * len(frame)
@@ -516,7 +521,8 @@ def _block_logs(v, hard, corners, w, R, kappa, t):
     firsts = np.ravel_multi_index(tuple(np.asarray(corners).T - R), frame)
     offsets = np.ravel_multi_index(tuple(np.indices(side).reshape(len(side), -1)), frame)
     out = np.full((len(v) * len(firsts), w ** len(side)), -np.inf)
-    parts = _equal_parts(len(out), windows_per_call(n_box))
+    per_call = windows_per_call(n_box)
+    parts = _equal_parts(len(out), per_call)
     size = max(hi - lo for lo, hi in parts)
     flat_v, flat_hard = np.empty((size, n_box)), np.empty((size, n_box), dtype=bool)
     for lo, hi in parts:
@@ -531,7 +537,7 @@ def _block_logs(v, hard, corners, w, R, kappa, t):
             raise SolverError(f"blocks need finite potentials on active sites, got {bad[0]:g}")
         rows = np.flatnonzero(live[_inner(side, R)].reshape(n, out.shape[1]).any(axis=1))
         if rows.size:
-            vals, off, _, _ = _solve_stack(box_v[rows], live[rows], kappa, t, R)
+            vals, off, _, _ = _solve_stack(box_v[rows], live[rows], kappa, t, R, per_call)
             with np.errstate(divide="ignore"):
                 out[lo + rows] = np.log(vals) + off[:, None]
     return out.reshape(len(v), len(firsts), out.shape[1])

@@ -211,8 +211,8 @@ def reference_site_log_moments(v, hard, sites, kappa, t, R):
     Its gather, kept as the block reader's bit-for-bit reference: a
     window's flat offsets from its center, buffers of equal size, and
     one _solve_stack call per buffer but its hard-core centered windows,
-    reading the center (margin R).  sites must be integer coordinates
-    within R of the frame's faces.
+    reading the center (margin R) and charged as a full buffer.  sites
+    must be integer coordinates within R of the frame's faces.
     """
     frame = v.shape[1:]
     d = len(frame)
@@ -223,7 +223,8 @@ def reference_site_log_moments(v, hard, sites, kappa, t, R):
     side = (2 * R + 1,) * d
     n_win = math.prod(side)
     total = len(v) * len(centers)
-    parts = solver._equal_parts(total, solver.windows_per_call(n_win))
+    per_call = solver.windows_per_call(n_win)
+    parts = solver._equal_parts(total, per_call)
     size = max(hi - lo for lo, hi in parts)
     flat_v, flat_hard, out = np.empty((size, n_win)), np.empty((size, n_win), dtype=bool), np.full(total, -np.inf)
     for lo, hi in parts:
@@ -235,7 +236,7 @@ def reference_site_log_moments(v, hard, sites, kappa, t, R):
         win_v, active = flat_v[:n].reshape((n,) + side), ~flat_hard[:n].reshape((n,) + side)
         rows = np.flatnonzero(~flat_hard[:n, n_win // 2])
         if rows.size:
-            vals, off, _, _ = solver._solve_stack(win_v[rows], active[rows], kappa, t, R)
+            vals, off, _, _ = solver._solve_stack(win_v[rows], active[rows], kappa, t, R, per_call)
             out[lo + rows] = np.log(vals[:, 0]) + off
     return out.reshape(len(v), len(sites))
 
@@ -246,8 +247,8 @@ def reference_box_tile_logs(v, hard, L, kappa, t, R):
     v and hard are a (n, 2(L + R) + 1) stack of 1-d replicas.  Each tile
     is solved on every site (margin 0) and its w read sites are cut out
     afterwards; the (replica, tile) list is cut into equal parts of at
-    most windows_per_call tiles.  Returns (n, 2L + 1) logs, in the
-    strided layout that reader returned.
+    most windows_per_call tiles, each solve charged as a full part.
+    Returns (n, 2L + 1) logs, in the strided layout that reader returned.
     """
     n_read = 2 * L + 1
     w = min(n_read, 2 * R + 1)
@@ -255,13 +256,14 @@ def reference_box_tile_logs(v, hard, L, kappa, t, R):
     tile_of = np.arange(n_read) // w
     width, n_tiles = w + 2 * R, len(starts)
     logs = np.full((len(v) * n_tiles, w), -np.inf)
-    for lo, hi in solver._equal_parts(len(logs), solver.windows_per_call(width)):
+    per_call = solver.windows_per_call(width)
+    for lo, hi in solver._equal_parts(len(logs), per_call):
         row, k = np.divmod(np.arange(lo, hi), n_tiles)
         at = (row * v.shape[1] + starts[k])[:, None] + np.arange(width)
         live = ~hard.take(at)
         rows = np.flatnonzero(live[:, R : R + w].any(axis=1))
         if rows.size:
-            vals, off, _, _ = solver._solve_stack(v.take(at[rows]), live[rows], kappa, t, 0)
+            vals, off, _, _ = solver._solve_stack(v.take(at[rows]), live[rows], kappa, t, 0, per_call)
             with np.errstate(divide="ignore"):
                 logs[lo + rows] = np.log(vals[:, R : R + w]) + off[:, None]
     return logs.reshape(len(v), n_tiles, w)[:, tile_of, np.arange(n_read) - starts[tile_of]]

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -16,7 +17,7 @@ import pamlab
 from pamlab.cli import COMMANDS, SCHEMAS, ConfigError, build_config, main
 from pamlab.moments import estimate_H1
 from pamlab.particles import population_ensemble
-from pamlab.regimes import critical_experiment
+from pamlab.regimes import RegimeThresholds, critical_experiment
 from pamlab.seeding import derive_seed
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "seed_fixture.json")
@@ -384,38 +385,95 @@ def test_regime_config_errors(tmp_path, capsys):
     rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "mode=critical"] + out)
     assert rc == 2
     err = capsys.readouterr().err
-    assert "needs gamma" in err
-    assert "needs delta" in err
+    assert "missing required key 'gamma'" in err
+    assert "missing required key 'delta'" in err
     rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "n_replica=50"] + out)
     assert rc == 2
     rc = main(["regime", "family=weibull", "rho=2", "t_grid=3", "rule=explicit"] + out)
     assert rc == 2
     for key, message in (
         ("mode=xyz", "mode must be lln, clt, or critical, got 'xyz'"),
-        ("rule=xyz", "rule must be gamma-j, explicit, or f-hat, got 'xyz'"),
-        ("rule=f-hat", "f-hat rule needs f_table, e.g. f_table=1:2.5,2:4.8"),
+        ("rule=xyz", "rule must be gamma-j or explicit or f-hat in mode=lln, got 'xyz'"),
+        ("rule=f-hat", "missing required key 'f_table'"),
     ):
         assert main(["regime", "family=weibull", "rho=2", "t_grid=3", "gamma=1", key] + out) == 2
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
     # critical mode schedules L by gamma J(t); a table it would ignore is refused
     critical = ["regime", "family=weibull", "rho=2", "mode=critical", "gamma=0.5", "delta=0.1", "t_grid=3",
                 "n_replica=100", "seed=1"]
     for schedule, named in (
-        (["rule=explicit", "L_table=3:5"], "not rule=explicit, L_table"),
-        (["rule=f-hat", "f_table=3:5"], "not rule=f-hat, f_table"),
-        (["L_table=3:5"], "not L_table"),
+        (["rule=explicit", "L_table=3:5"], "rule must be gamma-j in mode=critical, got 'explicit'"),
+        (["rule=f-hat", "f_table=3:5"], "rule must be gamma-j in mode=critical, got 'f-hat'"),
+        (["L_table=3:5"], "mode=critical does not read 'L_table'"),
     ):
         assert main(critical + schedule + ["--out", str(tmp_path)]) == 2
-        assert f"config error: critical mode takes its schedule from gamma, {named}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {named}\n"
     assert not os.listdir(tmp_path)
+
+
+REGIME = ["family=weibull", "rho=2", "t_grid=1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gamma=1", "L_table=1:5"], "rule=gamma-j does not read 'L_table'"),
+        (["gamma=1", "f_table=1:3"], "rule=gamma-j does not read 'f_table'"),
+        (["gamma=1", "delta=0.3"], "mode=lln does not read 'delta'"),
+        (["gamma=1", "theta=0.7"], "mode=lln does not read 'theta'"),
+        (["gamma=1", "skew_max=0.3"], "mode=lln does not read 'skew_max'"),
+        (["rule=explicit", "L_table=1:5", "gamma=2"], "rule=explicit does not read 'gamma'"),
+        (["mode=clt", "gamma=1", "fraction=0.9"], "mode=clt does not read 'fraction'"),
+        (["mode=critical", "gamma=0.5", "delta=0.1", "band=0.1"], "mode=critical does not read 'band'"),
+        (["mode=critical", "gamma=0.5", "delta=0.1", "L_table=1:5"], "mode=critical does not read 'L_table'"),
+        (["mode=critical", "gamma=0.5", "delta=0.1", "rule=explicit"],
+         "rule must be gamma-j in mode=critical, got 'explicit'"),
+    ],
+)
+def test_regime_refuses_a_key_its_mode_and_rule_do_not_read(argv, message):
+    # these runs once exited 0 on a schedule or gates other than the ones written
+    with pytest.raises(ConfigError) as err:
+        build_config("regime", REGIME + argv)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mode=xyz", "delta=0.1", "L_table=1:5", "band=0.1"], "mode must be lln, clt, or critical, got 'xyz'"),
+        (["rule=xyz", "gamma=1", "L_table=1:5", "f_table=1:3"],
+         "rule must be gamma-j or explicit or f-hat in mode=lln, got 'xyz'"),
+        (["mode=clt", "rule=xyz", "skew_max=1", "ks_p_min=0.1"],
+         "rule must be gamma-j or explicit or f-hat in mode=clt, got 'xyz'"),
+    ],
+)
+def test_bad_regime_mode_or_rule_is_reported_once(argv, message):
+    # which keys the run reads is unknown, so none is named unknown, unread or missing
+    with pytest.raises(ConfigError) as err:
+        build_config("regime", REGIME + argv)
+    assert str(err.value) == message
+    with pytest.raises(ConfigError) as err:
+        build_config("regime", REGIME + argv + ["theta=abc", "bogus=1"])
+    assert str(err.value) == f"unknown key 'bogus'; {message}; theta expects a float value, got 'abc'"
+
+
+def test_regime_config_holds_the_keys_the_run_reads():
+    common = {"family", "rho", "p", "d", "kappa", "t_grid", "mode", "rule", "n_replica", "seed", "max_log_L", "tol"}
+    for argv, own in (
+        (["gamma=1"], {"gamma", "band", "fraction"}),
+        (["rule=f-hat", "f_table=1:2"], {"f_table", "band", "fraction"}),
+        (["mode=clt", "rule=explicit", "L_table=1:3"], {"L_table", "band", "skew_max", "exkurt_max", "ks_p_min"}),
+        (["mode=critical", "gamma=0.5", "delta=0.1"], {"gamma", "delta", "theta", "fraction"}),
+    ):
+        assert set(build_config("regime", REGIME + argv).values) == common | own, argv
 
 
 @pytest.mark.parametrize(
     "argv, unparsed, follow_on",
     [
-        (["rule=explicit", "L_table=1:inf"], "L_table expects a table value", "explicit rule needs L_table"),
-        (["rule=gamma-j", "gamma=abc"], "gamma expects a float value", "gamma-j rule needs gamma"),
-        (["mode=critical", "gamma=abc", "delta=0.1"], "gamma expects a float value", "critical mode needs gamma"),
+        (["rule=explicit", "L_table=1:inf"], "L_table expects a table value", "missing required key 'L_table'"),
+        (["rule=gamma-j", "gamma=abc"], "gamma expects a float value", "missing required key 'gamma'"),
+        (["mode=critical", "gamma=abc", "delta=0.1"], "gamma expects a float value", "missing required key 'gamma'"),
     ],
 )
 def test_unparsed_key_is_not_also_reported_missing(argv, unparsed, follow_on):
@@ -554,7 +612,15 @@ def test_literal_cli_defaults_match_the_library():
 
     assert SCHEMAS["particles"]["cap"][2] == default(population_ensemble, "cap")
     assert SCHEMAS["exponents-mc"]["tol"][2] == default(estimate_H1, "tol")
-    assert SCHEMAS["regime"]["theta"][2] == default(critical_experiment, "theta")
+    regime = ["family=weibull", "rho=2", "t_grid=1", "gamma=0.5"]
+    gates = {"lln": {"band", "fraction"}, "clt": {"band", "skew_max", "exkurt_max", "ks_p_min"}, "critical": {"fraction"}}
+    for mode, read in gates.items():
+        cfg = build_config("regime", regime + [f"mode={mode}"] + (["delta=0.1"] if mode == "critical" else []))
+        thresholds = {gate.name for gate in dataclasses.fields(RegimeThresholds)} & set(cfg.values)
+        assert thresholds == read, mode
+        assert all(cfg[gate] == getattr(RegimeThresholds(), gate) for gate in read), mode
+        assert ("theta" in cfg.values) == (mode == "critical")
+    assert cfg["theta"] == default(critical_experiment, "theta")
 
 
 def test_readme_commands_parse():

@@ -248,8 +248,10 @@ def test_flat_index_matches_coords_order():
     idx = env.flat_index(coords)
     np.testing.assert_array_equal(idx, np.arange(env.n_sites))
     assert env.flat_index(np.zeros(2, dtype=int)) == env.n_sites // 2
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=r"^site \(4, 0\) lies outside the sampled window of radius 3$"):
         env.flat_index(np.array([4, 0]))
+    with pytest.raises(IndexError, match=r"^site \(0, -5\) lies outside the sampled window of radius 3$"):
+        env.flat_index(np.array([[1, 1], [0, -5], [9, 9]]))
 
 
 def test_flat_index_refuses_wrong_dimension():

@@ -181,9 +181,9 @@ def test_replica_statistics_split_stacks_match_one_stack(monkeypatch, statistic,
     sizes = []
     solve = solver._solve_stack
 
-    def spy(v, active, kappa, t, margin):
+    def spy(v, active, kappa, t, margin, n_rows):
         sizes.append(v.shape)
-        return solve(v, active, kappa, t, margin)
+        return solve(v, active, kappa, t, margin, n_rows)
 
     monkeypatch.setattr(solver, "_STACK_SITES", 40 * width)
     monkeypatch.setattr(solver, "_solve_stack", spy)

@@ -577,7 +577,8 @@ def test_critical_frechet_diffusive_scale_is_the_estimated_gap():
     for ti, (t, v) in enumerate(zip(config.t_grid, verdicts)):
         F = estimate_F_theta(fam, 0.5, 1.0, t, 100, derive_seed(29, "critical-scale", ti)).value
         assert v.L == 2
-        assert v.log_normalizer == -(v.a_gamma - 0.005) * F / f1
+        # grouped as the code groups it: the scale F / f1 first
+        assert v.log_normalizer == -(v.a_gamma - 0.005) * (F / f1)
 
 
 def test_diffusive_run_limits():

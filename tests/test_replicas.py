@@ -96,12 +96,14 @@ def test_h1_hashes_sites_once_per_stack(monkeypatch):
 
 def test_replica_log_moment_does_not_depend_on_the_replica_count():
     # at one replica past a full stack, the last replica once sat alone in
-    # the final buffer, where the cost rule sent its window to dense eigh
+    # the final buffer, where the cost rule sent its window to dense eigh;
+    # so did the first replicas of runs of 1, 2 and 3 replicas
     R = solver.required_radius(1.0, 1.0, 1e-6, 1)
     n = solver.windows_per_call(2 * R + 1) + 1
-    np.testing.assert_array_equal(
-        _replica_log_moments(WEIBULL2, 1.0, 1.0, n, 7), _replica_log_moments(WEIBULL2, 1.0, 1.0, 2 * n, 7)[:n]
-    )
+    for few, many in ((n, 2 * n), (1, 60), (2, 60), (3, 60)):
+        np.testing.assert_array_equal(
+            _replica_log_moments(WEIBULL2, 1.0, 1.0, few, 7), _replica_log_moments(WEIBULL2, 1.0, 1.0, many, 7)[:few]
+        )
 
 
 def _fields(report, *names):
