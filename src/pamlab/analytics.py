@@ -33,7 +33,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._special import logsumexp
-from .environments import TailFamily, _lattice_int
+from .environments import TailFamily
+from .seeding import _lattice_int
 
 _LOG_WINDOW = 60.0  # integrand kept down to exp(-60) relative to its peak
 _PANEL_TOL = 1e-10

@@ -1,18 +1,17 @@
 """Random-environment sampling on lattice windows.
 
 A site x carries a pair w(x) = (v_minus(x), v_plus(x)) of annihilation and
-branching rates drawn i.i.d. from one of five tail families through the
-effective potential v = v_plus - v_minus.  Sites with v = -inf are hard-core
-obstacles; they are flagged rather than stored as floating infinities in the
-rate arrays.
+branching rates; an environment stores the effective potential v = v_plus -
+v_minus, drawn i.i.d. from one of five tail families, and derives the rates.
+Hard-core obstacles (v = -inf) are flagged rather than stored as infinities.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .seeding import _lattice_sites, site_uniforms
+from .seeding import _lattice_int, _lattice_sites, site_uniforms
 
 FAMILIES = ("weibull", "double_exp", "sq_double_exp", "frechet", "hard_core")
 
@@ -144,8 +143,10 @@ def window_coords(dim, radius):
 class Environment:
     """An i.i.d. environment sampled on the window [-radius, radius]^dim.
 
-    Rate arrays are flat over `window_coords(dim, radius)` order and hold
-    finite nonnegative numbers only; obstacles live in the `hardcore` flag.
+    v is the sampled effective potential, flat over `window_coords(dim,
+    radius)` order: finite, and 0 on the obstacles that `hardcore` flags.
+    The rates v_plus = max(v, 0) + baseline_death and v_minus =
+    max(-v, 0) + baseline_death derive from it, a new array per read.
     """
 
     family: TailFamily
@@ -153,9 +154,16 @@ class Environment:
     radius: int
     seed: int
     baseline_death: float
-    v_plus: np.ndarray = field(repr=False)
-    v_minus: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
     hardcore: np.ndarray = field(repr=False)
+
+    @property
+    def v_plus(self):
+        return np.maximum(self.v, 0.0) + self.baseline_death
+
+    @property
+    def v_minus(self):
+        return np.maximum(-self.v, 0.0) + self.baseline_death
 
     @property
     def side(self):
@@ -169,9 +177,9 @@ class Environment:
         return window_coords(self.dim, self.radius)
 
     def stack(self):
-        """(v_plus - v_minus, hardcore) as a stack of one (1, side, ..., side) window."""
+        """(v, hardcore) as a stack of one (1, side, ..., side) window: views, not copies."""
         shape = (1,) + (self.side,) * self.dim
-        return (self.v_plus - self.v_minus).reshape(shape), self.hardcore.reshape(shape)
+        return self.v.reshape(shape), self.hardcore.reshape(shape)
 
     def flat_index(self, coords):
         """Flat array index of sites inside the window: an int for one site, else one per row of coords."""
@@ -182,17 +190,6 @@ class Environment:
             raise IndexError(f"site {site} lies outside the sampled window of radius {self.radius}")
         idx = np.ravel_multi_index(tuple((sites + self.radius).T), (self.side,) * self.dim)
         return int(idx[0]) if np.ndim(coords) < 2 else idx
-
-
-def _lattice_int(name, value, low):
-    """value as an int, refusing anything that is not an integer >= low."""
-    try:
-        ok = value == int(value) >= low
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def sample_potentials(family, dim, radius, seeds):
@@ -216,8 +213,8 @@ def sample_environment(family, dim, radius, seed, baseline_death=0.0):
 
     Site values depend only on (seed, site coordinates), so enlarging the
     radius with the same seed extends the environment without resampling
-    the old sites.  `baseline_death` adds a constant to both rates, which
-    leaves the effective potential unchanged.
+    the old sites.  `baseline_death` adds a constant to both rates; the
+    stored potential is the sampled one whatever its value.
     """
     if not baseline_death >= 0:
         raise ValueError(f"baseline_death must be >= 0, got {baseline_death}")
@@ -230,30 +227,21 @@ def sample_environment(family, dim, radius, seed, baseline_death=0.0):
         radius=int(radius),
         seed=int(seed),
         baseline_death=float(baseline_death),
-        v_plus=np.maximum(v[0], 0.0) + baseline_death,
-        v_minus=np.maximum(-v[0], 0.0) + baseline_death,
+        v=v[0],
         hardcore=hardcore[0],
     )
 
 
 def effective_potential(env):
-    """Per-site v = v_plus - v_minus with -inf on hard-core sites."""
-    v = env.v_plus - env.v_minus
-    return np.where(env.hardcore, -np.inf, v)
+    """Per-site v with -inf on hard-core sites."""
+    return np.where(env.hardcore, -np.inf, env.v)
 
 
 def with_branch_cap(env, cap):
-    """Copy of the environment with branching rates clipped at `cap`."""
-    return Environment(
-        family=env.family,
-        dim=env.dim,
-        radius=env.radius,
-        seed=env.seed,
-        baseline_death=env.baseline_death,
-        v_plus=np.minimum(env.v_plus, float(cap)),
-        v_minus=env.v_minus.copy(),
-        hardcore=env.hardcore.copy(),
-    )
+    """Copy with v capped at cap - baseline_death, so v_plus is clipped at cap; refuses a cap below baseline_death."""
+    if not cap >= env.baseline_death:
+        raise ValueError(f"branch cap {cap:g} lies below the baseline death rate {env.baseline_death:g}")
+    return replace(env, v=np.minimum(env.v, float(cap) - env.baseline_death))
 
 
 def survival_from_potential(family, x):

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import rate_I
-from .environments import _lattice_int
-from .seeding import derive_seed, generator
+from .seeding import _lattice_int, derive_seed, generator
 from .solver import BoxDomain, _box_of, _check_walk
 
 _CHUNK = 8192

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import _check_theta
-from .environments import _lattice_int
-from .seeding import derive_seed, generator
+from .seeding import _lattice_int, derive_seed, generator
 from .solver import _STACK_SITES, _log_mean, _replica_site_logs, required_radius
 
 _BOOTSTRAP = 1000

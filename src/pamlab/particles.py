@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import _lattice_int
-from .seeding import derive_seed, generator
+from .seeding import _lattice_int, derive_seed, generator
 from .solver import BoxDomain, _check_walk
 
 
@@ -89,7 +88,8 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     trunc = np.zeros(n_runs, dtype=bool)
     live = np.arange(n_runs if ok[start] else 0)  # the replicas still running
     jump = len(steps) * kappa
-    rate = jump + env.v_plus + env.v_minus
+    v_plus = env.v_plus  # each rate property builds a new array, so read it once
+    rate = jump + v_plus + env.v_minus
     rng = generator(derive_seed(seed, "particles"))
     counts = np.zeros((live.size, env.n_sites))
     counts[:, site_at[start]] = 1.0
@@ -121,7 +121,7 @@ def population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
         site = (cum < u[:, None]).sum(axis=1)
         c = rng.random(live.size) * rate[site]
         jumped = c < jump
-        born = ~jumped & (c < jump + env.v_plus[site])
+        born = ~jumped & (c < jump + v_plus[site])
         counts[rows, site] += np.where(born, 1.0, -1.0)
         movers = np.flatnonzero(jumped)
         target = grid_at[site[movers]] + steps[rng.integers(0, len(steps), size=movers.size)]

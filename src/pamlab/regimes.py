@@ -31,9 +31,9 @@ from .analytics import (
     intermittency_shape_f1,
     transition_exponents,
 )
-from .environments import _lattice_int, exp_quantile_array
+from .environments import exp_quantile_array
 from .moments import estimate_F_theta
-from .seeding import derive_seed, generator
+from .seeding import _lattice_int, derive_seed, generator
 from .solver import _check_walk, _log_mean, _replica_box_logs, required_radius
 
 _DRAW_CHUNK = 1 << 20
@@ -519,8 +519,9 @@ def clt_experiment(config, reference=None):
 
 
 def verdict_consistent(verdict, thresholds=RegimeThresholds()):
-    """Whether the recorded classification follows from the recorded statistics."""
-    return verdict.classification == _classify(verdict, thresholds)
+    """Whether the recorded classification, or a CriticalVerdict's passed, follows from the recorded statistics."""
+    recorded = verdict.passed if isinstance(verdict, CriticalVerdict) else verdict.classification
+    return recorded == _classify(verdict, thresholds)
 
 
 @dataclass(frozen=True)
@@ -562,7 +563,12 @@ def critical_experiment(config, gamma, delta, theta=0.5):
     replicas with m^L below the family's normalizer at a(gamma) + delta.
     Positive delta probes the upper critical bound; a negative delta
     flips the check into a sharpness probe below the critical curve.
+    config.rule must be that schedule: the gamma-j rule at this gamma.
     """
+    rule = config.rule
+    if (rule.kind, rule.gamma) != ("gamma-j", gamma):
+        got = f"gamma-j at gamma = {rule.gamma:g}" if rule.kind == "gamma-j" else f"the {rule.kind} rule"
+        raise ValueError(f"critical_experiment runs the gamma-j rule at gamma = {gamma:g}, but config.rule is {got}")
     exps = transition_exponents(config.family, config.d)
     if not 0.0 < gamma < exps.gamma1:
         raise ValueError(f"gamma must lie in (0, {exps.gamma1:g}) strictly, got {gamma:g}")

@@ -19,24 +19,39 @@ _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 
 
+def _lattice_int(name, value, low=None):
+    """value as an int, refusing anything that is not an integer (>= low, if given).
+
+    An integral float such as 1.0 passes; 1.9, nan, inf and "7" do not.
+    """
+    try:
+        ok = value == int(value) and (low is None or int(value) >= low)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def derive_seed(master, label, index=0):
     """Derive a 64-bit child seed from (master seed, stream label, index).
 
     Collision resistance comes from BLAKE2b; the mapping is stable across
-    platforms and independent of numpy.
+    platforms and independent of numpy.  master and index must be integers.
     """
     h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(master)).encode())
+    h.update(str(_lattice_int("seed", master)).encode())
     h.update(b"\x1f")
     h.update(str(label).encode())
     h.update(b"\x1f")
-    h.update(str(int(index)).encode())
+    h.update(str(_lattice_int("index", index)).encode())
     return int.from_bytes(h.digest(), "little")
 
 
 def generator(seed):
-    """Sequential RNG stream for a derived seed."""
-    return Generator(PCG64(int(seed) & _MASK64))
+    """Sequential RNG stream for a derived seed, an integer."""
+    return Generator(PCG64(_lattice_int("seed", seed) & _MASK64))
 
 
 def _mix(z):
@@ -77,14 +92,15 @@ def site_uniforms(seed, coords):
     seed is one integer, giving shape (n,), or a 1-d sequence of m
     integers, giving shape (m, n) whose row i is what seed[i] alone
     gives: the hash is elementwise, so all rows are mixed in one pass.
+    A seed that is not an integer is refused.
     """
     coords = _lattice_sites("coords", coords, np.shape(coords)[-1])
     n, d = coords.shape
     cu = coords.view(_U64) if coords.flags.c_contiguous else coords.copy().view(_U64)
     if np.ndim(seed) == 0:
-        seeds = np.array(int(seed) & _MASK64, dtype=_U64)
+        seeds = np.array(_lattice_int("seed", seed) & _MASK64, dtype=_U64)
     else:
-        seeds = np.array([int(s) & _MASK64 for s in seed], dtype=_U64)
+        seeds = np.array([_lattice_int("seed", s) & _MASK64 for s in seed], dtype=_U64)
     with np.errstate(over="ignore"):
         h = np.broadcast_to(_mix(seeds)[..., None], seeds.shape + (n,))
         for k in range(d):

@@ -31,8 +31,8 @@ import numpy as np
 
 from ._special import log_factorial, logsumexp
 from .analytics import rate_I
-from .environments import _lattice_int, sample_potentials, window_coords
-from .seeding import _lattice_sites
+from .environments import sample_potentials, window_coords
+from .seeding import _lattice_int, _lattice_sites
 
 # Per-site |error in log m| that a dense solve must keep; see _dense_fields.
 _SITE_LOG_TOL = 1e-8

@@ -1,5 +1,6 @@
 """Hand-built environments and reference loops shared across test modules."""
 
+import dataclasses
 import json
 import math
 import os
@@ -22,31 +23,14 @@ def make_env_1d(v, hardcore=None, seed=0, baseline_death=0.0):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1 or v.size % 2 == 0:
         raise ValueError("v must be 1-d with odd length")
-    radius = (v.size - 1) // 2
-    if hardcore is None:
-        hardcore = np.zeros(v.size, dtype=bool)
-    else:
-        hardcore = np.asarray(hardcore, dtype=bool).copy()
-    vp = np.maximum(v, 0.0)
-    vm = np.maximum(-v, 0.0)
-    vp[hardcore] = 0.0
-    vm[hardcore] = 0.0
-    return Environment(
-        family=TailFamily.weibull(2.0),
-        dim=1,
-        radius=radius,
-        seed=seed,
-        baseline_death=baseline_death,
-        v_plus=vp,
-        v_minus=vm,
-        hardcore=hardcore,
-    )
+    return make_env(v, hardcore, seed, baseline_death)
 
 
-def make_env(v_grid, hardcore=None, seed=0):
+def make_env(v_grid, hardcore=None, seed=0, baseline_death=0.0):
     """Environment of arbitrary dimension from a cubic grid of potentials.
 
-    v_grid has shape (2R+1,) * d and is flattened in the window's C order.
+    v_grid has shape (2R+1,) * d and is flattened in the window's C order;
+    v is set to 0 on the hard-core sites.
     """
     v_grid = np.asarray(v_grid, dtype=np.float64)
     side = v_grid.shape[0]
@@ -54,27 +38,14 @@ def make_env(v_grid, hardcore=None, seed=0):
         raise ValueError("v_grid must be a cube with odd side")
     dim = v_grid.ndim
     radius = (side - 1) // 2
-    v = v_grid.reshape(-1)
-    n = v.size
+    n = v_grid.size
     assert window_coords(dim, radius).shape == (n, dim)
     if hardcore is None:
         hardcore = np.zeros(n, dtype=bool)
     else:
         hardcore = np.asarray(hardcore, dtype=bool).reshape(-1).copy()
-    vp = np.maximum(v, 0.0)
-    vm = np.maximum(-v, 0.0)
-    vp[hardcore] = 0.0
-    vm[hardcore] = 0.0
-    return Environment(
-        family=TailFamily.weibull(2.0),
-        dim=dim,
-        radius=radius,
-        seed=seed,
-        baseline_death=0.0,
-        v_plus=vp,
-        v_minus=vm,
-        hardcore=hardcore,
-    )
+    v = np.where(hardcore, 0.0, v_grid.reshape(-1))
+    return Environment(TailFamily.weibull(2.0), dim, radius, seed, baseline_death, v, hardcore)
 
 
 def padded_with_hardcore(env, pad):
@@ -83,27 +54,12 @@ def padded_with_hardcore(env, pad):
     Used to check that Dirichlet padding leaves solutions unchanged.
     """
     big = sample_environment(env.family, env.dim, env.radius + pad, env.seed, env.baseline_death)
-    hard = big.hardcore.copy()
     ring = np.abs(big.coords()).max(axis=1) > env.radius
-    hard[ring] = True
-    vp = big.v_plus.copy()
-    vm = big.v_minus.copy()
-    vp[ring] = 0.0
-    vm[ring] = 0.0
+    v, hard = np.where(ring, 0.0, big.v), big.hardcore | ring
     inner = big.flat_index(env.coords())
-    vp[inner] = env.v_plus
-    vm[inner] = env.v_minus
+    v[inner] = env.v
     hard[inner] = env.hardcore
-    return Environment(
-        family=env.family,
-        dim=env.dim,
-        radius=env.radius + pad,
-        seed=env.seed,
-        baseline_death=env.baseline_death,
-        v_plus=vp,
-        v_minus=vm,
-        hardcore=hard,
-    )
+    return dataclasses.replace(big, v=v, hardcore=hard)
 
 
 def reference_chunk_log_weights(env, x, kappa, t, n, rng, center, radius):
@@ -114,7 +70,7 @@ def reference_chunk_log_weights(env, x, kappa, t, n, rng, center, radius):
     """
     d = env.dim
     rate = 2.0 * d * kappa
-    v = env.v_plus - env.v_minus
+    v = env.v
     hard = env.hardcore
     pos = np.tile(x, (n, 1))
     logw = np.zeros(n)
@@ -162,7 +118,7 @@ def reference_fk_path_log_weights(env, x, kappa, t, n_paths, seed, box=None):
     if kappa == 0.0 or t == 0.0:
         if env.hardcore[env.flat_index(x)]:
             return np.full(n_paths, -math.inf)
-        return np.full(n_paths, float((env.v_plus - env.v_minus)[env.flat_index(x)]) * t)
+        return np.full(n_paths, float(env.v[env.flat_index(x)]) * t)
     out = np.empty(n_paths)
     for ci, done in enumerate(range(0, n_paths, 8192)):
         n = min(8192, n_paths - done)

@@ -238,7 +238,7 @@ def test_fk_estimate_in_place_keeps_the_bits_of_the_copying_formula(case, x, kap
     env = sample_environment(_DOUBLE_EXP, 1, 6, 5)
     hard = env.hardcore.copy()
     hard[env.flat_index((2,))] = True
-    env = make_env_1d(env.v_plus - env.v_minus, hardcore=hard)
+    env = make_env_1d(env.v, hardcore=hard)
     logw = fk_path_log_weights(env, x, kappa, t, n_paths, seed=13)
     est = fk_estimate(env, x, kappa, t, n_paths, seed=13)
     assert est.n_killed == int(np.isinf(logw).sum())

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -698,6 +699,37 @@ def test_verdict_consistent_reads_the_given_thresholds():
     g = _stats("clt", skew=0.3, exkurt=0.0, ks_p=0.5, median_abs_statistic=0.5, classification="gaussian")
     assert not verdict_consistent(g)
     assert verdict_consistent(g, RegimeThresholds(skew_max=0.3))
+
+
+def test_verdict_consistent_reads_a_critical_verdicts_passed():
+    # it once raised AttributeError: a CriticalVerdict has no classification
+    with open(FIXTURE) as fh:
+        records = json.load(fh)
+    verdicts = [
+        regimes.CriticalVerdict(**{k: x if isinstance(x, bool) else float.fromhex(x) for k, x in r.items()})
+        for key in ("critical_weibull", "critical_frechet") for r in records[key]
+    ]
+    assert {v.passed for v in verdicts} == {True, False}
+    for v in verdicts:
+        assert verdict_consistent(v)
+        assert not verdict_consistent(dataclasses.replace(v, passed=not v.passed))
+    assert not verdict_consistent(verdicts[2], RegimeThresholds(fraction=1.0))
+
+
+@pytest.mark.parametrize(
+    "rule, got",
+    [(ScheduleRule(kind="explicit", table=((3.0, 5),)), "the explicit rule"),
+     (ScheduleRule(kind="f-hat", table=((3.0, 2.0),)), "the f-hat rule"),
+     (ScheduleRule(kind="gamma-j", gamma=1.5), "gamma-j at gamma = 1.5")],
+)
+def test_critical_refuses_a_rule_it_would_not_run_before_any_draw(rule, got):
+    # each once ran without a word on the gamma-j schedule at the gamma passed: the explicit table at L = 8
+    config = RegimeConfig(family=WEIBULL2, rule=rule, t_grid=(3.0,), n_replica=100, seed=1)
+    refusal = f"critical_experiment runs the gamma-j rule at gamma = 0.5, but config.rule is {got}"
+    with mock.patch.object(regimes, "_block_log_means", side_effect=AssertionError("drew blocks")), \
+            mock.patch.object(regimes, "_critical_scale", side_effect=AssertionError("drew a scale")):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            critical_experiment(config, 0.5, 0.1)
 
 
 def test_clt_refuses_kappa_positive_without_reference_before_any_site_is_hashed(monkeypatch):

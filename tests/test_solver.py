@@ -83,7 +83,7 @@ def mpmath_log_field(env, kappa, t, dps=40):
     """
     active = ~env.hardcore
     c = env.coords()[active]
-    v = (env.v_plus - env.v_minus)[active]
+    v = env.v[active]
     adj = np.abs(c[:, None, :] - c[None, :, :]).sum(axis=-1) == 1
     peak = float(v.max())
     n = len(v)
@@ -477,7 +477,7 @@ def test_box_cut_matches_coordinates(dim, radius, center, box_radius):
     live = ~env.hardcore[idx]
     assert live.any() and not live.all()
     np.testing.assert_array_equal(box.active_mask(), live)
-    np.testing.assert_array_equal(box.potential(), (env.v_plus - env.v_minus)[idx[live]])
+    np.testing.assert_array_equal(box.potential(), env.v[idx[live]])
     assert box.n_active == live.sum()
     pot, ok, steps = box.killing_grid()
     inner = (slice(1, -1),) * dim
@@ -565,7 +565,7 @@ def _center_logs(v, hard, kappa, t):
 def _window_stack(family, seeds, radius=5, dim=1):
     side = (2 * radius + 1,) * dim
     envs = [sample_environment(family, dim, radius, seed=s) for s in seeds]
-    return np.stack([(e.v_plus - e.v_minus).reshape(side) for e in envs]), np.stack(
+    return np.stack([e.v.reshape(side) for e in envs]), np.stack(
         [e.hardcore.reshape(side) for e in envs]
     )
 
@@ -680,7 +680,7 @@ def test_site_log_moments_reads_given_sites_of_each_env():
     v, hard = (np.concatenate(a) for a in zip(*(e.stack() for e in envs)))
     got = site_log_moments(v, hard, sites, 0.0, 1.5, 0)
     idx = envs[0].flat_index(sites)
-    want = [np.where(e.hardcore[idx], -np.inf, 1.5 * (e.v_plus - e.v_minus)[idx]) for e in envs]
+    want = [np.where(e.hardcore[idx], -np.inf, 1.5 * e.v[idx]) for e in envs]
     np.testing.assert_array_equal(got, want)
     assert got[0, 1] == -np.inf and np.isfinite(got[1]).all()
     with pytest.raises(SolverError, match="need 4"):
