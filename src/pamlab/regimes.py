@@ -552,7 +552,7 @@ def _critical_scale(family, d, t, kappa, theta, n_replica, seed):
     f1 = intermittency_shape_f1(family, theta, d)
     if kappa == 0.0:
         return cumulant_exponent_G(family, theta, t) / f1
-    est = estimate_F_theta(family, theta, kappa, t, n_replica, seed)
+    est = estimate_F_theta(family, theta, kappa, t, n_replica, seed, dim=d)
     return est.value / f1
 
 

@@ -25,7 +25,6 @@ is not finite and >= 0 before any site is hashed.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +49,8 @@ _STACK_SITES = 2**17
 _MAX_RADIUS = 10**6
 # Largest uniformization rate c t that _solve_stack accepts; its Poisson degree is about as large.
 _MAX_DEGREE = 2**22
+# Poisson weights that _uniformized_sums computes in one call, for the steps at which the same boxes are live.
+_WEIGHT_BLOCK = 2**10
 
 
 class SolverError(RuntimeError):
@@ -282,11 +283,25 @@ def windows_per_call(n_sites):
     return max(1, _STACK_SITES // n_sites)
 
 
-@lru_cache(maxsize=None)
+# The one table of _log_factorials, replaced by a larger one when a caller needs more.
+_log_factorial_table = [np.zeros(0)]
+
+
 def _log_factorials(size):
-    """Read-only table of log k! for k < size; callers ask for powers of two."""
-    table = np.fromiter(map(log_factorial, range(size)), float, size)
-    table.setflags(write=False)
+    """Read-only table of log k! for k < at least size, shared by every caller.
+
+    The table grows to the next power of two at or above size, so it at
+    least doubles; only the largest is kept, and each entry has the same
+    bits in every table.  _poisson_degree reads at most index
+    lam + 8 sqrt(lam) + 42 with lam <= _MAX_DEGREE = 2^22, so the table
+    never exceeds 2^23 entries (64 MiB).
+    """
+    table = _log_factorial_table[0]
+    if len(table) < size:
+        grown = 1 << (size - 1).bit_length()
+        table = np.fromiter(map(log_factorial, range(grown)), float, grown)
+        table.setflags(write=False)
+        _log_factorial_table[0] = table
     return table
 
 
@@ -309,7 +324,7 @@ def _poisson_degree(lam):
 
     def small_tail(k):
         j = k + 1.0
-        log_fact = _log_factorials(1 << int(j.max(initial=0.0)).bit_length())
+        log_fact = _log_factorials(int(j.max(initial=0.0)) + 1)
         p = np.exp(j * log_lam - lam - log_fact[j.astype(np.int64)])
         r = lam / (j + 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -341,47 +356,97 @@ def _uniformized_sums(v, active, kappa, t, vmin, c, degree, margin):
     diagonal (v - v_min)/c_b and kappa/c_b between lattice neighbors,
     applied as a stencil over the d axes of a zero-padded array; both
     vanish on hard cores, so those sites stay at 0.  Only the sites read
-    are accumulated.  Rows run in order of decreasing degree, so the
-    boxes still in the loop at step k are a prefix of the stack.  The
-    weights come from their logarithms, so e^{-ct} cannot underflow.
-    Returns shape (B, (S - 2 margin)^d).
+    are accumulated.  The weights come from their logarithms, so e^{-ct}
+    cannot underflow.  Returns shape (B, (S - 2 margin)^d).
+
+    The work arrays put the box axis last, (S + 2, ..., S + 2, W), so a
+    stencil op is a few long contiguous loops over the boxes rather than
+    one short loop per box.  Boxes run in order of decreasing degree, so
+    the n still in the loop at step k are a prefix of that axis.  Once n
+    falls to W / 2 or below, the finished boxes are written out and each
+    array's prefix is moved to the front of its own memory (_compact), so
+    a tail of few boxes runs contiguous and repacking allocates nothing.
+    The views of a step are built once each time n changes, and the weights
+    of the steps at which n stays put come from one exp call per
+    _WEIGHT_BLOCK entries.  Every op is elementwise and adds its terms in
+    the same order for each box, so neither the layout, the repacks nor
+    the weight blocks move a bit.
     """
     B, shape = v.shape[0], v.shape[1:]
-    d = len(shape)
-    per_row = (B,) + (1,) * d
     order = np.argsort(-degree, kind="stable")
-    v, active, vmin, c, degree = v[order], active[order], vmin[order], c[order], degree[order]
-    scale = np.where(c > 0.0, c, 1.0).reshape(per_row)
-    diag = np.where(active, (v - vmin.reshape(per_row)) / scale, 0.0)
-    link = np.where(active, kappa / scale, 0.0)
+    vmin, c, degree = vmin[order], c[order], degree[order]
+    scale = np.where(c > 0.0, c, 1.0)
+    live = np.moveaxis(active, 0, -1).take(order, axis=-1)
+    diag = np.moveaxis(v, 0, -1).take(order, axis=-1)
+    diag -= vmin
+    diag /= scale
+    diag[~live] = 0.0
+    link = np.where(live, kappa / scale, 0.0)
     lam = c * t
     with np.errstate(divide="ignore"):
         log_lam = np.log(lam)
-    log_fact = _log_factorials(1 << int(degree.max(initial=0)).bit_length())
-    inner, read = _inner(shape, 0, 1), _inner(shape, margin, 1)
-    shifts = [inner[: k + 1] + (s,) + inner[k + 2 :] for k in range(d) for s in (slice(None, -2), slice(2, None))]
-    u = np.zeros((B,) + tuple(s + 2 for s in shape))
-    u[inner] = active
-    nxt = np.zeros_like(u)
-    tmp = np.empty(v.shape)
-    acc = np.exp(-lam).reshape(per_row) * u[read]
-    n_left = B - np.searchsorted(degree[::-1], np.arange(int(degree.max(initial=0)) + 1), side="left")
-    for k in range(1, len(n_left)):
-        n = n_left[k]
-        cur, new = u[:n], nxt[:n]
-        out = new[inner]
-        np.add(cur[shifts[0]], cur[shifts[1]], out=out)
-        for s in shifts[2:]:
-            out += cur[s]
-        out *= link[:n]
-        np.multiply(diag[:n], cur[inner], out=tmp[:n])
-        out += tmp[:n]
-        u, nxt = nxt, u
-        weight = np.exp(k * log_lam[:n] - lam[:n] - log_fact[k])
-        acc[:n] += weight.reshape((n,) + (1,) * d) * u[:n][read]
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out.reshape(B, math.prod(acc.shape[1:]))
+    top = int(degree.max(initial=0))
+    log_fact = _log_factorials(top + 1)
+    inner = tuple(slice(1, s + 1) for s in shape)
+    read = tuple(slice(1 + margin, 1 + s - margin) for s in shape)
+    shifts = [inner[:k] + (s,) + inner[k + 1 :] for k in range(len(shape)) for s in (slice(None, -2), slice(2, None))]
+    bufs = [np.zeros(tuple(s + 2 for s in shape) + (B,)) for _ in range(2)]
+    bufs[0][inner] = live
+    del live
+    tmp = np.empty(diag.shape)
+    acc = np.exp(-lam) * bufs[0][read]
+    n_read = math.prod(acc.shape[:-1])
+    out = np.empty((B, n_read))
+    degree, width, n, k = degree.tolist(), B, B, 1
+    while k <= top:
+        while degree[n - 1] < k:
+            n -= 1
+        if 2 * n <= width:
+            out[order[n:width]] = acc[..., n:width].reshape(n_read, -1).T
+            acc, diag, link, tmp = (_compact(a, n) for a in (acc, diag, link, tmp))
+            bufs = [_compact(a, n) for a in bufs]
+            width = n
+        boxes = (slice(0, n),)
+        # steps[k % 2] reads the buffer that step k - 1 wrote
+        steps = []
+        for src, dst in ((bufs[1], bufs[0]), (bufs[0], bufs[1])):
+            terms = [src[s + boxes] for s in shifts]
+            steps.append((terms[0], terms[1], terms[2:], src[inner + boxes], dst[inner + boxes], dst[read + boxes]))
+        link_n, diag_n, tmp_n, acc_n = (a[..., :n] for a in (link, diag, tmp, acc))
+        tmp_read = tmp[tuple(slice(margin, s - margin) for s in shape) + boxes]
+        lam_n, log_lam_n = lam[:n], log_lam[:n]
+        while k <= degree[n - 1]:  # the n boxes all run through step degree[n - 1]
+            ks = np.arange(k, min(degree[n - 1] + 1, k + max(1, _WEIGHT_BLOCK // n)))
+            for weight in np.exp(ks[:, None] * log_lam_n - lam_n - log_fact[ks, None]):
+                first, second, rest, cur, new, new_read = steps[k % 2]
+                np.add(first, second, out=new)
+                for s in rest:
+                    new += s
+                new *= link_n
+                np.multiply(diag_n, cur, out=tmp_n)
+                new += tmp_n
+                np.multiply(new_read, weight, out=tmp_read)
+                acc_n += tmp_read
+                k += 1
+    out[order[:width]] = acc.reshape(n_read, width).T
+    return out
+
+
+def _compact(a, n):
+    """The first n boxes of a C-contiguous batch-last array of width W >= 2n, moved to the front of its memory.
+
+    Row i of the (rows, W) view goes to [i n, (i + 1) n).  Rows [i, 2i)
+    land below i W, where row i starts, so each doubling block of rows is
+    one copy that does not overlap its source, and nothing is allocated.
+    """
+    rows = a.size // a.shape[-1]
+    flat, src = a.reshape(-1), a.reshape(rows, -1)
+    i = 1
+    while i < rows:
+        j = min(2 * i, rows)
+        flat[i * n : j * n].reshape(j - i, n)[...] = src[i:j, :n]
+        i = j
+    return flat[: rows * n].reshape(a.shape[:-1] + (n,))
 
 
 def _inner(shape, margin, pad=0):

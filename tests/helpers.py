@@ -225,6 +225,51 @@ def reference_box_tile_logs(v, hard, L, kappa, t, R):
     return logs.reshape(len(v), n_tiles, w)[:, tile_of, np.arange(n_read) - starts[tile_of]]
 
 
+def reference_uniformized_sums(v, active, kappa, t, vmin, c, degree, margin):
+    """solver._uniformized_sums as it was with the box axis first, (B, S + 2, ..., S + 2).
+
+    Kept verbatim as the bit-for-bit reference of the batch-last kernel:
+    each step slices its live prefix of rows anew, so every stencil op
+    runs one short loop per box.
+    """
+    B, shape = v.shape[0], v.shape[1:]
+    d = len(shape)
+    per_row = (B,) + (1,) * d
+    order = np.argsort(-degree, kind="stable")
+    v, active, vmin, c, degree = v[order], active[order], vmin[order], c[order], degree[order]
+    scale = np.where(c > 0.0, c, 1.0).reshape(per_row)
+    diag = np.where(active, (v - vmin.reshape(per_row)) / scale, 0.0)
+    link = np.where(active, kappa / scale, 0.0)
+    lam = c * t
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(lam)
+    log_fact = solver._log_factorials(1 << int(degree.max(initial=0)).bit_length())
+    inner, read = solver._inner(shape, 0, 1), solver._inner(shape, margin, 1)
+    shifts = [inner[: k + 1] + (s,) + inner[k + 2 :] for k in range(d) for s in (slice(None, -2), slice(2, None))]
+    u = np.zeros((B,) + tuple(s + 2 for s in shape))
+    u[inner] = active
+    nxt = np.zeros_like(u)
+    tmp = np.empty(v.shape)
+    acc = np.exp(-lam).reshape(per_row) * u[read]
+    n_left = B - np.searchsorted(degree[::-1], np.arange(int(degree.max(initial=0)) + 1), side="left")
+    for k in range(1, len(n_left)):
+        n = n_left[k]
+        cur, new = u[:n], nxt[:n]
+        out = new[inner]
+        np.add(cur[shifts[0]], cur[shifts[1]], out=out)
+        for s in shifts[2:]:
+            out += cur[s]
+        out *= link[:n]
+        np.multiply(diag[:n], cur[inner], out=tmp[:n])
+        out += tmp[:n]
+        u, nxt = nxt, u
+        weight = np.exp(k * log_lam[:n] - lam[:n] - log_fact[k])
+        acc[:n] += weight.reshape((n,) + (1,) * d) * u[:n][read]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out.reshape(B, math.prod(acc.shape[1:]))
+
+
 def reference_population_ensemble(env, x, kappa, t, n_runs, seed, cap=10**7):
     """(counts, truncated, n_branch, n_death, n_boundary_kill) of population_ensemble.
 

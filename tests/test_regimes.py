@@ -891,6 +891,16 @@ def test_critical_sizes_every_box_before_the_first_draw():
             with pytest.raises((ValueError, ScheduleOverflowError), match=refusal):
                 critical_experiment(config, gamma=gamma, delta=0.005)
 
+
+def test_critical_scale_estimates_F_theta_in_the_box_dimension():
+    # frechet at kappa > 0 calibrates J from F_theta, which must come from d-dimensional replicas
+    family, d, t, kappa, theta = TailFamily.frechet(1.0), 2, 1.0, 1.0, 0.5
+    with mock.patch.object(regimes, "estimate_F_theta", return_value=mock.Mock(value=2.0)) as spy:
+        scale = regimes._critical_scale(family, d, t, kappa, theta, 50, 7)
+    spy.assert_called_once_with(family, theta, kappa, t, 50, 7, dim=d)
+    assert scale == 2.0 / intermittency_shape_f1(family, theta, d)
+
+
 if __name__ == "__main__":
     # Records the fixture.  It was recorded once, before lln and clt
     # shared one verdict builder; re-recording it would make the test vacuous.

@@ -14,8 +14,11 @@ from helpers import (
     padded_with_hardcore,
     reference_box_tile_logs,
     reference_site_log_moments,
+    reference_uniformized_sums,
+    traced_peak,
 )
 from pamlab import solver
+from pamlab._special import log_factorial
 from pamlab.analytics import rate_I
 from pamlab.environments import TailFamily, sample_environment, sample_potentials, window_coords
 from pamlab.moments import correlation_profile
@@ -870,3 +873,80 @@ def test_box_log_means_do_not_depend_on_the_stack_size():
     together = _replica_box_logs(family, seeds, L, kappa, t, R, _log_mean)
     alone = [_replica_box_logs(family, [s], L, kappa, t, R, _log_mean)[0] for s in seeds]
     np.testing.assert_array_equal(together, alone)
+
+
+def _kernel_stack(family, dim, radius, seeds, kappa, t):
+    """(v, active, vmin, c, degree) of a stack of sampled boxes, as _solve_stack hands them to the kernel."""
+    v, hard = sample_potentials(family, dim, radius, seeds)
+    v, active = (a.reshape((len(seeds),) + (2 * radius + 1,) * dim) for a in (v, ~hard))
+    axes = tuple(range(1, dim + 1))
+    vmin = np.min(v, axis=axes, where=active, initial=np.inf)
+    c = 2.0 * dim * kappa + np.max(v, axis=axes, where=active, initial=-np.inf) - vmin
+    return v, active, vmin, c, _poisson_degree(c * t)
+
+
+@pytest.mark.parametrize(
+    "family, dim, radius, n_boxes, kappa, t, margin",
+    [
+        (TailFamily.weibull(2.0), 1, 12, 40, 1.0, 2.0, 0),
+        (TailFamily.weibull(2.0), 1, 12, 40, 1.0, 2.0, 12),
+        (TailFamily.double_exp(1.0), 2, 5, 25, 0.5, 1.5, 0),
+        (TailFamily.weibull(2.0), 2, 5, 25, 1.0, 1.0, 5),
+        (TailFamily.hard_core(0.3), 1, 10, 30, 1.0, 2.0, 4),
+        (TailFamily.hard_core(0.2), 2, 4, 20, 1.0, 1.0, 2),
+        (TailFamily.weibull(2.0), 1, 9, 1, 1.0, 3.0, 0),
+        (TailFamily.hard_core(0.2), 2, 4, 1, 1.0, 1.0, 4),
+    ],
+)
+def test_batch_last_kernel_keeps_the_reference_bits(family, dim, radius, n_boxes, kappa, t, margin):
+    stack = _kernel_stack(family, dim, radius, [derive_seed(3, "kernel-bits", i) for i in range(n_boxes)], kappa, t)
+    v, active = stack[:2]
+    got = _uniformized_sums(v, active, kappa, t, *stack[2:], margin)
+    np.testing.assert_array_equal(got, reference_uniformized_sums(v, active, kappa, t, *stack[2:], margin))
+    assert got.shape == (n_boxes, (2 * (radius - margin) + 1) ** dim)
+    assert (got > 0).any() and (~active).any() == (family.kind == "hard_core")
+
+
+def test_batch_last_kernel_keeps_its_bits_through_repacks(monkeypatch):
+    # frechet(1) boxes reach degrees in the hundreds and thousands, weibull(2) ones stay near 30;
+    # shuffled together, the live prefix halves at least three times on its way down to the top box
+    kappa, t, margin = 1.0, 1.0, 3
+    parts = [_kernel_stack(family, 1, 8, [derive_seed(4, family.kind, i) for i in range(24)], kappa, t)
+             for family in (TailFamily.frechet(1.0), TailFamily.weibull(2.0))]
+    shuffle = np.random.default_rng(2).permutation(48)
+    v, active, vmin, c, degree = (np.concatenate(arrays)[shuffle] for arrays in zip(*parts))
+    widths = []
+    compact = solver._compact
+
+    def spy(a, n):
+        widths.append(n)
+        return compact(a, n)
+
+    monkeypatch.setattr(solver, "_compact", spy)
+    got = _uniformized_sums(v, active, kappa, t, vmin, c, degree, margin)
+    np.testing.assert_array_equal(got, reference_uniformized_sums(v, active, kappa, t, vmin, c, degree, margin))
+    repacks = sorted(set(widths), reverse=True)
+    assert len(repacks) >= 3 and all(2 * b <= a for a, b in zip([48] + repacks, repacks))
+    assert degree.max() > 20 * np.median(degree)
+
+
+def test_batch_last_kernel_adds_no_memory():
+    # a (1200, 51) window stack read at its center; the kernel with the box axis first peaked at 3.17 MiB
+    kappa, t = 1.0, 3.0
+    stack = _kernel_stack(TailFamily.weibull(2.0), 1, 25, np.arange(1200), kappa, t)
+    _uniformized_sums(*stack[:2], kappa, t, *stack[2:], 25)  # the log-factorial table, once
+    _, peak = traced_peak(_uniformized_sums, *stack[:2], kappa, t, *stack[2:], 25)
+    assert peak <= 3.17 * 2**20
+
+
+def test_log_factorial_table_grows_by_doubling_and_keeps_one(monkeypatch):
+    monkeypatch.setattr(solver, "_log_factorial_table", [np.zeros(0)])
+    small = solver._log_factorials(100)
+    assert len(small) == 128
+    large = solver._log_factorials(3000)
+    assert len(large) == 4096
+    assert solver._log_factorials(10) is large
+    assert len(solver._log_factorial_table) == 1 and solver._log_factorial_table[0] is large
+    np.testing.assert_array_equal(large, [log_factorial(k) for k in range(4096)])
+    np.testing.assert_array_equal(large[:128], small)
+    assert not large.flags.writeable
